@@ -27,13 +27,13 @@
 //!
 //! Idle and per-request read deadlines are enforced by the loop's poll
 //! timeout (no timer threads, no peek slices); cheap endpoints
-//! (`/v1/healthz`, `/v1/stats`, routing errors) are answered inline on the
-//! loop, while pipeline work is classified by tenant and offered to the
-//! weighted per-tenant [`FairQueue`], drained in deficit-round-robin order
-//! by a fixed pool of *compute workers*. A worker's reply travels back to
-//! the owning loop through its inbox plus a self-pipe wake, so the loop
-//! never blocks on compute and a connection awaiting its response costs no
-//! thread anywhere.
+//! (`/v1/healthz`, `/v1/stats`, routing errors) and `/v1/generate` cache
+//! hits are answered inline on the loop, while pipeline work is classified
+//! by tenant and offered to the weighted per-tenant [`FairQueue`], drained
+//! in deficit-round-robin order by a fixed pool of *compute workers*. A
+//! worker's reply travels back to the owning loop through its inbox plus a
+//! self-pipe wake, so the loop never blocks on compute and a connection
+//! awaiting its response costs no thread anywhere.
 //!
 //! Overload degrades into fast, explicit rejections instead of growing
 //! buffers or latency — and it degrades per tenant: a connection stampede
@@ -62,8 +62,8 @@ use rpg_obs::trace::{
 use rpg_repager::system::RepagerError;
 use rpg_repager::TimingAggregate;
 use rpg_service::{
-    snapshot, valid_tenant_name, CorpusRegistry, Manifest, ManifestDiff, RegistryError,
-    TenantConfig,
+    snapshot, valid_tenant_name, CachedResult, CorpusRegistry, Manifest, ManifestDiff,
+    RegistryError, Served, TenantConfig,
 };
 use serde::value::Value;
 use serde::Deserialize;
@@ -600,8 +600,9 @@ struct Shared {
     /// `PUT`/`DELETE`. Only consulted when `config.auth_enabled`.
     auth: RwLock<AuthTable>,
     /// Per-tenant latency histograms and shed/cancel counters, surfaced by
-    /// `/v1/stats`. Entries appear lazily the first time a tenant's work
-    /// reaches the compute pool.
+    /// `/v1/stats`. Entries appear lazily the first time one of a tenant's
+    /// requests is answered from the cache on the loop or reaches the
+    /// compute pool.
     metrics: RwLock<HashMap<String, Arc<TenantMetrics>>>,
     /// Per-tenant deadline budgets (ms); retuned by manifest reloads and
     /// `PATCH /v1/admin/tenants`. Tenants absent here fall back to
@@ -1789,13 +1790,9 @@ fn handle_request(
         route(request, shared, me, token, &cancel, &trace)
     }))
     .unwrap_or_else(|_| Routed::Inline(Response::json(500, error_body("internal error"))));
-    match routed {
-        Routed::Inline(response) => {
-            conn.trace = Some(conn_trace);
-            record_response(shared, response.status);
-            conn.start_response(response, keep_alive, now, shared);
-            Flow::Keep
-        }
+    let (tenant, response) = match routed {
+        Routed::Inline(response) => (None, response),
+        Routed::CacheHit(tenant, response) => (Some(tenant), response),
         Routed::Queued(tenant) => {
             conn_trace.tenant = tenant;
             conn.trace = Some(conn_trace);
@@ -1812,15 +1809,23 @@ fn handle_request(
             conn.abandoned = false;
             conn.half_closed = false;
             conn.cancel = Some(cancel);
-            Flow::Keep
+            return Flow::Keep;
         }
-    }
+    };
+    conn_trace.tenant = tenant;
+    conn.trace = Some(conn_trace);
+    record_response(shared, response.status);
+    conn.start_response(response, keep_alive, now, shared);
+    Flow::Keep
 }
 
 /// Where a request went after routing.
 enum Routed {
     /// Answered on the event loop without touching the compute pool.
     Inline(Response),
+    /// A `/v1/generate` cache hit answered on the event loop, billed to the
+    /// named tenant (whose `trace_slow_ms` then governs its exemplar).
+    CacheHit(String, Response),
     /// Admitted to the fair queue under the named billing tenant (`None`
     /// for mixed-tenant batches); a compute worker will post the reply.
     Queued(Option<String>),
@@ -2056,9 +2061,9 @@ fn billing_tenant(corpus: Option<&str>, principal: &Option<Principal>, shared: &
     }
 }
 
-/// Validates a generate request on the loop (cheap), then queues it under
-/// its (authenticated) tenant. Request-level errors never consume queue
-/// budget.
+/// Validates a generate request on the loop (cheap), answers it inline when
+/// its result is cached, and otherwise queues it under its (authenticated)
+/// tenant. Request-level errors never consume queue budget.
 fn admit_generate(
     request: &Request,
     principal: &Option<Principal>,
@@ -2101,9 +2106,51 @@ fn admit_generate(
         Ok(header_ms) => header_ms,
         Err(response) => return Routed::Inline(response),
     };
+    // Every check above runs for hits too. A hit does no compute, so it is
+    // exempt from the queue bounds, in-flight caps and deadline shedding
+    // that exist to bound compute: it costs one cache probe here.
+    if let Some(response) = answer_cached(shared, &tenant, &resolved, trace) {
+        return Routed::CacheHit(tenant, response);
+    }
     let deadline = effective_deadline(header_ms, &tenant, shared);
     let work = Work::Generate(tenant.clone(), resolved);
     submit(shared, &tenant, work, me, token, cancel, deadline, trace)
+}
+
+/// Answers a `/v1/generate` cache hit on the event loop: probes the
+/// registry's LRU with the fingerprint and epoch a worker would use and, on
+/// a hit, books it like a worker-served request — the registry's hit
+/// counter and `cache_hit` span (inside the probe), then a sample in the
+/// tenant's latency histogram before the reply is staged. `None` is a miss.
+fn answer_cached(
+    shared: &Shared,
+    tenant: &str,
+    resolved: &ResolvedRequest,
+    trace: &RequestTrace,
+) -> Option<Response> {
+    let admitted_at = Instant::now();
+    let stage = stage_trace(trace, &None);
+    let hit = shared
+        .registry
+        .probe(tenant, &resolved.as_path_request(), stage.as_ref())?;
+    let response = cache_hit_response(tenant, &hit);
+    tenant_metrics(shared, tenant)
+        .latency
+        .record(admitted_at.elapsed());
+    Some(response)
+}
+
+/// The one rendering of a `/v1/generate` cache hit, shared by the loop's
+/// inline answer and a worker whose key got cached while it was queued:
+/// the entry's encoded body, rendered from [`generate_response_value`] by
+/// the entry's first hit and replayed byte for byte by every later one.
+fn cache_hit_response(corpus: &str, hit: &CachedResult) -> Response {
+    let body = hit.hit_body(|output| {
+        serde_json::to_string(&generate_response_value(corpus, output, true))
+            .expect("response serialises")
+            .into_bytes()
+    });
+    Response::json(200, body.to_vec())
 }
 
 /// Admits a batch *per item*: every item is validated on the loop, billed
@@ -2662,6 +2709,7 @@ fn run_job(job: Job, shared: &Shared) {
             let stage = stage_trace(&trace, &compute);
             let value = catch_unwind(AssertUnwindSafe(|| {
                 run_resolved(&corpus, &resolved, shared, deadline, &metrics, stage)
+                    .map(|served| generate_response_value(&corpus, &served.output, served.cached))
             }))
             .unwrap_or_else(|_| {
                 Err(ApiError {
@@ -2727,7 +2775,12 @@ fn execute(
     match work {
         Work::Generate(corpus, resolved) => {
             match run_resolved(corpus, resolved, shared, deadline, metrics, stage) {
-                Ok(value) => json_200(&value),
+                // Cached while this request sat in the queue: the same
+                // bytes the loop answers hits with.
+                Ok(served) => match served.hit() {
+                    Some(hit) => cache_hit_response(corpus, hit),
+                    None => json_200(&generate_response_value(corpus, &served.output, false)),
+                },
                 Err(e) => Response::json(e.status, e.body()),
             }
         }
@@ -2903,7 +2956,7 @@ fn run_resolved(
     deadline: Option<Instant>,
     metrics: &TenantMetrics,
     stage: Option<StageTrace>,
-) -> Result<Value, ApiError> {
+) -> Result<Served, ApiError> {
     let served = shared
         .registry
         .generate_observed(corpus, &resolved.as_path_request(), deadline, stage)
@@ -2925,11 +2978,7 @@ fn run_resolved(
             .unwrap()
             .record(&served.output.timings);
     }
-    Ok(generate_response_value(
-        corpus,
-        &served.output,
-        served.cached,
-    ))
+    Ok(served)
 }
 
 /// `GET /v1/corpora`: the control-plane listing — epoch, corpus spec (when
@@ -3382,4 +3431,61 @@ fn json_200(value: &Value) -> Response {
         200,
         serde_json::to_string(value).expect("response serialises"),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_worker_side_hit_renders_through_the_loops_hit_function() {
+        let registry = Arc::new(CorpusRegistry::new());
+        registry
+            .register(
+                "default",
+                rpg_corpus::generate(&rpg_corpus::CorpusConfig::small()),
+            )
+            .unwrap();
+        let server = Server::spawn(
+            registry.clone(),
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let shared = &server.shared;
+        let artifacts = registry.artifacts("default").unwrap();
+        let survey = artifacts.corpus().survey_bank().iter().next().unwrap();
+        let resolved = ResolvedRequest::resolve(&GenerateRequest {
+            query: survey.query.clone(),
+            max_year: Some(survey.year),
+            ..GenerateRequest::default()
+        })
+        .unwrap();
+        let warm = registry
+            .generate("default", &resolved.as_path_request())
+            .unwrap();
+        let entry = registry
+            .probe("default", &resolved.as_path_request(), None)
+            .expect("the key is warm");
+
+        // The worker finds the key cached (as if it got cached while the
+        // request was queued) and renders the entry's hit body into its
+        // slot...
+        let work = Work::Generate("default".to_string(), resolved);
+        let metrics = tenant_metrics(shared, "default");
+        let from_worker = execute(&work, shared, None, &metrics, None);
+        assert_eq!(from_worker.status, 200);
+        let filled = entry.hit_body(|_| panic!("the worker left the entry's slot empty"));
+        assert_eq!(from_worker.body, &filled[..]);
+
+        // ...which is exactly what the loop's inline answer replays: the
+        // same function, the same bytes, nothing encoded twice.
+        let from_loop = cache_hit_response("default", &entry);
+        assert_eq!(from_loop.body, from_worker.body);
+        let expected =
+            serde_json::to_string(&generate_response_value("default", &warm.output, true)).unwrap();
+        assert_eq!(from_loop.body, expected.as_bytes());
+    }
 }

@@ -15,13 +15,15 @@ use crate::manifest::{CorpusSpec, Manifest, ManifestDiff, ManifestError, TenantC
 use crate::{CacheStats, DEFAULT_CACHE_CAPACITY};
 use rpg_corpus::Corpus;
 use rpg_graph::GraphError;
+use rpg_obs::trace::StageTrace;
 use rpg_repager::artifacts::CorpusArtifacts;
 use rpg_repager::stages::serve_request;
 use rpg_repager::system::{PathRequest, RepagerError, RepagerOutput};
 use rpg_repager::Variant;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::time::Instant;
 
 /// An error serving a request through the registry.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,6 +66,46 @@ pub struct Served {
     /// Whether the result was answered from the cache. A cached output's
     /// `timings` describe the run that populated the cache, not this hit.
     pub cached: bool,
+    /// The cache entry that answered a hit (`None` for a fresh run).
+    hit: Option<Arc<CachedResult>>,
+}
+
+impl Served {
+    /// The cache entry that answered this request, when it was a hit — a
+    /// front end renders the hit's response from its
+    /// [`CachedResult::hit_body`] slot instead of re-encoding the output.
+    pub fn hit(&self) -> Option<&Arc<CachedResult>> {
+        self.hit.as_ref()
+    }
+}
+
+/// One entry of the registry's shared result cache: the pipeline output
+/// plus a slot for the encoded response body a front end answers every hit
+/// on this entry with. The slot is filled at most once and lives exactly as
+/// long as the entry — eviction, a refresh sweep or a tenant removal drops
+/// the bytes with it — so the encoded bodies never form a second cache.
+#[derive(Debug)]
+pub struct CachedResult {
+    output: Arc<RepagerOutput>,
+    hit_body: OnceLock<Arc<[u8]>>,
+}
+
+impl CachedResult {
+    fn new(output: Arc<RepagerOutput>) -> CachedResult {
+        CachedResult {
+            output,
+            hit_body: OnceLock::new(),
+        }
+    }
+
+    /// The encoded hit body: rendered by `encode` on the entry's first hit
+    /// and shared by every later one. Concurrent first hits encode once;
+    /// the others wait for that encoding and reuse it.
+    pub fn hit_body(&self, encode: impl FnOnce(&RepagerOutput) -> Vec<u8>) -> Arc<[u8]> {
+        self.hit_body
+            .get_or_init(|| encode(&self.output).into())
+            .clone()
+    }
 }
 
 struct Tenant {
@@ -104,6 +146,15 @@ struct TenantKey {
     fingerprint: RequestFingerprint,
 }
 
+impl TenantKey {
+    fn new(corpus: &str, request: &PathRequest<'_>, epoch: u64) -> TenantKey {
+        TenantKey {
+            corpus: corpus.to_string(),
+            fingerprint: RequestFingerprint::of(request).with_epoch(epoch),
+        }
+    }
+}
+
 /// Builds a tenant's artifacts from its spec, preferring the spec's
 /// configured snapshot when one loads and its embedded fingerprint matches
 /// the spec. An unusable snapshot — missing file, corruption, or a
@@ -137,7 +188,7 @@ fn artifacts_for_spec(
 /// cache.
 pub struct CorpusRegistry {
     tenants: RwLock<HashMap<String, Tenant>>,
-    cache: Mutex<LruCache<TenantKey, Arc<RepagerOutput>>>,
+    cache: Mutex<LruCache<TenantKey, Arc<CachedResult>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -616,7 +667,7 @@ impl CorpusRegistry {
         deadline: Option<std::time::Instant>,
         trace: Option<rpg_obs::trace::StageTrace>,
     ) -> Result<Served, RegistryError> {
-        let lookup_started = std::time::Instant::now();
+        let lookup_started = Instant::now();
         let (artifacts, epoch) = {
             let tenants = self.tenants.read().unwrap();
             let tenant = tenants
@@ -624,18 +675,12 @@ impl CorpusRegistry {
                 .ok_or_else(|| RegistryError::UnknownCorpus(corpus.to_string()))?;
             (tenant.artifacts.clone(), tenant.epoch)
         };
-        let key = TenantKey {
-            corpus: corpus.to_string(),
-            fingerprint: RequestFingerprint::of(request).with_epoch(epoch),
-        };
-        if let Some(hit) = self.cache.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(trace) = &trace {
-                trace.record("cache_hit", lookup_started);
-            }
+        let key = TenantKey::new(corpus, request, epoch);
+        if let Some(hit) = self.lookup(&key, lookup_started, trace.as_ref()) {
             return Ok(Served {
-                output: hit,
+                output: hit.output.clone(),
                 cached: true,
+                hit: Some(hit),
             });
         }
         let output = crate::with_thread_scratch(|scratch| {
@@ -668,7 +713,7 @@ impl CorpusRegistry {
             let tenants = self.tenants.read().unwrap();
             if let Some(tenant) = tenants.get(corpus).filter(|t| t.epoch == epoch) {
                 let mut cache = self.cache.lock().unwrap();
-                cache.insert(key, output.clone());
+                cache.insert(key, Arc::new(CachedResult::new(output.clone())));
                 // A bounded cache share caps how much of the shared cache
                 // one tenant may occupy: past it, the tenant evicts its
                 // *own* least-recently-used entry instead of squeezing the
@@ -685,7 +730,43 @@ impl CorpusRegistry {
         Ok(Served {
             output,
             cached: false,
+            hit: None,
         })
+    }
+
+    /// Probes the shared cache for `request` against a named corpus without
+    /// running anything — the key and epoch are exactly those
+    /// [`CorpusRegistry::generate_observed`] uses, so a front end can answer
+    /// hits before handing misses to a compute pool. A hit counts exactly
+    /// like one inside `generate_observed` (the hit counter, a `cache_hit`
+    /// span into `trace`). A miss, or an unknown corpus, counts nothing:
+    /// the run that follows counts (or reports) it.
+    pub fn probe(
+        &self,
+        corpus: &str,
+        request: &PathRequest<'_>,
+        trace: Option<&StageTrace>,
+    ) -> Option<Arc<CachedResult>> {
+        let started = Instant::now();
+        let epoch = self.epoch(corpus)?;
+        self.lookup(&TenantKey::new(corpus, request, epoch), started, trace)
+    }
+
+    /// The one cache lookup behind [`CorpusRegistry::probe`] and
+    /// [`CorpusRegistry::generate_observed`]: a hit bumps the hit counter
+    /// and records a `cache_hit` span starting at `started`.
+    fn lookup(
+        &self,
+        key: &TenantKey,
+        started: Instant,
+        trace: Option<&StageTrace>,
+    ) -> Option<Arc<CachedResult>> {
+        let hit = self.cache.lock().unwrap().get(key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(trace) = trace {
+            trace.record("cache_hit", started);
+        }
+        Some(hit)
     }
 
     /// Cache occupancy and hit/miss counters across all tenants.
@@ -819,6 +900,47 @@ mod tests {
         assert!(registry.generate("alpha", &request).unwrap().cached);
         assert!(registry.generate("beta", &request).unwrap().cached);
         assert_eq!(registry.cache_stats().hits, 2);
+    }
+
+    #[test]
+    fn probe_counts_only_hits_and_shares_the_entry_with_generate() {
+        let registry = registry_with_two_tenants();
+        let (query, year) = first_query(&registry, "alpha");
+        let request = PathRequest {
+            max_year: Some(year),
+            ..PathRequest::new(&query, 20)
+        };
+        // A miss (or an unknown tenant) counts nothing: the run that
+        // follows is what counts the miss.
+        assert!(registry.probe("alpha", &request, None).is_none());
+        assert!(registry.probe("ghost", &request, None).is_none());
+        let stats = registry.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 0));
+
+        registry.generate("alpha", &request).unwrap();
+        let entry = registry
+            .probe("alpha", &request, None)
+            .expect("warm key hits");
+        let body = entry.hit_body(|_| b"encoded once".to_vec());
+        // A hit inside `generate` lands on the same entry and replays the
+        // same bytes without encoding again.
+        let served = registry.generate("alpha", &request).unwrap();
+        let hit = served.hit().expect("a cached answer carries its entry");
+        assert!(served.cached && Arc::ptr_eq(hit, &entry));
+        assert!(Arc::ptr_eq(
+            &hit.hit_body(|_| unreachable!("the slot is already filled")),
+            &body
+        ));
+        let stats = registry.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+
+        // The bytes live and die with their entry: a refresh sweep drops
+        // them along with the output.
+        drop((served, entry));
+        assert_eq!(Arc::strong_count(&body), 2, "the entry's slot and ours");
+        registry.refresh_in_place("alpha").unwrap();
+        assert_eq!(Arc::strong_count(&body), 1, "swept with the entry");
+        assert!(registry.probe("alpha", &request, None).is_none());
     }
 
     #[test]

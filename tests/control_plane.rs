@@ -10,11 +10,12 @@
 mod common;
 
 use common::{
-    demo_manifest_json, demo_registry_without_cache, get_with_key, post_json_with_key,
-    request_with_key, spawn_manifest_server, spawn_with, tenant_query, TestServer, ADMIN_KEY,
-    ALPHA_KEY, BETA_KEY,
+    demo_manifest_json, demo_registry, demo_registry_without_cache, get_with_key,
+    post_json_with_key, request_with_key, spawn_manifest_server, spawn_with, tenant_query,
+    TestServer, ADMIN_KEY, ALPHA_KEY, BETA_KEY,
 };
-use rpg_server::client;
+use rpg_server::api::ResolvedRequest;
+use rpg_server::{client, GenerateRequest};
 use rpg_service::{CorpusRegistry, Manifest};
 use serde_json::Value;
 use std::io::Write;
@@ -1057,4 +1058,77 @@ fn reload_without_a_manifest_is_a_409() {
     });
     let response = client::request(server.addr(), "POST", "/v1/admin/reload", None).unwrap();
     assert_eq!(response.status, 409);
+}
+
+#[test]
+fn cache_hits_are_answered_past_a_full_queue_while_misses_get_429() {
+    let registry = demo_registry();
+    let server = spawn_with(registry.clone(), |config| {
+        config.workers = 1;
+        config.tenant_queue_capacity = 1;
+    });
+    let addr = server.addr();
+    let queries = common::demo_queries(4);
+    let body = |index: usize| {
+        let (query, year) = &queries[index];
+        gen_body(query, *year, None)
+    };
+
+    // Warm one key in-process through the registry the server shares.
+    let warm = body(1);
+    let dto: GenerateRequest = serde_json::from_str(&warm).unwrap();
+    let resolved = ResolvedRequest::resolve(&dto).unwrap();
+    registry
+        .generate("default", &resolved.as_path_request())
+        .unwrap();
+
+    // The plug holds the single worker only for as long as one slow
+    // pipeline run, so the three requests that follow ride connections
+    // opened up front and are written back to back, without waiting on
+    // each other's responses.
+    let send = |stream: &mut TcpStream, body: &str| {
+        let request = format!(
+            "POST /v1/generate HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        stream.write_all(request.as_bytes()).unwrap();
+    };
+    let [mut fill, mut hit, mut miss] = [(); 3].map(|()| TcpStream::connect(addr).unwrap());
+
+    // Plug the worker, then fill the tenant's one queue slot.
+    let (plug_query, _) = queries[0].clone();
+    let plug = std::thread::spawn(move || {
+        let response = client::post_json(addr, "/v1/generate", &slow_body(&plug_query, "default"));
+        assert_eq!(response.unwrap().status, 200);
+    });
+    wait_worker_busy(&server, "default");
+    send(&mut fill, &body(2));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.request_depth() == 0 {
+        assert!(Instant::now() < deadline, "the filler never queued");
+        std::thread::yield_now();
+    }
+
+    // A hit does no compute, so the full queue does not apply to it,
+    // while a request that needs compute is throttled.
+    send(&mut hit, &warm);
+    send(&mut miss, &body(3));
+    let hit = client::read_response(&mut hit, &mut Vec::new()).unwrap();
+    let miss = client::read_response(&mut miss, &mut Vec::new()).unwrap();
+    assert_eq!(hit.status, 200, "{}", hit.body);
+    assert_eq!(
+        parse(&hit.body).get("cached").and_then(Value::as_bool),
+        Some(true)
+    );
+    assert_eq!(miss.status, 429, "{}", miss.body);
+
+    let fill = client::read_response(&mut fill, &mut Vec::new()).unwrap();
+    assert_eq!(fill.status, 200, "{}", fill.body);
+    plug.join().unwrap();
+    let stats = server.stats();
+    assert_eq!(stats.throttled, 1);
+    assert_eq!(
+        stats.pipeline.requests, 2,
+        "only the plug and the filler ran"
+    );
 }

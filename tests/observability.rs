@@ -349,3 +349,147 @@ fn tenant_trace_threshold_is_patchable_at_runtime() {
         debug.body
     );
 }
+
+/// The `default` tenant's latency-sample count in a `/v1/stats` body (0
+/// before the tenant's first answered request creates its row).
+fn stats_latency_count(stats: &Value) -> f64 {
+    stats
+        .get("tenants")
+        .and_then(|t| t.get("default"))
+        .and_then(|row| row.get("latency"))
+        .and_then(|latency| latency.get("count"))
+        .and_then(Value::as_f64)
+        .unwrap_or(0.0)
+}
+
+/// `rpg_responses_total` summed over its status classes.
+fn responses_total(exposition: &str) -> f64 {
+    ["2xx", "4xx", "5xx"]
+        .iter()
+        .filter_map(|class| {
+            sample_value(
+                exposition,
+                &format!("rpg_responses_total{{class=\"{class}\"}}"),
+            )
+        })
+        .sum()
+}
+
+#[test]
+fn inline_cache_hits_are_counted_sampled_and_traced() {
+    // Exemplars are off server-wide and on for the tenant: a hit shows up
+    // in the ring only if its trace record carries its tenant.
+    let server = spawn_with(demo_registry(), |config| {
+        config.workers = 2;
+        config.trace_slow_ms = 60_000;
+        config.tenant_trace_slow = vec![("default".to_string(), 0)];
+    });
+    let addr = server.addr();
+    let (query, year) = demo_queries(1).remove(0);
+    let body = generate_body(&query, year, 10);
+    let scrape = || {
+        let stats = parse_json(&client::get(addr, "/v1/stats").unwrap());
+        let metrics = client::get(addr, "/metrics").unwrap();
+        assert_eq!(metrics.status, 200);
+        (stats, metrics.body)
+    };
+    let stat = |stats: &Value, section: &str, field: &str| {
+        stats
+            .get(section)
+            .and_then(|s| s.get(field))
+            .and_then(Value::as_f64)
+            .unwrap()
+    };
+    let histogram_count = |exposition: &str| {
+        sample_value(
+            exposition,
+            "rpg_request_latency_seconds_count{tenant=\"default\"}",
+        )
+        .unwrap_or(0.0)
+    };
+
+    let (stats0, metrics0) = scrape();
+    const HITS: usize = 4;
+    for round in 0..=HITS {
+        let response = client::post_json(addr, "/v1/generate", &body).unwrap();
+        assert_eq!(response.status, 200);
+        let cached = parse_json(&response).get("cached").and_then(Value::as_bool);
+        assert_eq!(cached, Some(round > 0), "round {round}");
+    }
+    let (stats1, metrics1) = scrape();
+    let problems = rpg_obs::promlint::lint(&metrics1);
+    assert!(problems.is_empty(), "exposition lint: {problems:?}");
+
+    let hits = HITS as f64;
+    assert_eq!(
+        stat(&stats1, "cache", "hits") - stat(&stats0, "cache", "hits"),
+        hits
+    );
+    assert_eq!(
+        stat(&stats1, "cache", "misses") - stat(&stats0, "cache", "misses"),
+        1.0
+    );
+    // One latency sample per answered generate, the miss and every hit.
+    assert_eq!(
+        stats_latency_count(&stats1) - stats_latency_count(&stats0),
+        hits + 1.0
+    );
+    assert_eq!(
+        histogram_count(&metrics1) - histogram_count(&metrics0),
+        hits + 1.0
+    );
+    // Every exchange in between counts once, in both views: the generates
+    // plus the two scrapes that sit between each view's reads.
+    assert_eq!(
+        stat(&stats1, "responses", "handled") - stat(&stats0, "responses", "handled"),
+        hits + 3.0
+    );
+    assert_eq!(
+        responses_total(&metrics1) - responses_total(&metrics0),
+        hits + 3.0
+    );
+
+    // A traced hit lands in the exemplar ring under its tenant, with the
+    // probe's `cache_hit` span and no queue or compute spans.
+    let response = client::request_with(
+        addr,
+        "POST",
+        "/v1/generate",
+        Some(&body),
+        &[("x-rpg-trace-id", TRACE_ID)],
+    )
+    .unwrap();
+    assert_eq!(response.status, 200);
+    assert_eq!(
+        parse_json(&response).get("cached").and_then(Value::as_bool),
+        Some(true)
+    );
+    let debug = client::get(addr, "/v1/debug/requests").unwrap();
+    let ring = parse_json(&debug);
+    let record = ring
+        .get("requests")
+        .and_then(Value::as_array)
+        .and_then(|requests| {
+            requests
+                .iter()
+                .find(|r| r.get("trace_id").and_then(Value::as_str) == Some(TRACE_ID))
+        })
+        .unwrap_or_else(|| panic!("traced hit missing from {}", debug.body));
+    assert_eq!(
+        record.get("tenant").and_then(Value::as_str),
+        Some("default")
+    );
+    let names: Vec<&str> = record
+        .get("spans")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .filter_map(|span| span.get("name").and_then(Value::as_str))
+        .collect();
+    assert!(names.contains(&"cache_hit"), "spans: {names:?}");
+    assert!(names.contains(&"response_write"), "spans: {names:?}");
+    assert!(
+        !names.contains(&"queue_wait") && !names.contains(&"compute"),
+        "a hit never reaches the compute pool: {names:?}"
+    );
+}

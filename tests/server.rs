@@ -17,7 +17,7 @@ use common::{demo_queries, demo_registry, generate_body, spawn, spawn_with};
 use rpg_corpus::{generate, CorpusConfig};
 use rpg_repager::system::PathRequest;
 use rpg_repro::demo_corpus;
-use rpg_server::{api, client};
+use rpg_server::{api, client, GenerateRequest};
 use rpg_service::{CorpusRegistry, PathService};
 use serde_json::Value;
 use std::sync::Arc;
@@ -85,6 +85,57 @@ fn concurrent_clients_get_byte_identical_json_to_in_process_generation() {
     assert_eq!(stats.ok, 12, "3 clients x 4 queries, all served");
     assert_eq!(stats.rejected, 0);
     assert!(stats.pipeline.requests >= 4, "fresh runs must be recorded");
+}
+
+/// The raw `result` text of a `/v1/generate` body, cut out without
+/// re-encoding (the body's fields are `corpus`, `cached`, `result` and
+/// `timings`, in that order).
+fn raw_result(body: &str) -> &str {
+    const KEY: &str = r#""result":"#;
+    let start = body.find(KEY).expect("body has a result") + KEY.len();
+    let end = body.rfind(r#","timings":"#).expect("body has timings");
+    &body[start..end]
+}
+
+#[test]
+fn cache_hits_answer_the_encoded_entry_byte_for_byte() {
+    let registry = demo_registry();
+    let server = spawn(registry.clone(), 2, 16);
+    for (query, year) in demo_queries(3) {
+        let body = generate_body(&query, year, 20);
+        let first = client::post_json(server.addr(), "/v1/generate", &body).unwrap();
+        let second = client::post_json(server.addr(), "/v1/generate", &body).unwrap();
+        assert_eq!((first.status, second.status), (200, 200), "{query:?}");
+        let cached = |text: &str| {
+            serde_json::from_str::<Value>(text)
+                .unwrap()
+                .get("cached")
+                .and_then(Value::as_bool)
+        };
+        assert_eq!(cached(&first.body), Some(false), "{query:?}");
+        assert_eq!(cached(&second.body), Some(true), "{query:?}");
+        // The in-process answer on the same shared registry hits the very
+        // entry the server answered from; its canonical encoding is the
+        // hit's whole body, timings included.
+        let dto: GenerateRequest = serde_json::from_str(&body).unwrap();
+        let resolved = api::ResolvedRequest::resolve(&dto).unwrap();
+        let served = registry
+            .generate("default", &resolved.as_path_request())
+            .unwrap();
+        assert!(served.cached);
+        let expected = serde_json::to_string(&api::generate_response_value(
+            "default",
+            &served.output,
+            true,
+        ))
+        .unwrap();
+        assert_eq!(second.body, expected, "hit on {query:?}");
+        assert_eq!(
+            raw_result(&second.body),
+            raw_result(&first.body),
+            "the hit's result differs from the miss's on {query:?}"
+        );
+    }
 }
 
 #[test]
@@ -794,23 +845,25 @@ fn zero_and_garbage_deadline_headers_are_rejected_up_front() {
     let server = spawn(demo_registry(), 2, 8);
     let (query, year) = demo_queries(1).remove(0);
     let body = generate_body(&query, year, 10);
-
-    for bad in ["0", "soon", "-5", "1.5", ""] {
-        let response = client::request_with(
-            server.addr(),
-            "POST",
-            "/v1/generate",
-            Some(&body),
-            &[("x-rpg-deadline-ms", bad)],
-        )
-        .unwrap();
-        assert_eq!(response.status, 400, "header {bad:?}: {}", response.body);
-        assert!(
-            response.body.contains("x-rpg-deadline-ms"),
-            "the error must name the offending header: {}",
-            response.body
-        );
-    }
+    let reject_bad_budgets = || {
+        for bad in ["0", "soon", "-5", "1.5", ""] {
+            let response = client::request_with(
+                server.addr(),
+                "POST",
+                "/v1/generate",
+                Some(&body),
+                &[("x-rpg-deadline-ms", bad)],
+            )
+            .unwrap();
+            assert_eq!(response.status, 400, "header {bad:?}: {}", response.body);
+            assert!(
+                response.body.contains("x-rpg-deadline-ms"),
+                "the error must name the offending header: {}",
+                response.body
+            );
+        }
+    };
+    reject_bad_budgets();
 
     // Batch admission parses the header once per request, before any item
     // is billed, so the whole batch is refused — not a per-item error.
@@ -835,6 +888,10 @@ fn zero_and_garbage_deadline_headers_are_rejected_up_front() {
     )
     .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
+
+    // The key is cached now. A hit is answered on the loop, but only after
+    // the same header check: a bad budget stays a 400, never a cached 200.
+    reject_bad_budgets();
 }
 
 #[test]
