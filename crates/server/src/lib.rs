@@ -42,8 +42,9 @@
 //!   with corpus builds on the compute pool so event loops never block;
 //! * **JSON endpoints** — `POST /v1/generate`, `POST /v1/batch` (items
 //!   admitted and billed per tenant, overflow becomes per-item `429`s),
-//!   `POST /v1/corpora/:name/refresh` (rebuild one tenant, evicting
-//!   exactly its cached results), `GET /v1/healthz`, and `GET /v1/stats`
+//!   `POST /v1/corpora/:name/refresh` (start a new cache epoch for one
+//!   tenant, evicting exactly its cached results; no rebuild, answered on
+//!   the event loop), `GET /v1/healthz`, and `GET /v1/stats`
 //!   (cache hit/miss counters, per-stage timing aggregates, queue depth,
 //!   connection gauges);
 //! * **deterministic result encoding** — [`api::output_result_value`] is

@@ -27,10 +27,11 @@
 //!
 //! Idle and per-request read deadlines are enforced by the loop's poll
 //! timeout (no timer threads, no peek slices); cheap endpoints
-//! (`/v1/healthz`, `/v1/stats`, routing errors) and `/v1/generate` cache
-//! hits are answered inline on the loop, while pipeline work is classified
-//! by tenant and offered to the weighted per-tenant [`FairQueue`], drained
-//! in deficit-round-robin order by a fixed pool of *compute workers*. A
+//! (`/v1/healthz`, `/v1/stats`, refresh, routing errors) and
+//! `/v1/generate` cache hits are answered inline on the loop, while
+//! pipeline work is classified by tenant and offered to the weighted
+//! per-tenant [`FairQueue`], drained in deficit-round-robin order by a
+//! fixed pool of *compute workers*. A
 //! worker's reply travels back to the owning loop through its inbox plus a
 //! self-pipe wake, so the loop never blocks on compute and a connection
 //! awaiting its response costs no thread anywhere.
@@ -140,8 +141,9 @@ pub struct ServerConfig {
     /// The initial key table (usually [`AuthTable::from_manifest`]);
     /// swapped live by manifest reloads and edited by `PUT`/`DELETE`.
     pub auth: AuthTable,
-    /// Per-tenant admission-bound overrides applied at spawn (manifest
-    /// `queue` fields); retunable later via `PATCH /v1/admin/tenants`.
+    /// Per-tenant admission-bound overrides applied at spawn
+    /// ([`ServerConfig::with_manifest`] lists every manifest tenant);
+    /// retunable later via `PATCH /v1/admin/tenants`.
     pub tenant_bounds: Vec<(String, usize)>,
     /// Per-tenant in-flight compute caps applied at spawn. A tenant at its
     /// cap keeps queueing but its lane is skipped by the compute pool until
@@ -225,34 +227,30 @@ impl ServerConfig {
         }
     }
 
-    /// Folds a manifest's server-side tuning into the config: per-tenant
-    /// DRR weights, queue bounds, in-flight caps, deadline budgets, the
-    /// default tenant, and the key table. (The corpus side — building the
+    /// Folds a manifest's server-side tuning into the config: every
+    /// tenant's weight, queue bound, in-flight cap, deadline budget and
+    /// trace threshold exactly as a reload applies them, the default
+    /// tenant, and the key table. (The corpus side — building the
     /// tenants — is [`CorpusRegistry::apply_manifest`]'s job.) Set
-    /// `workers` *before* calling this: the derived in-flight caps are each
-    /// tenant's weighted share of the worker pool.
+    /// `workers` and `tenant_queue_capacity` *before* calling this:
+    /// omitted fields resolve against them.
     pub fn with_manifest(mut self, manifest: &Manifest) -> ServerConfig {
-        self.tenant_weights = manifest
-            .tenants_sorted()
-            .iter()
-            .filter_map(|(name, config)| config.weight.map(|w| (name.to_string(), w)))
-            .collect();
-        self.tenant_bounds = manifest
-            .tenants_sorted()
-            .iter()
-            .filter_map(|(name, config)| config.queue.map(|q| (name.to_string(), q)))
-            .collect();
-        self.tenant_inflight = manifest_inflight_caps(manifest, self.workers);
-        self.tenant_deadlines = manifest
-            .tenants_sorted()
-            .iter()
-            .filter_map(|(name, config)| config.deadline_ms.map(|d| (name.to_string(), d)))
-            .collect();
-        self.tenant_trace_slow = manifest
-            .tenants_sorted()
-            .iter()
-            .filter_map(|(name, config)| config.trace_slow_ms.map(|ms| (name.to_string(), ms)))
-            .collect();
+        /// `(tenant, value)` for every tenant whose tuning sets the field.
+        fn column<T>(
+            tunings: &[(&str, Tuning)],
+            field: impl Fn(&Tuning) -> Option<T>,
+        ) -> Vec<(String, T)> {
+            tunings
+                .iter()
+                .filter_map(|(name, tuning)| Some((name.to_string(), field(tuning)?)))
+                .collect()
+        }
+        let tunings = manifest_tunings(manifest, &self);
+        self.tenant_weights = column(&tunings, |t| Some(t.weight));
+        self.tenant_bounds = column(&tunings, |t| Some(t.queue));
+        self.tenant_inflight = column(&tunings, |t| t.inflight);
+        self.tenant_deadlines = column(&tunings, |t| t.policy.deadline_ms);
+        self.tenant_trace_slow = column(&tunings, |t| t.policy.trace_slow_ms);
         if let Some(default) = manifest.default_tenant() {
             self.default_corpus = default.to_string();
         }
@@ -261,27 +259,60 @@ impl ServerConfig {
     }
 }
 
-/// Resolves every manifest tenant's in-flight compute cap: the explicit
-/// `inflight` field when present, otherwise the tenant's weighted share of
-/// the worker pool (minimum 1), so a heavy tenant cannot occupy every
-/// worker while a light one holds queued work.
-fn manifest_inflight_caps(manifest: &Manifest, workers: usize) -> Vec<(String, usize)> {
-    let workers = workers.max(1) as u64;
+/// Everything that tunes one tenant: its DRR weight, queue bound and
+/// in-flight cap, which live in the fair queue, plus its [`Policy`].
+#[derive(Clone, Copy)]
+struct Tuning {
+    weight: u64,
+    queue: usize,
+    /// `None` leaves the tenant uncapped.
+    inflight: Option<usize>,
+    policy: Policy,
+}
+
+/// The per-tenant policy the request path reads: the deadline budget and
+/// the slow-trace threshold, in milliseconds. `None` falls back to the
+/// server-wide `default_deadline_ms` / `trace_slow_ms`.
+#[derive(Clone, Copy, Default)]
+struct Policy {
+    deadline_ms: Option<u64>,
+    trace_slow_ms: Option<u64>,
+}
+
+impl Tuning {
+    /// The tuning a tenant config asks for on a server configured by
+    /// `server`. Omitted fields take their defaults: weight 1, the server's
+    /// tenant queue bound, and the server-wide deadline and trace
+    /// threshold. An omitted `inflight` becomes the tenant's weighted share
+    /// of the worker pool among tenants weighing `total_weight` in all,
+    /// minimum 1, so a heavy tenant cannot occupy every worker while a
+    /// light one holds queued work.
+    fn of(config: &TenantConfig, server: &ServerConfig, total_weight: u64) -> Tuning {
+        let weight = config.weight.unwrap_or(1).max(1);
+        let share = server.workers.max(1) as u64 * weight / total_weight.max(1);
+        Tuning {
+            weight,
+            queue: config.queue.unwrap_or(server.tenant_queue_capacity),
+            inflight: Some(config.inflight.unwrap_or(share.max(1) as usize)),
+            policy: Policy {
+                deadline_ms: config.deadline_ms,
+                trace_slow_ms: config.trace_slow_ms,
+            },
+        }
+    }
+}
+
+/// Every manifest tenant's [`Tuning`], sorted by name: derived in-flight
+/// caps split the worker pool by weight across the manifest's tenants.
+fn manifest_tunings<'m>(manifest: &'m Manifest, server: &ServerConfig) -> Vec<(&'m str, Tuning)> {
     let tenants = manifest.tenants_sorted();
-    let total_weight: u64 = tenants
+    let total_weight = tenants
         .iter()
         .map(|(_, config)| config.weight.unwrap_or(1).max(1))
-        .sum::<u64>()
-        .max(1);
+        .sum();
     tenants
-        .iter()
-        .map(|(name, config)| {
-            let cap = config.inflight.unwrap_or_else(|| {
-                let weight = config.weight.unwrap_or(1).max(1);
-                ((workers * weight / total_weight).max(1)) as usize
-            });
-            (name.to_string(), cap)
-        })
+        .into_iter()
+        .map(|(name, config)| (name, Tuning::of(config, server, total_weight)))
         .collect()
 }
 
@@ -404,11 +435,6 @@ enum Work {
         corpus: String,
         resolved: ResolvedRequest,
     },
-    /// Rebuild one tenant's artifacts from its current corpus (the
-    /// `/v1/corpora/:name/refresh` endpoint) — artifact builds are
-    /// CPU-heavy, so they ride the compute queue like any pipeline run,
-    /// billed to the tenant being refreshed.
-    Refresh(String),
     /// Build a corpus from a wire-shipped spec and atomically swap it in
     /// under `name` (the `PUT /v1/corpora/:name` endpoint), billed to that
     /// tenant's lane.
@@ -604,13 +630,10 @@ struct Shared {
     /// requests is answered from the cache on the loop or reaches the
     /// compute pool.
     metrics: RwLock<HashMap<String, Arc<TenantMetrics>>>,
-    /// Per-tenant deadline budgets (ms); retuned by manifest reloads and
-    /// `PATCH /v1/admin/tenants`. Tenants absent here fall back to
-    /// `config.default_deadline_ms`.
-    deadlines: RwLock<HashMap<String, u64>>,
-    /// Per-tenant slow-trace thresholds (ms); tenants absent here fall
-    /// back to `config.trace_slow_ms`.
-    trace_slow: RwLock<HashMap<String, u64>>,
+    /// Per-tenant policy records: filled at spawn, then written only by
+    /// [`tune`], and dropped with the tenant. Tenants absent here get the
+    /// server-wide defaults.
+    policies: RwLock<HashMap<String, Policy>>,
     /// The unified metrics registry behind `GET /metrics` — every counter
     /// in [`Counters`] and every [`TenantMetrics`] handle points into it.
     obs: Arc<MetricsRegistry>,
@@ -675,8 +698,13 @@ impl Server {
         for (tenant, cap) in &config.tenant_inflight {
             requests.set_inflight_cap(tenant, *cap);
         }
-        let deadlines = config.tenant_deadlines.iter().cloned().collect();
-        let trace_slow = config.tenant_trace_slow.iter().cloned().collect();
+        let mut policies: HashMap<String, Policy> = HashMap::new();
+        for (tenant, ms) in &config.tenant_deadlines {
+            policies.entry(tenant.clone()).or_default().deadline_ms = Some(*ms);
+        }
+        for (tenant, ms) in &config.tenant_trace_slow {
+            policies.entry(tenant.clone()).or_default().trace_slow_ms = Some(*ms);
+        }
         let obs = Arc::new(MetricsRegistry::new());
         let counters = Counters::registered(&obs);
         let trace_log = Arc::new(TraceLog::new(config.trace_log_capacity));
@@ -686,8 +714,7 @@ impl Server {
             requests,
             auth: RwLock::new(config.auth.clone()),
             metrics: RwLock::new(HashMap::new()),
-            deadlines: RwLock::new(deadlines),
-            trace_slow: RwLock::new(trace_slow),
+            policies: RwLock::new(policies),
             obs,
             trace_log,
             loops,
@@ -1725,7 +1752,7 @@ fn finish_trace(conn: &mut Connection, shared: &Shared, now: Instant) {
     let threshold_ms = trace
         .tenant
         .as_deref()
-        .and_then(|tenant| shared.trace_slow.read().unwrap().get(tenant).copied())
+        .and_then(|tenant| policy(shared, tenant).trace_slow_ms)
         .unwrap_or(shared.config.trace_slow_ms);
     if latency < Duration::from_millis(threshold_ms) {
         return;
@@ -1941,16 +1968,12 @@ fn route(
                 });
             }
             if let Some(tenant) = refresh_target(path) {
-                return match require_admin(&principal) {
-                    Some(rejection) => Routed::Inline(rejection),
-                    None if method == "POST" => {
-                        admit_refresh(tenant, request, shared, me, token, cancel, trace)
-                    }
-                    None => Routed::Inline(
-                        Response::json(405, error_body("method not allowed"))
-                            .with_header("allow", "POST"),
-                    ),
-                };
+                return Routed::Inline(match require_admin(&principal) {
+                    Some(rejection) => rejection,
+                    None if method == "POST" => handle_refresh(tenant, shared),
+                    None => Response::json(405, error_body("method not allowed"))
+                        .with_header("allow", "POST"),
+                });
             }
             if let Some(tenant) = snapshot_target(path) {
                 return Routed::Inline(match require_admin(&principal) {
@@ -2268,30 +2291,6 @@ fn admit_batch(
     Routed::Queued(None)
 }
 
-/// Queues an artifact rebuild for one tenant, billed to that tenant.
-fn admit_refresh(
-    tenant: &str,
-    request: &Request,
-    shared: &Shared,
-    me: &Arc<LoopShared>,
-    token: usize,
-    cancel: &Arc<AtomicBool>,
-    trace: &RequestTrace,
-) -> Routed {
-    if !shared.registry.contains(tenant) {
-        let e = registry_error(RegistryError::UnknownCorpus(tenant.to_string()));
-        return Routed::Inline(Response::json(e.status, e.body()));
-    }
-    let tenant = tenant.to_string();
-    let header_ms = match header_deadline_ms(request) {
-        Ok(header_ms) => header_ms,
-        Err(response) => return Routed::Inline(response),
-    };
-    let deadline = effective_deadline(header_ms, &tenant, shared);
-    let work = Work::Refresh(tenant.clone());
-    submit(shared, &tenant, work, me, token, cancel, deadline, trace)
-}
-
 /// Queues a corpus-spec build-and-swap for one tenant (`PUT`), billed to
 /// that tenant's lane (which the push creates for a brand-new tenant).
 fn admit_put(
@@ -2313,46 +2312,17 @@ fn admit_put(
         Ok(config) => config,
         Err(response) => return Routed::Inline(response),
     };
-    // Cheap validation on the loop; the build itself runs on a worker.
-    if let Err(e) = config
-        .corpus_spec()
-        .and_then(|spec| spec.corpus_config().map(|_| ()))
-        .and_then(|()| config.default_variant().map(|_| ()))
-    {
+    // Cheap validation on the loop, by the rules every manifest tenant
+    // meets; the build itself runs on a worker.
+    if let Err(e) = config.validate() {
         return Routed::Inline(Response::json(400, error_body(&e.to_string())));
     }
-    if config.weight == Some(0) || config.queue == Some(0) {
-        return Routed::Inline(Response::json(
-            400,
-            error_body("weight and queue must be at least 1"),
-        ));
-    }
-    if config.inflight == Some(0) || config.deadline_ms == Some(0) {
-        return Routed::Inline(Response::json(
-            400,
-            error_body("inflight and deadline_ms must be at least 1"),
-        ));
-    }
-    // A zero share would self-evict the tenant's cache entry on every
-    // insert; reject it like the other zero-valued tuning knobs.
-    if config.cache_share == Some(0) {
-        return Routed::Inline(Response::json(
-            400,
-            error_body("cache_share must be at least 1"),
-        ));
-    }
-    // Key rules match manifest validation: the wire path must not accept
-    // (and then silently drop) keys the manifest would reject — an empty
-    // key, or one already claimed by the admin set or another tenant.
+    // The key rules that need the live key table: the wire path must not
+    // accept (and then silently drop) a key already claimed by the admin
+    // set or another tenant.
     if shared.config.auth_enabled {
         let table = shared.auth.read().unwrap();
         for key in config.keys() {
-            if key.is_empty() {
-                return Routed::Inline(Response::json(
-                    400,
-                    error_body("api keys must be non-empty"),
-                ));
-            }
             match table.principal(Some(key)) {
                 Principal::Admin => {
                     return Routed::Inline(Response::json(
@@ -2495,12 +2465,8 @@ fn header_deadline_ms(request: &Request) -> Result<Option<u64>, Response> {
 /// `deadline_ms`, falling back to the server-wide default). `None` — no
 /// header, no policy — means the work never expires queued.
 fn effective_deadline(header_ms: Option<u64>, tenant: &str, shared: &Shared) -> Option<Instant> {
-    let policy_ms = shared
-        .deadlines
-        .read()
-        .unwrap()
-        .get(tenant)
-        .copied()
+    let policy_ms = policy(shared, tenant)
+        .deadline_ms
         .or(shared.config.default_deadline_ms);
     let budget_ms = match (header_ms, policy_ms) {
         (Some(header), Some(policy)) => Some(header.min(policy)),
@@ -2785,22 +2751,30 @@ fn execute(
             }
         }
         Work::BatchItem { .. } => unreachable!("batch items are executed by compute_loop"),
-        Work::Refresh(tenant) => match shared.registry.refresh_in_place(tenant) {
-            Ok(epoch) => json_200(&Value::Object(vec![
-                ("corpus".to_string(), Value::String(tenant.clone())),
-                ("epoch".to_string(), Value::Number(epoch as f64)),
-                ("refreshed".to_string(), Value::Bool(true)),
-            ])),
-            Err(e) => {
-                let e = registry_error(e);
-                Response::json(e.status, e.body())
-            }
-        },
         Work::Put { name, config } => {
             let created = !shared.registry.contains(name);
             match shared.registry.register_spec(name.clone(), config) {
                 Ok(epoch) => {
-                    apply_tenant_tuning(shared, name, config);
+                    // An omitted `inflight` is the tenant's weighted share
+                    // among every tenant served now; the others keep their
+                    // caps until the next reload recomputes them.
+                    let others: u64 = shared
+                        .registry
+                        .tenants()
+                        .iter()
+                        .filter(|other| *other != name)
+                        .map(|other| shared.requests.weight(other))
+                        .sum();
+                    let total_weight = others + config.weight.unwrap_or(1).max(1);
+                    let tuning = Tuning::of(config, &shared.config, total_weight);
+                    tune(shared, name, |_| tuning);
+                    if shared.config.auth_enabled {
+                        shared.auth.write().unwrap().grant_tenant_full(
+                            name,
+                            config.keys(),
+                            config.hashed_keys(),
+                        );
+                    }
                     json_200(&Value::Object(vec![
                         ("corpus".to_string(), Value::String(name.clone())),
                         ("epoch".to_string(), Value::Number(epoch as f64)),
@@ -2830,75 +2804,51 @@ fn execute(
     }
 }
 
-/// Applies a manifest tenant's server-side tuning (queue weight/bound,
-/// in-flight cap, deadline budget, bearer keys) to the running server.
-fn apply_tenant_tuning(shared: &Shared, name: &str, config: &TenantConfig) {
-    shared.requests.set_weight(name, config.weight.unwrap_or(1));
-    shared.requests.set_tenant_bound(
-        name,
-        config.queue.unwrap_or(shared.config.tenant_queue_capacity),
-    );
-    match config.inflight {
-        Some(cap) => shared.requests.set_inflight_cap(name, cap),
-        None => shared.requests.clear_inflight_cap(name),
+/// The one writer of a tenant's tuning. `update` maps the tuning in force
+/// to the next one, which lands in the fair queue (weight, bound, in-flight
+/// cap) and the tenant's policy record; the tuning then in force is read
+/// back from those places and returned. The policy lock is held from the
+/// first read to the read-back, so concurrent retunes of one tenant (a
+/// `PATCH` racing a reload) apply whole, one after the other.
+fn tune(shared: &Shared, name: &str, update: impl FnOnce(Tuning) -> Tuning) -> Tuning {
+    let requests = &shared.requests;
+    let mut policies = shared.policies.write().unwrap();
+    let in_force = |policies: &HashMap<String, Policy>| Tuning {
+        weight: requests.weight(name),
+        queue: requests.tenant_bound(name),
+        inflight: requests.tenant_inflight_cap(name),
+        policy: policies.get(name).copied().unwrap_or_default(),
+    };
+    let next = update(in_force(&policies));
+    requests.set_weight(name, next.weight);
+    requests.set_tenant_bound(name, next.queue);
+    match next.inflight {
+        Some(cap) => requests.set_inflight_cap(name, cap),
+        None => requests.clear_inflight_cap(name),
     }
-    let mut deadlines = shared.deadlines.write().unwrap();
-    match config.deadline_ms {
-        Some(budget) => {
-            deadlines.insert(name.to_string(), budget);
-        }
-        None => {
-            deadlines.remove(name);
-        }
-    }
-    drop(deadlines);
-    let mut trace_slow = shared.trace_slow.write().unwrap();
-    match config.trace_slow_ms {
-        Some(threshold) => {
-            trace_slow.insert(name.to_string(), threshold);
-        }
-        None => {
-            trace_slow.remove(name);
-        }
-    }
-    drop(trace_slow);
-    if shared.config.auth_enabled {
-        shared
-            .auth
-            .write()
-            .unwrap()
-            .grant_tenant_full(name, config.keys(), config.hashed_keys());
-    }
+    policies.insert(name.to_string(), next.policy);
+    in_force(&policies)
+}
+
+/// A tenant's policy record; all-`None` (the server-wide defaults) for a
+/// tenant without one.
+fn policy(shared: &Shared, tenant: &str) -> Policy {
+    let policies = shared.policies.read().unwrap();
+    policies.get(tenant).copied().unwrap_or_default()
 }
 
 /// Applies a whole manifest to a running server: the registry's tenant set
-/// first (create/replace/remove — the CPU-heavy part), then queue tuning
-/// (removed tenants' lanes retire once drained) and a key-table swap.
+/// first (create/replace/remove — the CPU-heavy part), then every listed
+/// tenant's tuning (removed tenants' lanes retire once drained and their
+/// policy records go) and a key-table swap.
 fn apply_manifest_to(shared: &Shared, manifest: &Manifest) -> Result<ManifestDiff, String> {
     let diff = shared
         .registry
         .apply_manifest(manifest)
         .map_err(|e| e.to_string())?;
-    for (name, config) in manifest.tenants_sorted() {
-        shared.requests.set_weight(name, config.weight.unwrap_or(1));
-        shared.requests.set_tenant_bound(
-            name,
-            config.queue.unwrap_or(shared.config.tenant_queue_capacity),
-        );
+    for (name, tuning) in manifest_tunings(manifest, &shared.config) {
+        tune(shared, name, |_| tuning);
     }
-    for (name, cap) in manifest_inflight_caps(manifest, shared.config.workers) {
-        shared.requests.set_inflight_cap(&name, cap);
-    }
-    *shared.deadlines.write().unwrap() = manifest
-        .tenants_sorted()
-        .iter()
-        .filter_map(|(name, config)| config.deadline_ms.map(|d| (name.to_string(), d)))
-        .collect();
-    *shared.trace_slow.write().unwrap() = manifest
-        .tenants_sorted()
-        .iter()
-        .filter_map(|(name, config)| config.trace_slow_ms.map(|t| (name.to_string(), t)))
-        .collect();
     if let Some(level) = manifest.log_level.as_deref() {
         // Validated by `Manifest::validate`, so parse can only fail if the
         // manifest bypassed validation; keep the current level in that case.
@@ -2908,6 +2858,7 @@ fn apply_manifest_to(shared: &Shared, manifest: &Manifest) -> Result<ManifestDif
     }
     for name in &diff.removed {
         shared.requests.retire(name);
+        shared.policies.write().unwrap().remove(name);
     }
     *shared.auth.write().unwrap() = AuthTable::from_manifest(manifest);
     Ok(diff)
@@ -3058,14 +3009,34 @@ fn handle_snapshot_export(tenant: &str, shared: &Shared) -> Response {
     }
 }
 
+/// `POST /v1/corpora/:name/refresh`: starts a new cache epoch for the
+/// tenant, evicting exactly its cached results. It costs no compute, so it
+/// is answered on the loop like `DELETE`, outside every queue bound and
+/// deadline.
+fn handle_refresh(tenant: &str, shared: &Shared) -> Response {
+    match shared.registry.refresh_in_place(tenant) {
+        Ok(epoch) => json_200(&Value::Object(vec![
+            ("corpus".to_string(), Value::String(tenant.to_string())),
+            ("epoch".to_string(), Value::Number(epoch as f64)),
+            ("refreshed".to_string(), Value::Bool(true)),
+        ])),
+        Err(e) => {
+            let e = registry_error(e);
+            Response::json(e.status, e.body())
+        }
+    }
+}
+
 /// `DELETE /v1/corpora/:name`: removes the tenant, evicts its cache
-/// entries, retires its queue lane (draining queued work first) and
-/// revokes its keys. Subsequent generates against it are `404`s.
+/// entries, retires its queue lane (draining queued work first), drops its
+/// policy record and revokes its keys. Subsequent generates against it are
+/// `404`s.
 fn handle_corpus_delete(tenant: &str, shared: &Shared) -> Response {
     if !shared.registry.remove(tenant) {
         return Response::json(404, error_body(&format!("unknown corpus {tenant:?}")));
     }
     shared.requests.retire(tenant);
+    shared.policies.write().unwrap().remove(tenant);
     if shared.config.auth_enabled {
         shared.auth.write().unwrap().revoke_tenant(tenant);
     }
@@ -3075,9 +3046,9 @@ fn handle_corpus_delete(tenant: &str, shared: &Shared) -> Response {
     ]))
 }
 
-/// `PATCH /v1/admin/tenants/:name`: retunes a live tenant's DRR weight,
-/// queue bound, in-flight cap and/or deadline budget without touching
-/// queued work.
+/// `PATCH /v1/admin/tenants/:name`: retunes the named fields of a live
+/// tenant's tuning, leaving the rest as they are and queued work
+/// untouched, and answers with the tuning then in force.
 fn handle_tenant_patch(tenant: &str, body: &[u8], shared: &Shared) -> Response {
     let patch: TenantPatch = match parse_body(body) {
         Ok(patch) => patch,
@@ -3108,64 +3079,29 @@ fn handle_tenant_patch(tenant: &str, body: &[u8], shared: &Shared) -> Response {
             ),
         );
     }
-    if let Some(weight) = patch.weight {
-        shared.requests.set_weight(tenant, weight);
-    }
-    if let Some(bound) = patch.queue {
-        shared.requests.set_tenant_bound(tenant, bound);
-    }
-    if let Some(cap) = patch.inflight {
-        shared.requests.set_inflight_cap(tenant, cap);
-    }
-    if let Some(budget) = patch.deadline_ms {
-        shared
-            .deadlines
-            .write()
-            .unwrap()
-            .insert(tenant.to_string(), budget);
-    }
-    if let Some(threshold) = patch.trace_slow_ms {
-        // 0 is legal: it means "capture an exemplar for every request".
-        shared
-            .trace_slow
-            .write()
-            .unwrap()
-            .insert(tenant.to_string(), threshold);
-    }
+    let tuning = tune(shared, tenant, |current| Tuning {
+        weight: patch.weight.unwrap_or(current.weight),
+        queue: patch.queue.unwrap_or(current.queue),
+        inflight: patch.inflight.or(current.inflight),
+        policy: Policy {
+            deadline_ms: patch.deadline_ms.or(current.policy.deadline_ms),
+            // 0 is legal: it means "capture an exemplar for every request".
+            trace_slow_ms: patch.trace_slow_ms.or(current.policy.trace_slow_ms),
+        },
+    });
+    let number = |value: Option<u64>| value.map_or(Value::Null, |v| Value::Number(v as f64));
     json_200(&Value::Object(vec![
         ("tenant".to_string(), Value::String(tenant.to_string())),
-        (
-            "weight".to_string(),
-            Value::Number(shared.requests.weight(tenant) as f64),
-        ),
-        (
-            "queue".to_string(),
-            Value::Number(shared.requests.tenant_bound(tenant) as f64),
-        ),
+        ("weight".to_string(), number(Some(tuning.weight))),
+        ("queue".to_string(), number(Some(tuning.queue as u64))),
         (
             "inflight".to_string(),
-            shared
-                .requests
-                .tenant_inflight_cap(tenant)
-                .map_or(Value::Null, |cap| Value::Number(cap as f64)),
+            number(tuning.inflight.map(|c| c as u64)),
         ),
-        (
-            "deadline_ms".to_string(),
-            shared
-                .deadlines
-                .read()
-                .unwrap()
-                .get(tenant)
-                .map_or(Value::Null, |budget| Value::Number(*budget as f64)),
-        ),
+        ("deadline_ms".to_string(), number(tuning.policy.deadline_ms)),
         (
             "trace_slow_ms".to_string(),
-            shared
-                .trace_slow
-                .read()
-                .unwrap()
-                .get(tenant)
-                .map_or(Value::Null, |threshold| Value::Number(*threshold as f64)),
+            number(tuning.policy.trace_slow_ms),
         ),
     ]))
 }

@@ -228,6 +228,38 @@ impl TenantConfig {
     pub fn is_default(&self) -> bool {
         self.default == Some(true)
     }
+
+    /// Checks the rules one tenant's config must meet on its own, wherever
+    /// it comes from (a manifest entry or a `PUT /v1/corpora/:name` body):
+    /// the corpus spec is present and parses, the variant is known, every
+    /// count-valued knob is at least 1, and no bearer key is empty. Rules
+    /// spanning tenants are [`Manifest::validate`]'s.
+    pub fn validate(&self) -> Result<(), ManifestError> {
+        self.corpus_spec()?.corpus_config()?;
+        self.default_variant()?;
+        // A zero share would make the eviction loop self-evict the tenant's
+        // entry on every insert — rejected like the other zero knobs
+        // instead of silently serving uncached.
+        let zero = [
+            ("weight", self.weight == Some(0)),
+            ("queue", self.queue == Some(0)),
+            ("inflight", self.inflight == Some(0)),
+            ("deadline_ms", self.deadline_ms == Some(0)),
+            ("cache_share", self.cache_share == Some(0)),
+        ];
+        if let Some((field, _)) = zero.iter().find(|(_, zero)| *zero) {
+            return Err(ManifestError::new(format!("{field} must be at least 1")));
+        }
+        if self
+            .keys()
+            .iter()
+            .chain(self.hashed_keys())
+            .any(String::is_empty)
+        {
+            return Err(ManifestError::new("api keys must be non-empty"));
+        }
+        Ok(())
+    }
 }
 
 /// A parsed, validated tenant manifest.
@@ -295,10 +327,10 @@ impl Manifest {
     }
 
     /// Checks every cross-field rule a JSON-shaped manifest can still get
-    /// wrong: tenant names must be usable in URLs and queue lanes, weights
-    /// and bounds must be positive, corpus specs must parse, and no bearer
-    /// key may be ambiguous (shared between tenants, or between a tenant
-    /// and the admin set).
+    /// wrong: tenant names must be usable in URLs and queue lanes, each
+    /// tenant must pass [`TenantConfig::validate`], at most one tenant may
+    /// be the default, and no bearer key may be ambiguous (shared between
+    /// tenants, or between a tenant and the admin set).
     pub fn validate(&self) -> Result<(), ManifestError> {
         let mut seen_keys: HashMap<&str, String> = HashMap::new();
         let mut default_tenant: Option<String> = None;
@@ -323,40 +355,7 @@ impl Manifest {
                      whitespace or '/', and may not start with \"__\""
                 )));
             }
-            let spec = config
-                .corpus_spec()
-                .map_err(|e| e.for_tenant(name))?
-                .clone();
-            spec.corpus_config().map_err(|e| e.for_tenant(name))?;
-            config.default_variant().map_err(|e| e.for_tenant(name))?;
-            if config.weight == Some(0) {
-                return Err(ManifestError::new(format!(
-                    "tenant {name:?}: weight must be at least 1"
-                )));
-            }
-            if config.queue == Some(0) {
-                return Err(ManifestError::new(format!(
-                    "tenant {name:?}: queue bound must be at least 1"
-                )));
-            }
-            if config.inflight == Some(0) {
-                return Err(ManifestError::new(format!(
-                    "tenant {name:?}: inflight cap must be at least 1"
-                )));
-            }
-            if config.deadline_ms == Some(0) {
-                return Err(ManifestError::new(format!(
-                    "tenant {name:?}: deadline_ms must be at least 1"
-                )));
-            }
-            // A zero share would make the eviction loop self-evict the
-            // tenant's entry on every insert — reject it like the other
-            // zero-valued tuning knobs instead of silently serving uncached.
-            if config.cache_share == Some(0) {
-                return Err(ManifestError::new(format!(
-                    "tenant {name:?}: cache_share must be at least 1"
-                )));
-            }
+            config.validate().map_err(|e| e.for_tenant(name))?;
             if config.is_default() {
                 match &default_tenant {
                     None => default_tenant = Some(name.to_string()),
@@ -368,11 +367,6 @@ impl Manifest {
                 }
             }
             for key in config.keys().iter().chain(config.hashed_keys()) {
-                if key.is_empty() {
-                    return Err(ManifestError::new(format!(
-                        "tenant {name:?}: api keys must be non-empty"
-                    )));
-                }
                 if let Some(owner) = seen_keys.insert(key, name.to_string()) {
                     return Err(ManifestError::new(format!(
                         "api key {key:?} is claimed by both {owner:?} and {name:?}"

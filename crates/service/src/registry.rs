@@ -410,75 +410,35 @@ impl CorpusRegistry {
         Ok(())
     }
 
-    /// Rebuilds a tenant's artifacts from the corpus it already serves —
-    /// what the HTTP `POST /v1/corpora/:name/refresh` endpoint rides on
-    /// when no replacement corpus is shipped. Epoch-bump and cache-eviction
-    /// semantics are exactly those of [`CorpusRegistry::refresh`]; returns
-    /// the tenant's current epoch afterwards.
-    ///
-    /// The rebuild is epoch-guarded: if a concurrent [`refresh`] (or
-    /// re-register) swapped in a *different* corpus while this rebuild ran,
-    /// the stale in-place result is discarded instead of silently
-    /// overwriting the newer corpus — the fresher refresh already bumped
-    /// the epoch and swept the cache, so dropping the stale artifacts is
-    /// the correct no-op.
-    ///
-    /// [`refresh`]: CorpusRegistry::refresh
+    /// Starts a new epoch for a tenant that keeps serving its corpus — what
+    /// the HTTP `POST /v1/corpora/:name/refresh` endpoint rides on when no
+    /// replacement corpus is shipped. The tenant's artifacts are a pure
+    /// function of its corpus, so a rebuild would only reproduce them: the
+    /// refresh bumps the epoch under the tenants lock (every cache key
+    /// carries it) and then sweeps the tenant's cached results, exactly as
+    /// [`CorpusRegistry::refresh`] does after its swap. The artifacts `Arc`
+    /// is untouched. Returns the new epoch.
     pub fn refresh_in_place(&self, name: &str) -> Result<u64, RegistryError> {
-        let (artifacts, epoch, spec) = {
-            let tenants = self.tenants.read().unwrap();
-            let tenant = tenants
-                .get(name)
-                .ok_or_else(|| RegistryError::UnknownCorpus(name.to_string()))?;
-            (tenant.artifacts.clone(), tenant.epoch, tenant.spec.clone())
-        };
-        // A spec with a configured snapshot reloads in O(read); anything
-        // unusable about the snapshot degrades to the full rebuild below.
-        let reloaded = spec
-            .as_ref()
-            .and_then(|spec| spec.snapshot.as_deref().map(|path| (spec, path)))
-            .and_then(|(spec, path)| {
-                match crate::snapshot::try_load(path, crate::snapshot::spec_fingerprint(spec)) {
-                    Ok(artifacts) => Some(artifacts),
-                    Err(e) => {
-                        rpg_obs::log::warn(
-                            "registry",
-                            "snapshot unusable; rebuilding in place",
-                            &[
-                                ("tenant", name),
-                                ("snapshot", path),
-                                ("cause", &e.to_string()),
-                            ],
-                        );
-                        None
-                    }
-                }
-            });
-        let rebuilt = match reloaded {
-            Some(artifacts) => artifacts,
-            None => CorpusArtifacts::build(artifacts.corpus_arc())
-                .map_err(|e| RegistryError::Request(RepagerError::Graph(e)))?,
-        };
-        let (new_epoch, installed) = {
+        let epoch = {
             let mut tenants = self.tenants.write().unwrap();
-            match tenants.get_mut(name) {
-                None => return Err(RegistryError::UnknownCorpus(name.to_string())),
-                // Lost to a fresher refresh mid-rebuild: keep its corpus.
-                Some(tenant) if tenant.epoch != epoch => (tenant.epoch, false),
-                Some(tenant) => {
-                    tenant.artifacts = rebuilt;
-                    tenant.epoch += 1;
-                    (tenant.epoch, true)
-                }
-            }
+            let tenant = tenants
+                .get_mut(name)
+                .ok_or_else(|| RegistryError::UnknownCorpus(name.to_string()))?;
+            tenant.epoch += 1;
+            tenant.epoch
         };
-        if installed {
-            self.cache
-                .lock()
-                .unwrap()
-                .retain(|key, _| key.corpus != name);
-        }
-        Ok(new_epoch)
+        self.sweep(name);
+        Ok(epoch)
+    }
+
+    /// Evicts every cached result of one tenant. Callers bump the epoch (or
+    /// remove the tenant) first, so a pipeline run racing the sweep cannot
+    /// re-insert a result under the old epoch afterwards.
+    fn sweep(&self, name: &str) {
+        self.cache
+            .lock()
+            .unwrap()
+            .retain(|key, _| key.corpus != name);
     }
 
     fn install(&self, name: String, artifacts: Arc<CorpusArtifacts>, spec: Option<CorpusSpec>) {
@@ -513,10 +473,7 @@ impl CorpusRegistry {
             // The epoch bump already makes the old entries unreachable;
             // evicting them keeps the shared cache from carrying dead
             // weight until LRU pressure gets around to them.
-            self.cache
-                .lock()
-                .unwrap()
-                .retain(|key, _| key.corpus != name);
+            self.sweep(&name);
         }
     }
 
@@ -525,10 +482,7 @@ impl CorpusRegistry {
     pub fn remove(&self, name: &str) -> bool {
         let existed = self.tenants.write().unwrap().remove(name).is_some();
         if existed {
-            self.cache
-                .lock()
-                .unwrap()
-                .retain(|key, _| key.corpus != name);
+            self.sweep(name);
         }
         existed
     }
@@ -987,14 +941,19 @@ mod tests {
         };
         let before = registry.generate("alpha", &alpha_request).unwrap();
         registry.generate("beta", &beta_request).unwrap();
+        let artifacts = registry.artifacts("alpha").unwrap();
 
         assert_eq!(registry.refresh_in_place("alpha").unwrap(), 1);
         assert_eq!(registry.epoch("alpha"), Some(1));
         assert_eq!(registry.cached_entries_for("alpha"), 0);
         assert_eq!(registry.cached_entries_for("beta"), 1);
+        assert!(
+            Arc::ptr_eq(&artifacts, &registry.artifacts("alpha").unwrap()),
+            "a refresh rebuilds nothing: the tenant keeps its artifacts"
+        );
 
-        // The rebuilt artifacts serve the same corpus, so the recomputed
-        // answer matches the pre-refresh one — but it is a recomputation.
+        // The same artifacts serve, so the recomputed answer matches the
+        // pre-refresh one — but it is a recomputation.
         let after = registry.generate("alpha", &alpha_request).unwrap();
         assert!(!after.cached);
         assert!(after.output.same_result(&before.output));
@@ -1260,7 +1219,8 @@ mod tests {
         let a = registry.generate("from-snap", &request).unwrap();
         let b = registry.generate("from-spec", &request).unwrap();
         assert!(a.output.same_result(&b.output));
-        // Refreshing in place reloads from the snapshot and bumps the epoch.
+        // Refreshing in place bumps the epoch and sweeps the cache; the
+        // snapshot-loaded artifacts keep serving.
         assert_eq!(registry.refresh_in_place("from-snap").unwrap(), 1);
         let refreshed = registry.generate("from-snap", &request).unwrap();
         assert!(!refreshed.cached, "refresh must evict the tenant's cache");

@@ -224,6 +224,19 @@ fn lifecycle_put_generate_patch_delete_without_restart() {
         Some(true)
     );
     assert_eq!(put_value.get("epoch").and_then(Value::as_f64), Some(0.0));
+    // Gamma omitted `inflight`, so it gets its weighted share of the two
+    // workers, as a manifest tenant would: 2 × 3 ÷ (1 + 2 + 3) = 1.
+    let stats = parse(&client::get(addr, "/v1/stats").unwrap().body);
+    assert_eq!(
+        stats
+            .get("queue")
+            .and_then(|q| q.get("tenants"))
+            .and_then(|t| t.get("gamma"))
+            .and_then(|g| g.get("inflight"))
+            .and_then(Value::as_f64),
+        Some(1.0),
+        "a PUT tenant without `inflight` is capped like a manifest tenant"
+    );
 
     // A PUT that tries to claim another tenant's (or the admin) key is a
     // 400 — the wire path enforces the same key rules as the manifest
@@ -698,6 +711,15 @@ fn mid_compute_hangup_cancels_queued_work() {
         assert!(Instant::now() < deadline, "request never queued");
         std::thread::yield_now();
     }
+    // The loop queues the request a moment before it writes the interim
+    // response; wait until the `100 Continue` is in the receive buffer, or
+    // the close below could be a graceful FIN instead of a reset.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .peek(&mut [0u8; 1])
+        .expect("the interim 100 Continue arrives");
     // Close without reading: the unread `100 Continue` turns the close
     // into an RST, which is what POLLHUP/POLLERR watching detects.
     drop(stream);
@@ -1093,7 +1115,8 @@ fn cache_hits_are_answered_past_a_full_queue_while_misses_get_429() {
         );
         stream.write_all(request.as_bytes()).unwrap();
     };
-    let [mut fill, mut hit, mut miss] = [(); 3].map(|()| TcpStream::connect(addr).unwrap());
+    let [mut fill, mut hit, mut miss, mut refresh] =
+        [(); 4].map(|()| TcpStream::connect(addr).unwrap());
 
     // Plug the worker, then fill the tenant's one queue slot.
     let (plug_query, _) = queries[0].clone();
@@ -1122,6 +1145,22 @@ fn cache_hits_are_answered_past_a_full_queue_while_misses_get_429() {
     );
     assert_eq!(miss.status, 429, "{}", miss.body);
 
+    // A refresh costs no compute either: with the worker still plugged and
+    // the lane still full, it starts a new epoch and sweeps the cache
+    // instead of queueing behind the filler.
+    refresh
+        .write_all(
+            b"POST /v1/corpora/default/refresh HTTP/1.1\r\nhost: t\r\ncontent-length: 0\r\n\r\n",
+        )
+        .unwrap();
+    let refreshed = client::read_response(&mut refresh, &mut Vec::new()).unwrap();
+    assert_eq!(refreshed.status, 200, "{}", refreshed.body);
+    assert_eq!(
+        parse(&refreshed.body).get("epoch").and_then(Value::as_f64),
+        Some(1.0)
+    );
+    assert_eq!(registry.cached_entries_for("default"), 0);
+
     let fill = client::read_response(&mut fill, &mut Vec::new()).unwrap();
     assert_eq!(fill.status, 200, "{}", fill.body);
     plug.join().unwrap();
@@ -1131,4 +1170,203 @@ fn cache_hits_are_answered_past_a_full_queue_while_misses_get_429() {
         stats.pipeline.requests, 2,
         "only the plug and the filler ran"
     );
+}
+
+#[test]
+fn put_rejects_what_the_manifest_rejects() {
+    // The per-tenant rows of the manifest validator's rejection table, as
+    // PUT bodies: one validation serves both paths.
+    let rows = [
+        (r#"{}"#, "missing corpus spec"),
+        (
+            r#"{"corpus": {"seed": 1, "scale": "huge"}}"#,
+            "unknown scale",
+        ),
+        (
+            r#"{"corpus": {"seed": 1, "papers_per_topic": 0}}"#,
+            "zero papers per topic",
+        ),
+        (r#"{"corpus": {"seed": 1}, "weight": 0}"#, "zero weight"),
+        (r#"{"corpus": {"seed": 1}, "queue": 0}"#, "zero queue bound"),
+        (
+            r#"{"corpus": {"seed": 1}, "inflight": 0}"#,
+            "zero inflight cap",
+        ),
+        (
+            r#"{"corpus": {"seed": 1}, "deadline_ms": 0}"#,
+            "zero deadline",
+        ),
+        (
+            r#"{"corpus": {"seed": 1}, "cache_share": 0}"#,
+            "zero cache share",
+        ),
+        (
+            r#"{"corpus": {"seed": 1}, "variant": "bogus"}"#,
+            "unknown variant",
+        ),
+        (
+            r#"{"corpus": {"seed": 1}, "api_keys": [""]}"#,
+            "empty api key",
+        ),
+        (
+            r#"{"corpus": {"seed": 1}, "key_hashes": [""]}"#,
+            "empty key hash",
+        ),
+    ];
+    for (body, what) in rows {
+        let manifest = format!(r#"{{"tenants": {{"x": {body}}}}}"#);
+        assert!(Manifest::from_json(&manifest).is_err(), "manifest: {what}");
+    }
+    let manifest = Manifest::from_json(&small_manifest(None)).unwrap();
+    for auth in [true, false] {
+        let registry = Arc::new(CorpusRegistry::new());
+        registry.apply_manifest(&manifest).unwrap();
+        let server = spawn_with(registry, |config| {
+            config.auth_enabled = auth;
+            *config = config.clone().with_manifest(&manifest);
+        });
+        let key = auth.then_some(ADMIN_KEY);
+        for (body, what) in rows {
+            let put =
+                request_with_key(server.addr(), "PUT", "/v1/corpora/x", Some(body), key).unwrap();
+            assert_eq!(put.status, 400, "{what} (key {key:?}): {}", put.body);
+            assert!(!server.registry().contains("x"), "{what} built a tenant");
+        }
+    }
+}
+
+/// A light manifest: the admin key and one weight-1 tenant, `alpha`, on a
+/// cut-down corpus, plus tenant `t` when its entry is given.
+fn small_manifest(t: Option<&str>) -> String {
+    let t = t.map_or(String::new(), |entry| format!(r#", "t": {entry}"#));
+    format!(
+        r#"{{"admin_keys": ["root-key"], "tenants": {{
+            "alpha": {{"corpus": {{"seed": 161, "scale": "small", "papers_per_topic": 20}}}}{t}
+        }}}}"#
+    )
+}
+
+/// Spawns an authenticated server over `manifest`, written to a file that
+/// `POST /v1/admin/reload` re-reads; returns the server and the file.
+fn spawn_reloadable(
+    manifest: &str,
+    name: &str,
+    configure: impl FnOnce(&mut rpg_server::ServerConfig),
+) -> (TestServer, std::path::PathBuf) {
+    let path = std::env::temp_dir().join(format!(
+        "rpg-control-plane-{name}-{}-{:?}.json",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, manifest).unwrap();
+    let manifest = Manifest::from_json(manifest).unwrap();
+    let registry = Arc::new(CorpusRegistry::new());
+    registry.apply_manifest(&manifest).unwrap();
+    let manifest_path = path.to_string_lossy().into_owned();
+    let server = spawn_with(registry, move |config| {
+        config.auth_enabled = true;
+        config.manifest_path = Some(manifest_path);
+        configure(config);
+        *config = config.clone().with_manifest(&manifest);
+    });
+    (server, path)
+}
+
+/// A tenant's tuning read back through the `PATCH` response (re-sending
+/// `weight`, which leaves the tuning as it is), checked against its
+/// `/v1/corpora` row: weight, queue, inflight, deadline_ms, trace_slow_ms.
+fn read_tuning(addr: std::net::SocketAddr, tenant: &str, weight: u64) -> [Option<f64>; 5] {
+    let patch = request_with_key(
+        addr,
+        "PATCH",
+        &format!("/v1/admin/tenants/{tenant}"),
+        Some(&format!(r#"{{"weight": {weight}}}"#)),
+        Some(ADMIN_KEY),
+    )
+    .unwrap();
+    assert_eq!(patch.status, 200, "{}", patch.body);
+    let patch = parse(&patch.body);
+    let tuning = [
+        "weight",
+        "queue",
+        "inflight",
+        "deadline_ms",
+        "trace_slow_ms",
+    ]
+    .map(|field| patch.get(field).and_then(Value::as_f64));
+    let listing = parse(&get_with_key(addr, "/v1/corpora", ADMIN_KEY).unwrap().body);
+    let row = listing
+        .get("corpora")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .find(|row| row.get("name").and_then(Value::as_str) == Some(tenant))
+        .expect("the tenant is listed")
+        .clone();
+    let listed = ["weight", "queue"].map(|field| row.get(field).and_then(Value::as_f64));
+    assert_eq!(listed, [tuning[0], tuning[1]], "/v1/corpora vs PATCH");
+    tuning
+}
+
+#[test]
+fn every_path_that_sets_tuning_agrees() {
+    const WORKERS: usize = 8;
+    const QUEUE: usize = 6;
+    let spec = r#""corpus": {"seed": 193, "scale": "small", "papers_per_topic": 20}"#;
+    let fields =
+        r#""weight": 3, "queue": 5, "inflight": 2, "deadline_ms": 700, "trace_slow_ms": 40"#;
+    let tuned = format!("{{{spec}, {fields}}}");
+    let untuned = format!("{{{spec}}}");
+    let configure = |config: &mut rpg_server::ServerConfig| {
+        config.workers = WORKERS;
+        config.tenant_queue_capacity = QUEUE;
+    };
+    let admin = |addr, method, path: &str, body: Option<&str>| {
+        let response = request_with_key(addr, method, path, body, Some(ADMIN_KEY)).unwrap();
+        assert_eq!(response.status, 200, "{method} {path}: {}", response.body);
+    };
+
+    let expected = [Some(3.0), Some(5.0), Some(2.0), Some(700.0), Some(40.0)];
+
+    // Each way boots with `t` tuned, untuned or absent, then takes its step.
+    for (how, boot) in [
+        ("manifest boot", Some(&tuned)),
+        ("PUT", None),
+        ("PATCH", Some(&untuned)),
+        ("reload", None),
+    ] {
+        let boot = small_manifest(boot.map(String::as_str));
+        let (server, path) = spawn_reloadable(&boot, "tuning", configure);
+        let addr = server.addr();
+        match how {
+            "PUT" => admin(addr, "PUT", "/v1/corpora/t", Some(&tuned)),
+            "PATCH" => {
+                let patch = format!("{{{fields}}}");
+                admin(addr, "PATCH", "/v1/admin/tenants/t", Some(&patch));
+            }
+            "reload" => {
+                std::fs::write(&path, small_manifest(Some(&tuned))).unwrap();
+                admin(addr, "POST", "/v1/admin/reload", None);
+            }
+            _ => {}
+        }
+        assert_eq!(read_tuning(addr, "t", 3), expected, "tuning set by {how}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    // A reload that drops the tenant drops its tuning with it: PUT back
+    // without tuning fields, it reads the defaults, with an in-flight cap
+    // of its weighted share of the pool beside alpha's weight 1.
+    let (server, path) = spawn_reloadable(&small_manifest(Some(&tuned)), "tuning", configure);
+    let addr = server.addr();
+    std::fs::write(&path, small_manifest(None)).unwrap();
+    admin(addr, "POST", "/v1/admin/reload", None);
+    admin(addr, "PUT", "/v1/corpora/t", Some(&untuned));
+    let derived = (WORKERS / (1 + 1)) as f64;
+    assert_eq!(
+        read_tuning(addr, "t", 1),
+        [Some(1.0), Some(QUEUE as f64), Some(derived), None, None],
+        "defaults after a drop and a bare PUT"
+    );
+    let _ = std::fs::remove_file(&path);
 }
