@@ -11,11 +11,20 @@
 //!
 //! Changing [`GOLDEN`] is a claim that the method's output changed on
 //! purpose; it needs a `CHANGES.md` note saying why.
+//!
+//! [`INDEX_SECTIONS`] pins the text index the seed stage scores from: the
+//! length and CRC-32 of the snapshot's index section for the demonstration
+//! corpus and the default-scale benchmark corpus. Changing it is the same
+//! kind of claim and needs the same kind of note.
 
+use rpg_corpus::{generate, Corpus};
+use rpg_repager::artifacts::CorpusArtifacts;
 use rpg_repager::system::PathRequest;
 use rpg_repro::demo_corpus;
 use rpg_server::api;
+use rpg_service::snapshot::{self, SectionKind, NO_SPEC_FINGERPRINT};
 use rpg_service::PathService;
+use std::sync::Arc;
 
 /// The evaluation-form reading-list length.
 const TOP_K: usize = 30;
@@ -72,6 +81,12 @@ const GOLDEN: &[(u32, u64)] = &[
     (1225, 0xc7af7689845e051e),
 ];
 
+/// `(corpus, index section length in bytes, its CRC-32)`.
+const INDEX_SECTIONS: &[(&str, u64, u32)] = &[
+    ("demo", 65_985, 0x51a6_e98c),
+    ("default scale", 254_854, 0x819f_6cb6),
+];
+
 /// 64-bit FNV-1a.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
@@ -118,4 +133,33 @@ fn every_survey_reading_path_matches_its_golden_digest() {
             table.len()
         );
     }
+}
+
+#[test]
+fn text_index_section_bytes_match_their_pins() {
+    let corpora: [(&str, Arc<Corpus>); 2] = [
+        ("demo", demo_corpus()),
+        (
+            "default scale",
+            Arc::new(generate(&rpg_bench::bench_corpus_config())),
+        ),
+    ];
+    let table: Vec<(&str, u64, u32)> = corpora
+        .into_iter()
+        .map(|(name, corpus)| {
+            let artifacts = CorpusArtifacts::build(corpus).expect("artifacts build");
+            let bytes = snapshot::encode(&artifacts, NO_SPEC_FINGERPRINT).expect("encodes");
+            let info = snapshot::inspect(&bytes).expect("inspects");
+            let index = info
+                .sections
+                .iter()
+                .find(|s| s.kind == SectionKind::Index)
+                .expect("an index section");
+            (name, index.len, index.crc)
+        })
+        .collect();
+    assert_eq!(
+        table, INDEX_SECTIONS,
+        "the text index changed: (corpus, index section bytes, CRC-32)"
+    );
 }
