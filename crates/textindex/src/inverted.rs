@@ -5,12 +5,19 @@
 //! title matches much more heavily than body matches (mirroring the paper's
 //! observation that existing engines "solely return the paper whose title
 //! contains query phrases").
+//!
+//! The layout is dense and matches the snapshot's index section: each
+//! field's postings are a `Vec` indexed by [`TermId`] (an empty list for a
+//! term that occurs only in the other field), and per-document statistics
+//! are a `Vec` indexed by [`DocId`].  Ids may be added sparsely and in any
+//! order; a slot whose id was never added holds `None` and does not count
+//! as a document.
 
-use crate::tokenize::tokenize;
+use crate::tokenize::{tokenize, walk_terms, TokenizeOptions};
 use crate::vocab::{TermId, Vocabulary};
 use crate::DocId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cell::RefCell;
 
 /// Which document field a posting refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -43,9 +50,31 @@ pub struct DocStats {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct InvertedIndex {
     vocab: Vocabulary,
-    title_postings: HashMap<TermId, Vec<Posting>>,
-    body_postings: HashMap<TermId, Vec<Posting>>,
-    doc_stats: HashMap<DocId, DocStats>,
+    /// Title postings by [`TermId`], in the order documents were added.
+    title_postings: Vec<Vec<Posting>>,
+    /// Body postings by [`TermId`]; always as long as `title_postings`.
+    body_postings: Vec<Vec<Posting>>,
+    /// Statistics by [`DocId`]; `None` for an id never added.
+    doc_stats: Vec<Option<DocStats>>,
+    /// Number of `Some` entries in `doc_stats`.
+    doc_count: usize,
+}
+
+thread_local! {
+    /// Scratch for [`InvertedIndex::add_document`], reused across documents.
+    static SCRATCH: RefCell<FieldScratch> = RefCell::default();
+}
+
+/// What indexing one field needs besides the index itself.
+#[derive(Default)]
+struct FieldScratch {
+    /// The tokenizer's lowercase buffer.
+    buf: String,
+    /// Occurrences of each [`TermId`] in the field being indexed; zero
+    /// between fields.
+    tf: Vec<u32>,
+    /// The ids with a non-zero `tf`, in first-occurrence order.
+    touched: Vec<TermId>,
 }
 
 impl InvertedIndex {
@@ -56,7 +85,7 @@ impl InvertedIndex {
 
     /// Number of indexed documents.
     pub fn doc_count(&self) -> usize {
-        self.doc_stats.len()
+        self.doc_count
     }
 
     /// Number of distinct terms across both fields.
@@ -71,60 +100,92 @@ impl InvertedIndex {
 
     /// Per-document length statistics, if the document was indexed.
     pub fn doc_stats(&self, doc: DocId) -> Option<DocStats> {
-        self.doc_stats.get(&doc).copied()
+        self.doc_stats.get(doc as usize).copied().flatten()
     }
 
     /// Average body length over all indexed documents (used by BM25).
     pub fn average_body_len(&self) -> f64 {
-        if self.doc_stats.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self.doc_stats.values().map(|s| u64::from(s.body_len)).sum();
-        total as f64 / self.doc_stats.len() as f64
+        self.average_len(|s| s.body_len)
     }
 
     /// Average title length over all indexed documents.
     pub fn average_title_len(&self) -> f64 {
-        if self.doc_stats.is_empty() {
+        self.average_len(|s| s.title_len)
+    }
+
+    fn average_len(&self, len: impl Fn(&DocStats) -> u32) -> f64 {
+        if self.doc_count == 0 {
             return 0.0;
         }
         let total: u64 = self
             .doc_stats
-            .values()
-            .map(|s| u64::from(s.title_len))
+            .iter()
+            .flatten()
+            .map(|s| u64::from(len(s)))
             .sum();
-        total as f64 / self.doc_stats.len() as f64
+        total as f64 / self.doc_count as f64
     }
 
     /// Indexes a document.  Re-adding an existing `doc` id appends postings
-    /// (callers are expected to use unique ids).
+    /// (callers are expected to use unique ids).  Memory grows with the
+    /// largest id added, so ids should be dense.
     pub fn add_document(&mut self, doc: DocId, title: &str, body: &str) {
-        let title_tokens = tokenize(title);
-        let body_tokens = tokenize(body);
-        let stats = self.doc_stats.entry(doc).or_default();
-        stats.title_len += title_tokens.len() as u32;
-        stats.body_len += body_tokens.len() as u32;
+        let (title_len, body_len) = SCRATCH.with_borrow_mut(|scratch| {
+            (
+                self.index_field(Field::Title, doc, title, scratch),
+                self.index_field(Field::Body, doc, body, scratch),
+            )
+        });
+        let slot = doc as usize;
+        if slot >= self.doc_stats.len() {
+            self.doc_stats.resize(slot + 1, None);
+        }
+        let stats = self.doc_stats[slot].get_or_insert_with(|| {
+            self.doc_count += 1;
+            DocStats::default()
+        });
+        stats.title_len += title_len;
+        stats.body_len += body_len;
+    }
 
-        let mut title_tf: HashMap<TermId, u32> = HashMap::new();
-        for token in &title_tokens {
-            *title_tf.entry(self.vocab.intern(&token.term)).or_insert(0) += 1;
-        }
-        let mut body_tf: HashMap<TermId, u32> = HashMap::new();
-        for token in &body_tokens {
-            *body_tf.entry(self.vocab.intern(&token.term)).or_insert(0) += 1;
-        }
-        for (term, tf) in title_tf {
-            self.title_postings.entry(term).or_default().push(Posting {
+    /// Interns the terms of one field of `doc` and appends one posting per
+    /// distinct term; returns the number of terms the field kept.
+    fn index_field(
+        &mut self,
+        field: Field,
+        doc: DocId,
+        text: &str,
+        scratch: &mut FieldScratch,
+    ) -> u32 {
+        let FieldScratch { buf, tf, touched } = scratch;
+        let mut len = 0;
+        walk_terms(text, TokenizeOptions::default(), buf, |term, _| {
+            let id = self.vocab.intern(term);
+            let slot = id as usize;
+            if slot == self.title_postings.len() {
+                self.title_postings.push(Vec::new());
+                self.body_postings.push(Vec::new());
+            }
+            if slot >= tf.len() {
+                tf.resize(slot + 1, 0);
+            }
+            if tf[slot] == 0 {
+                touched.push(id);
+            }
+            tf[slot] += 1;
+            len += 1;
+        });
+        let lists = match field {
+            Field::Title => &mut self.title_postings,
+            Field::Body => &mut self.body_postings,
+        };
+        for id in touched.drain(..) {
+            lists[id as usize].push(Posting {
                 doc,
-                term_frequency: tf,
+                term_frequency: std::mem::take(&mut tf[id as usize]),
             });
         }
-        for (term, tf) in body_tf {
-            self.body_postings.entry(term).or_default().push(Posting {
-                doc,
-                term_frequency: tf,
-            });
-        }
+        len
     }
 
     /// Rebuilds an index from previously extracted parts (e.g. a decoded
@@ -133,9 +194,10 @@ impl InvertedIndex {
     /// `terms` lists the vocabulary in id order; `title_postings` and
     /// `body_postings` are indexed by [`TermId`] and must have one (possibly
     /// empty) postings list per term; `doc_stats` lists the per-document
-    /// length statistics.  Returns a human-readable error when the parts are
-    /// structurally inconsistent (duplicate terms, postings for unknown
-    /// documents, mismatched lengths).
+    /// length statistics.  The postings lists are moved in as they are.
+    /// Returns a human-readable error when the parts are structurally
+    /// inconsistent (duplicate terms, postings for unknown documents,
+    /// mismatched lengths).
     pub fn from_parts(
         terms: Vec<String>,
         title_postings: Vec<Vec<Posting>>,
@@ -157,31 +219,29 @@ impl InvertedIndex {
                 return Err(format!("duplicate vocabulary term {term:?}"));
             }
         }
-        let stats: HashMap<DocId, DocStats> = doc_stats.iter().copied().collect();
-        if stats.len() != doc_stats.len() {
-            return Err("duplicate document in doc stats".to_string());
+        let slots = doc_stats.iter().map(|&(doc, _)| doc as usize + 1).max();
+        let mut stats = vec![None; slots.unwrap_or(0)];
+        for &(doc, s) in &doc_stats {
+            if stats[doc as usize].replace(s).is_some() {
+                return Err("duplicate document in doc stats".to_string());
+            }
         }
-        let collect = |lists: Vec<Vec<Posting>>| -> Result<HashMap<TermId, Vec<Posting>>, String> {
-            let mut map = HashMap::new();
-            for (i, postings) in lists.into_iter().enumerate() {
-                if let Some(p) = postings.iter().find(|p| !stats.contains_key(&p.doc)) {
+        let known = |doc: DocId| matches!(stats.get(doc as usize), Some(Some(_)));
+        for lists in [&title_postings, &body_postings] {
+            for (term, postings) in terms.iter().zip(lists) {
+                if let Some(p) = postings.iter().find(|p| !known(p.doc)) {
                     return Err(format!(
-                        "postings for term {:?} reference unknown document {}",
-                        terms[i], p.doc
+                        "postings for term {term:?} reference unknown document {}",
+                        p.doc
                     ));
                 }
-                if !postings.is_empty() {
-                    map.insert(i as TermId, postings);
-                }
             }
-            Ok(map)
-        };
-        let title_postings = collect(title_postings)?;
-        let body_postings = collect(body_postings)?;
+        }
         Ok(InvertedIndex {
             vocab,
             title_postings,
             body_postings,
+            doc_count: doc_stats.len(),
             doc_stats: stats,
         })
     }
@@ -191,11 +251,11 @@ impl InvertedIndex {
         let Some(id) = self.vocab.get(term) else {
             return &[];
         };
-        let map = match field {
+        let lists = match field {
             Field::Title => &self.title_postings,
             Field::Body => &self.body_postings,
         };
-        map.get(&id).map(Vec::as_slice).unwrap_or(&[])
+        &lists[id as usize]
     }
 
     /// Document frequency of `term` in `field`.
@@ -345,9 +405,10 @@ mod tests {
         assert!(idx.average_title_len() > 0.0);
     }
 
-    #[test]
-    fn from_parts_round_trips_an_index() {
-        let idx = sample_index();
+    /// Rebuilds `idx` through [`InvertedIndex::from_parts`] from what its
+    /// public accessors report for the documents `docs`, and checks that the
+    /// rebuilt index reports the same.
+    fn assert_round_trips(idx: &InvertedIndex, docs: &[DocId]) {
         let terms: Vec<String> = idx
             .vocabulary()
             .iter()
@@ -359,8 +420,9 @@ mod tests {
                 .map(|t| idx.postings(field, t).to_vec())
                 .collect()
         };
-        let stats: Vec<(DocId, DocStats)> = (0..idx.doc_count() as DocId)
-            .map(|d| (d, idx.doc_stats(d).unwrap()))
+        let stats: Vec<(DocId, DocStats)> = docs
+            .iter()
+            .map(|&d| (d, idx.doc_stats(d).unwrap()))
             .collect();
         let rebuilt = InvertedIndex::from_parts(
             terms.clone(),
@@ -381,7 +443,69 @@ mod tests {
                 idx.postings(Field::Body, term)
             );
         }
+        let last = docs.iter().max().map_or(0, |&d| d + 1);
+        for doc in 0..=last {
+            assert_eq!(rebuilt.doc_stats(doc), idx.doc_stats(doc));
+        }
         assert_eq!(rebuilt.average_body_len(), idx.average_body_len());
+        assert_eq!(rebuilt.average_title_len(), idx.average_title_len());
+    }
+
+    #[test]
+    fn from_parts_round_trips_an_index() {
+        assert_round_trips(&sample_index(), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn sparse_unordered_ids_count_only_added_documents() {
+        let mut idx = InvertedIndex::new();
+        idx.add_document(5, "graph neural networks", "message passing on graphs");
+        idx.add_document(3, "graph databases", "storage");
+        assert_eq!(idx.doc_count(), 2);
+        assert!(idx.doc_stats(4).is_none());
+        assert!(idx.doc_stats(0).is_none());
+        let (five, three) = (idx.doc_stats(5).unwrap(), idx.doc_stats(3).unwrap());
+        assert_eq!(
+            idx.average_title_len(),
+            f64::from(five.title_len + three.title_len) / 2.0
+        );
+        assert_eq!(
+            idx.average_body_len(),
+            f64::from(five.body_len + three.body_len) / 2.0
+        );
+        let docs: Vec<_> = idx
+            .postings(Field::Title, "graph")
+            .iter()
+            .map(|p| p.doc)
+            .collect();
+        assert_eq!(
+            docs,
+            vec![5, 3],
+            "postings keep the order documents came in"
+        );
+        assert_round_trips(&idx, &[5, 3]);
+    }
+
+    #[test]
+    fn readding_a_document_appends() {
+        let mut idx = InvertedIndex::new();
+        idx.add_document(1, "graph graph", "");
+        idx.add_document(1, "graph", "");
+        assert_eq!(idx.doc_count(), 1);
+        assert_eq!(
+            idx.postings(Field::Title, "graph"),
+            [
+                Posting {
+                    doc: 1,
+                    term_frequency: 2
+                },
+                Posting {
+                    doc: 1,
+                    term_frequency: 1
+                },
+            ]
+        );
+        assert_eq!(idx.doc_stats(1).unwrap().title_len, 3);
     }
 
     #[test]
@@ -407,6 +531,17 @@ mod tests {
             }]],
             vec![vec![]],
             vec![],
+        )
+        .is_err());
+        // Posting whose document lies past the last doc-stats entry.
+        assert!(InvertedIndex::from_parts(
+            vec!["a".to_string()],
+            vec![vec![]],
+            vec![vec![Posting {
+                doc: 1,
+                term_frequency: 1
+            }]],
+            vec![(0, DocStats::default())],
         )
         .is_err());
         // Duplicate doc-stats entry.

@@ -5,8 +5,14 @@
 //! numbers shorter than 4 digits (page numbers, etc.), and optionally drop
 //! English stop words.  A light suffix-stripping stemmer folds trivial
 //! plural/inflection variants together so that "networks" matches "network".
+//!
+//! `walk_terms` is the one tokenizer walk: [`tokenize_with`] collects what
+//! it visits, and the inverted index interns it directly, so indexing ASCII
+//! text allocates nothing per token.
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// A single token produced by [`tokenize`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -28,7 +34,10 @@ pub const STOP_WORDS: &[&str] = &[
 
 /// Returns `true` if `term` is a stop word.
 pub fn is_stop_word(term: &str) -> bool {
-    STOP_WORDS.contains(&term)
+    static LOOKUP: OnceLock<HashSet<&'static str>> = OnceLock::new();
+    LOOKUP
+        .get_or_init(|| STOP_WORDS.iter().copied().collect())
+        .contains(term)
 }
 
 /// A light stemmer: strips a handful of common English suffixes so that
@@ -36,7 +45,11 @@ pub fn is_stop_word(term: &str) -> bool {
 /// intentionally conservative (no Porter rules that mangle short technical
 /// terms).
 pub fn stem(term: &str) -> String {
-    let mut t = term.to_string();
+    stem_slice(term).to_string()
+}
+
+/// [`stem`] as a slice of `term`.
+fn stem_slice(term: &str) -> &str {
     // Order matters: longest suffixes first.
     for (suffix, min_len) in [
         ("ization", 9),
@@ -52,12 +65,13 @@ pub fn stem(term: &str) -> String {
         ("es", 5),
         ("s", 4),
     ] {
-        if t.len() >= min_len && t.ends_with(suffix) {
-            t.truncate(t.len() - suffix.len());
-            break;
+        if term.len() >= min_len {
+            if let Some(stem) = term.strip_suffix(suffix) {
+                return stem;
+            }
         }
     }
-    t
+    term
 }
 
 /// Options controlling [`tokenize_with`].
@@ -67,7 +81,7 @@ pub struct TokenizeOptions {
     pub remove_stop_words: bool,
     /// Apply the light stemmer.
     pub stem: bool,
-    /// Minimum length (in characters) of a kept token.
+    /// Minimum length (in UTF-8 bytes, after lowercasing) of a kept token.
     pub min_len: usize,
 }
 
@@ -102,30 +116,50 @@ pub fn tokenize_surface(text: &str) -> Vec<Token> {
 /// Tokenises `text` with explicit options.
 pub fn tokenize_with(text: &str, options: TokenizeOptions) -> Vec<Token> {
     let mut tokens = Vec::new();
-    let mut position = 0usize;
-    for raw in text.split(|c: char| !c.is_alphanumeric()) {
-        if raw.is_empty() {
-            continue;
-        }
-        let lower = raw.to_lowercase();
-        let current_position = position;
-        position += 1;
-        if lower.len() < options.min_len {
-            continue;
-        }
-        if lower.chars().all(|c| c.is_ascii_digit()) && lower.len() < 4 {
-            continue;
-        }
-        if options.remove_stop_words && is_stop_word(&lower) {
-            continue;
-        }
-        let term = if options.stem { stem(&lower) } else { lower };
+    walk_terms(text, options, &mut String::new(), |term, position| {
         tokens.push(Token {
-            term,
-            position: current_position,
+            term: term.to_string(),
+            position,
         });
-    }
+    });
     tokens
+}
+
+/// Calls `visit(term, position)` for every token of `text` that `options`
+/// keep, in text order.  `buf` is scratch the caller may reuse across calls;
+/// `term` borrows it, so ASCII tokens are lowercased and stemmed without
+/// allocating.
+pub(crate) fn walk_terms(
+    text: &str,
+    options: TokenizeOptions,
+    buf: &mut String,
+    mut visit: impl FnMut(&str, usize),
+) {
+    let raw_tokens = text
+        .split(|c: char| !c.is_alphanumeric())
+        .filter(|raw| !raw.is_empty());
+    for (position, raw) in raw_tokens.enumerate() {
+        buf.clear();
+        if raw.is_ascii() {
+            buf.push_str(raw);
+            buf.make_ascii_lowercase();
+        } else {
+            // `str::to_lowercase` applies the final-sigma rule (a word-final
+            // `Σ` becomes `ς`), which depends on context a per-`char`
+            // mapping cannot see.
+            buf.push_str(&raw.to_lowercase());
+        }
+        if buf.len() < options.min_len {
+            continue;
+        }
+        if buf.len() < 4 && buf.bytes().all(|b| b.is_ascii_digit()) {
+            continue;
+        }
+        if options.remove_stop_words && is_stop_word(buf) {
+            continue;
+        }
+        visit(if options.stem { stem_slice(buf) } else { buf }, position);
+    }
 }
 
 /// Convenience: the distinct normalised terms of `text`, in first-seen order.
@@ -143,6 +177,128 @@ pub fn distinct_terms(text: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inverted::{Field, InvertedIndex};
+
+    /// A direct, allocating implementation of the tokenizer's rules: the
+    /// oracle [`walk_terms`] must match term for term and position for
+    /// position.
+    fn reference_tokenize_with(text: &str, options: TokenizeOptions) -> Vec<Token> {
+        let mut tokens = Vec::new();
+        let mut position = 0usize;
+        for raw in text.split(|c: char| !c.is_alphanumeric()) {
+            if raw.is_empty() {
+                continue;
+            }
+            let lower = raw.to_lowercase();
+            let current_position = position;
+            position += 1;
+            if lower.len() < options.min_len {
+                continue;
+            }
+            if lower.chars().all(|c| c.is_ascii_digit()) && lower.len() < 4 {
+                continue;
+            }
+            if options.remove_stop_words && STOP_WORDS.contains(&lower.as_str()) {
+                continue;
+            }
+            let term = if options.stem {
+                reference_stem(&lower)
+            } else {
+                lower
+            };
+            tokens.push(Token {
+                term,
+                position: current_position,
+            });
+        }
+        tokens
+    }
+
+    /// A direct, truncating implementation of the stemmer's rules.
+    fn reference_stem(term: &str) -> String {
+        let mut t = term.to_string();
+        for (suffix, min_len) in [
+            ("ization", 9),
+            ("ational", 9),
+            ("ments", 7),
+            ("ingly", 8),
+            ("ities", 7),
+            ("ing", 6),
+            ("ions", 6),
+            ("ies", 5),
+            ("ers", 5),
+            ("ed", 5),
+            ("es", 5),
+            ("s", 4),
+        ] {
+            if t.len() >= min_len && t.ends_with(suffix) {
+                t.truncate(t.len() - suffix.len());
+                break;
+            }
+        }
+        t
+    }
+
+    const SURFACE: TokenizeOptions = TokenizeOptions {
+        remove_stop_words: false,
+        stem: false,
+        min_len: 1,
+    };
+
+    /// Checks `text` against the reference tokenizer, with the default and
+    /// the surface options, and checks what indexing it records: the
+    /// vocabulary in first-seen order, each term's frequency and the field
+    /// lengths.
+    pub(super) fn assert_walk_matches_reference(text: &str) {
+        for options in [TokenizeOptions::default(), SURFACE] {
+            assert_eq!(
+                tokenize_with(text, options),
+                reference_tokenize_with(text, options),
+                "{text:?} with {options:?}"
+            );
+        }
+        let reference = reference_tokenize_with(text, TokenizeOptions::default());
+        let mut distinct: Vec<&str> = Vec::new();
+        for token in &reference {
+            if !distinct.contains(&token.term.as_str()) {
+                distinct.push(&token.term);
+            }
+        }
+        let mut index = InvertedIndex::new();
+        index.add_document(0, text, text);
+        let recorded: Vec<&str> = index.vocabulary().iter().map(|(_, t)| t).collect();
+        assert_eq!(recorded, distinct, "vocabulary of {text:?}");
+        for term in &distinct {
+            let count = reference.iter().filter(|t| t.term == *term).count() as u32;
+            for field in [Field::Title, Field::Body] {
+                assert_eq!(index.term_frequency(field, term, 0), count, "{term:?}");
+            }
+        }
+        let stats = index.doc_stats(0).expect("document 0 was added");
+        assert_eq!(stats.title_len as usize, reference.len(), "{text:?}");
+        assert_eq!(stats.body_len as usize, reference.len(), "{text:?}");
+    }
+
+    #[test]
+    fn shared_walk_tokenizes_like_the_reference() {
+        for text in [
+            "",
+            "Hate-Speech Detection: A Survey!",
+            "MiXeD CaSe,punctuation;(brackets) [x] e-mail@host.org -- ...",
+            "7 42 123 2019 12345",
+            "a survey of the state of the art: novel methods for the study",
+            // Each suffix at its stemmer minimum length, then one byte short.
+            "aaization aization aaational aational aaments aments aaaingly aaingly \
+             aaities aities aaaing aaing aaions aions aaies aies aaers aers \
+             aaaed aaed aaaes aaes aaas aas",
+            "ΟΔΟΣ ΣΑΣ Σ",
+            "İstanbul",
+            "Straße naïve é",
+            "Ⅻ ١٢٣",
+        ] {
+            assert_walk_matches_reference(text);
+        }
+    }
 
     #[test]
     fn lowercases_and_splits_on_punctuation() {
@@ -242,6 +398,15 @@ mod proptests {
                 }
                 last = Some(t.position);
             }
+        }
+
+        /// The shared walk tokenizes and indexes exactly as the reference
+        /// does, over the characters of the reference table.
+        #[test]
+        fn shared_walk_matches_the_reference(
+            text in "[a-zA-Z0-9 .,:;!@()ΟΔΣΑσςİıßïéⅫ١٢٣-]{0,60}"
+        ) {
+            super::tests::assert_walk_matches_reference(&text);
         }
 
         /// Surface tokenisation (no stemming / stop-word removal) is stable

@@ -373,6 +373,17 @@ fn abandonment_storm_is_cancelled_not_computed() {
         );
         std::thread::yield_now();
     }
+    // The loop queues a request a moment before it writes the interim
+    // response; wait until every `100 Continue` is in its receive buffer,
+    // or a close below could be a graceful FIN instead of a reset.
+    for stream in &streams {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+            .peek(&mut [0u8; 1])
+            .expect("the interim 100 Continue arrives");
+    }
     drop(streams);
 
     plug.join().unwrap();
