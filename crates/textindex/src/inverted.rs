@@ -62,6 +62,8 @@ pub struct InvertedIndex {
 
 thread_local! {
     /// Scratch for [`InvertedIndex::add_document`], reused across documents.
+    /// It lives outside the index so the index stays plain data to clone
+    /// and serialise.
     static SCRATCH: RefCell<FieldScratch> = RefCell::default();
 }
 

@@ -8,7 +8,7 @@
 //!
 //! `walk_terms` is the one tokenizer walk: [`tokenize_with`] collects what
 //! it visits, and the inverted index interns it directly, so indexing ASCII
-//! text allocates nothing per token.
+//! text allocates only for terms the vocabulary has not seen.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -286,7 +286,7 @@ mod tests {
             "Hate-Speech Detection: A Survey!",
             "MiXeD CaSe,punctuation;(brackets) [x] e-mail@host.org -- ...",
             "7 42 123 2019 12345",
-            "a survey of the state of the art: novel methods for the study",
+            "this does: a survey of the state of the art, novel methods for the study",
             // Each suffix at its stemmer minimum length, then one byte short.
             "aaization aization aaational aational aaments aments aaaingly aaingly \
              aaities aities aaaing aaing aaions aions aaies aies aaers aers \

@@ -2,7 +2,11 @@
 //!
 //! All indexes in this crate share the pattern of mapping terms to dense
 //! `u32` ids so that postings and per-term statistics can live in flat
-//! vectors.  [`Vocabulary`] provides that interning.
+//! vectors.  [`Vocabulary`] provides that interning: ids are handed out in
+//! first-seen order, and [`crate::InvertedIndex`] indexes its per-field
+//! postings `Vec`s by them directly, in the same order the snapshot's index
+//! section stores its string table.  Interning a term already present
+//! allocates nothing.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
