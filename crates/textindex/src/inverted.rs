@@ -11,7 +11,9 @@
 //! term that occurs only in the other field), and per-document statistics
 //! are a `Vec` indexed by [`DocId`].  Ids may be added sparsely and in any
 //! order; a slot whose id was never added holds `None` and does not count
-//! as a document.
+//! as a document.  The index also keeps the document count and each field's
+//! total length as documents come in, so the averages BM25 asks for once
+//! per candidate cost a division, not a pass over every document.
 
 use crate::tokenize::{tokenize, walk_terms, TokenizeOptions};
 use crate::vocab::{TermId, Vocabulary};
@@ -58,6 +60,10 @@ pub struct InvertedIndex {
     doc_stats: Vec<Option<DocStats>>,
     /// Number of `Some` entries in `doc_stats`.
     doc_count: usize,
+    /// Sum of `title_len` over `doc_stats`.
+    title_len_total: u64,
+    /// Sum of `body_len` over `doc_stats`.
+    body_len_total: u64,
 }
 
 thread_local! {
@@ -107,24 +113,18 @@ impl InvertedIndex {
 
     /// Average body length over all indexed documents (used by BM25).
     pub fn average_body_len(&self) -> f64 {
-        self.average_len(|s| s.body_len)
+        self.average_len(self.body_len_total)
     }
 
     /// Average title length over all indexed documents.
     pub fn average_title_len(&self) -> f64 {
-        self.average_len(|s| s.title_len)
+        self.average_len(self.title_len_total)
     }
 
-    fn average_len(&self, len: impl Fn(&DocStats) -> u32) -> f64 {
+    fn average_len(&self, total: u64) -> f64 {
         if self.doc_count == 0 {
             return 0.0;
         }
-        let total: u64 = self
-            .doc_stats
-            .iter()
-            .flatten()
-            .map(|s| u64::from(len(s)))
-            .sum();
         total as f64 / self.doc_count as f64
     }
 
@@ -148,6 +148,8 @@ impl InvertedIndex {
         });
         stats.title_len += title_len;
         stats.body_len += body_len;
+        self.title_len_total += u64::from(title_len);
+        self.body_len_total += u64::from(body_len);
     }
 
     /// Interns the terms of one field of `doc` and appends one posting per
@@ -239,11 +241,15 @@ impl InvertedIndex {
                 }
             }
         }
+        let total =
+            |len: fn(&DocStats) -> u32| doc_stats.iter().map(|(_, s)| u64::from(len(s))).sum();
         Ok(InvertedIndex {
             vocab,
             title_postings,
             body_postings,
             doc_count: doc_stats.len(),
+            title_len_total: total(|s| s.title_len),
+            body_len_total: total(|s| s.body_len),
             doc_stats: stats,
         })
     }
@@ -268,9 +274,12 @@ impl InvertedIndex {
     /// Document frequency of `term` across both fields (a document counts
     /// once even if the term appears in both its title and body).
     pub fn combined_document_frequency(&self, term: &str) -> usize {
-        let mut docs: std::collections::HashSet<DocId> = std::collections::HashSet::new();
-        docs.extend(self.postings(Field::Title, term).iter().map(|p| p.doc));
-        docs.extend(self.postings(Field::Body, term).iter().map(|p| p.doc));
+        let title = self.postings(Field::Title, term);
+        let body = self.postings(Field::Body, term);
+        // Sized for the worst case up front: growing the set rehashes every
+        // doc id inserted so far, and BM25 runs this per candidate and term.
+        let mut docs = std::collections::HashSet::with_capacity(title.len() + body.len());
+        docs.extend(title.iter().chain(body).map(|p| p.doc));
         docs.len()
     }
 
@@ -508,6 +517,8 @@ mod tests {
             ]
         );
         assert_eq!(idx.doc_stats(1).unwrap().title_len, 3);
+        assert_eq!(idx.average_title_len(), 3.0);
+        assert_round_trips(&idx, &[1]);
     }
 
     #[test]
@@ -588,6 +599,28 @@ mod proptests {
                     prop_assert!(docs.contains(&(i as DocId)));
                 }
             }
+        }
+
+        /// The averages BM25 reads equal the doc stats summed afresh, for
+        /// sparse, unordered and repeated ids.
+        #[test]
+        fn averages_match_doc_stats(
+            docs in prop::collection::vec(
+                (0u32..8, "[a-z]{3,6}( [a-z]{3,6}){0,4}", "[a-z]{3,6}( [a-z]{3,6}){0,6}"),
+                1..12,
+            ),
+        ) {
+            let mut idx = InvertedIndex::new();
+            for (doc, title, body) in &docs {
+                idx.add_document(*doc, title, body);
+            }
+            let stats: Vec<DocStats> = (0..8).filter_map(|d| idx.doc_stats(d)).collect();
+            prop_assert_eq!(idx.doc_count(), stats.len());
+            let n = stats.len() as f64;
+            let title: u32 = stats.iter().map(|s| s.title_len).sum();
+            let body: u32 = stats.iter().map(|s| s.body_len).sum();
+            prop_assert_eq!(idx.average_title_len(), f64::from(title) / n);
+            prop_assert_eq!(idx.average_body_len(), f64::from(body) / n);
         }
 
         /// Conjunctive candidates are always a subset of disjunctive ones.
