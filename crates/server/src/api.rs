@@ -427,3 +427,177 @@ mod tests {
         );
     }
 }
+
+#[cfg(test)]
+mod pins {
+    //! Exact response text, pinned as literals.
+
+    use super::*;
+    use rpg_repager::newst::NewstForest;
+    use rpg_repager::path::{ReadingEdge, ReadingPath};
+    use rpg_repager::seeds::SeedAllocation;
+    use rpg_repager::StageCounters;
+    use std::time::Duration;
+
+    fn edge(from: u32, to: u32) -> ReadingEdge {
+        ReadingEdge {
+            from: PaperId(from),
+            to: PaperId(to),
+        }
+    }
+
+    fn ids(raw: &[u32]) -> Vec<PaperId> {
+        raw.iter().map(|&id| PaperId(id)).collect()
+    }
+
+    /// A fully literal pipeline output: fixed timings and counters, a
+    /// co-occurrence map filled in scrambled order, and a fractional cost.
+    fn literal_output() -> RepagerOutput {
+        RepagerOutput {
+            reading_list: ids(&[7, 42, 3, 1005, 0]),
+            path: ReadingPath {
+                order: ids(&[3, 7, 42]),
+                edges: vec![edge(3, 7), edge(7, 42)],
+                cost: 2.5,
+            },
+            forest: NewstForest::default(),
+            seeds: SeedAllocation {
+                initial: ids(&[7, 42, 9]),
+                reallocated: ids(&[42, 7]),
+                cooccurrence: [(1005, 2), (7, 5), (42, 3), (0, 4), (9, 1)]
+                    .into_iter()
+                    .map(|(id, count)| (PaperId(id), count))
+                    .collect(),
+            },
+            subgraph_nodes: 118,
+            subgraph_edges: 305,
+            timings: StageTimings {
+                seed: Duration::from_micros(4210),
+                subgraph: Duration::from_micros(950),
+                realloc: Duration::from_micros(31),
+                steiner: Duration::from_micros(612),
+                render: Duration::from_nanos(480_999),
+                total: Duration::from_micros(6001),
+                counters: StageCounters {
+                    steiner_runs: 2,
+                    steiner_paths_expanded: 9,
+                    steiner_paths_skipped: 17,
+                    steiner_pruned_leaves: 1,
+                    scratch_allocations: 0,
+                    realloc_retries: 3,
+                },
+            },
+        }
+    }
+
+    fn with_cost(cost: f64) -> RepagerOutput {
+        let mut output = literal_output();
+        output.path.cost = cost;
+        output
+    }
+
+    fn json(value: &Value) -> String {
+        serde_json::to_string(value).unwrap()
+    }
+
+    /// The corpus name of the pinned responses: a quote, a backslash, a
+    /// control character and non-ASCII text.
+    const TENANT: &str = "te\"n\\ant\u{1}é";
+
+    /// The result object of [`literal_output`] with its cost written as
+    /// `$cost`.
+    macro_rules! result_text {
+        ($cost:literal) => {
+            concat!(
+                r#"{"reading_list":[7,42,3,1005,0],"#,
+                r#""path":{"order":[3,7,42],"edges":[{"from":3,"to":7},{"from":7,"to":42}],"#,
+                r#""cost":"#,
+                $cost,
+                r#"},"seeds":{"initial":[7,42,9],"reallocated":[42,7],"cooccurrence":["#,
+                r#"{"paper":0,"count":4},{"paper":7,"count":5},{"paper":9,"count":1},"#,
+                r#"{"paper":42,"count":3},{"paper":1005,"count":2}]},"#,
+                r#""subgraph_nodes":118,"subgraph_edges":305}"#,
+            )
+        };
+    }
+
+    /// The timings object of [`literal_output`] (the render stage's 480.999
+    /// µs truncates to 480).
+    macro_rules! timings_text {
+        () => {
+            concat!(
+                r#"{"seed_us":4210,"subgraph_us":950,"realloc_us":31,"steiner_us":612,"#,
+                r#""render_us":480,"total_us":6001,"counters":{"steiner_runs":2,"#,
+                r#""steiner_paths_expanded":9,"steiner_paths_skipped":17,"#,
+                r#""steiner_pruned_leaves":1,"scratch_allocations":0,"realloc_retries":3}}"#,
+            )
+        };
+    }
+
+    /// The full `/v1/generate` body of [`literal_output`] under [`TENANT`].
+    macro_rules! response_text {
+        ($cached:literal) => {
+            concat!(
+                r#"{"corpus":"te\"n\\ant\u0001é","cached":"#,
+                $cached,
+                r#","result":"#,
+                result_text!("2.5"),
+                r#","timings":"#,
+                timings_text!(),
+                "}",
+            )
+        };
+    }
+
+    #[test]
+    fn responses_encode_to_the_pinned_text() {
+        let output = literal_output();
+        assert_eq!(
+            json(&generate_response_value(TENANT, &output, true)),
+            response_text!("true")
+        );
+        assert_eq!(
+            json(&generate_response_value(TENANT, &output, false)),
+            response_text!("false")
+        );
+        assert_eq!(json(&output_result_value(&output)), result_text!("2.5"));
+        assert_eq!(json(&timings_value(&output.timings)), timings_text!());
+        assert_eq!(
+            json(&item_error_value(404, "unknown corpus \"ghost\"")),
+            r#"{"error":"unknown corpus \"ghost\"","status":404}"#
+        );
+    }
+
+    #[test]
+    fn integral_and_non_finite_costs_and_empty_lists_encode_to_the_pinned_text() {
+        for (cost, text) in [
+            (3.0, result_text!("3")),
+            (f64::INFINITY, result_text!("null")),
+            (f64::NEG_INFINITY, result_text!("null")),
+            (f64::NAN, result_text!("null")),
+        ] {
+            assert_eq!(json(&output_result_value(&with_cost(cost))), text, "{cost}");
+        }
+        let empty = RepagerOutput {
+            reading_list: Vec::new(),
+            path: ReadingPath::default(),
+            forest: NewstForest::default(),
+            seeds: SeedAllocation {
+                initial: Vec::new(),
+                reallocated: Vec::new(),
+                cooccurrence: Default::default(),
+            },
+            subgraph_nodes: 0,
+            subgraph_edges: 0,
+            timings: StageTimings::default(),
+        };
+        assert_eq!(
+            json(&output_result_value(&empty)),
+            concat!(
+                r#"{"reading_list":[],"path":{"order":[],"edges":[],"cost":0},"#,
+                r#""seeds":{"initial":[],"reallocated":[],"cooccurrence":[]},"#,
+                r#""subgraph_nodes":0,"subgraph_edges":0}"#,
+            )
+        );
+    }
+}

@@ -271,6 +271,61 @@ fn batch_preserves_order_and_isolates_per_item_failures() {
 }
 
 #[test]
+fn a_mixed_batch_body_is_canonical_json_with_exact_items() {
+    let registry = demo_registry();
+    let direct = PathService::with_artifacts(registry.artifacts("default").unwrap());
+    let server = spawn(registry, 2, 16);
+    let queries = demo_queries(2);
+
+    let body = format!(
+        r#"{{"requests": [
+            {{"query": {q0:?}, "max_year": {y0}, "top_k": 15}},
+            {{"query": "anything", "corpus": "ghost"}},
+            {{"query": "anything", "variant": "steiner"}},
+            {{"query": {q1:?}, "max_year": {y1}, "top_k": 15}}
+        ]}}"#,
+        q0 = queries[0].0,
+        y0 = queries[0].1,
+        q1 = queries[1].0,
+        y1 = queries[1].1,
+    );
+    let response = client::post_json(server.addr(), "/v1/batch", &body).unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    let value: Value = serde_json::from_str(&response.body).unwrap();
+    // Re-encoding the parsed body changes nothing: the assembled body is
+    // compact JSON in the canonical field order.
+    assert_eq!(serde_json::to_string(&value).unwrap(), response.body);
+    let results = value.get("results").and_then(Value::as_array).unwrap();
+    assert_eq!(results.len(), 4);
+
+    assert!(
+        response
+            .body
+            .contains(r#"{"error":"unknown corpus \"ghost\"","status":404}"#),
+        "{}",
+        response.body
+    );
+    assert!(
+        response.body.contains(concat!(
+            r#"{"error":"unknown variant \"steiner\"; expected one of "#,
+            r#"NEWST, NEWST-W, NEWST-I, NEWST-U, NEWST-C, NEWST-N, NEWST-E","status":400}"#
+        )),
+        "{}",
+        response.body
+    );
+    for (slot, (query, year)) in [(0usize, &queries[0]), (3, &queries[1])] {
+        let expected = expected_result(&direct, query, *year, 15);
+        let got = serde_json::to_string(results[slot].get("result").unwrap()).unwrap();
+        assert_eq!(got, expected, "batch slot {slot}");
+        assert!(response.body.contains(&format!(r#""result":{expected}"#)));
+    }
+
+    let empty = client::post_json(server.addr(), "/v1/batch", r#"{"requests": []}"#).unwrap();
+    assert_eq!(empty.status, 200);
+    assert_eq!(empty.body, r#"{"results":[]}"#);
+}
+
+#[test]
 fn stats_endpoint_tracks_cache_queue_connections_and_stage_timings() {
     let registry = demo_registry();
     let server = spawn(registry, 2, 16);
