@@ -1,14 +1,27 @@
 //! The JSON API surface: request DTOs and the canonical response encoding.
 //!
-//! [`output_result_value`] is *the* encoding of a pipeline result. The
-//! integration suite drives the same function over a direct
-//! `PathService::generate` output and asserts byte-identical JSON against
-//! the server's `result` field, so the HTTP layer provably adds nothing and
-//! loses nothing.
+//! One writer encodes every response body: it appends JSON text straight
+//! from a [`RepagerOutput`] to a `String`, with no intermediate tree. The
+//! server sends its bytes on every path: a miss, a cache entry's hit body,
+//! and each `/v1/batch` item ([`generate_response_body`],
+//! [`item_error_body`], [`batch_body`]), and error bodies go through it
+//! too ([`error_body`]).
+//!
+//! [`output_result_value`], [`generate_response_value`] and
+//! [`timings_value`] are [`Value`] views of the writer's bytes, kept for
+//! the benchmark's oracle and replay and for the tests. Each parses the
+//! writer's text, so `serde_json::to_string` of a view gives back exactly
+//! the bytes the server sends. The integration suite renders the view of a
+//! direct `PathService::generate` output and asserts byte-identical JSON
+//! against the server's `result` field, so the HTTP layer provably adds
+//! nothing and loses nothing.
 //!
 //! Determinism matters here: everything emitted is either an ordered
 //! `Vec`-backed structure or explicitly sorted (the co-occurrence map is a
-//! `HashMap` upstream and is emitted sorted by paper id).
+//! `HashMap` upstream and is emitted sorted by paper id). Numbers and
+//! strings go through the vendored `serde_json`'s number rule and string
+//! escaping, so the text is what `to_string` of a `Value` tree of the same
+//! data renders.
 
 use rpg_corpus::PaperId;
 use rpg_repager::stages::StageTimings;
@@ -120,26 +133,6 @@ impl ApiError {
     }
 }
 
-/// The per-item error encoding inside a `/v1/batch` response: items that
-/// fail (validation, unknown corpus, per-tenant throttling) carry an
-/// `error`/`status` object in their result slot while the surrounding
-/// batch still answers `200`.
-pub fn item_error_value(status: u16, message: &str) -> Value {
-    Value::Object(vec![
-        ("error".to_string(), Value::String(message.to_string())),
-        ("status".to_string(), Value::Number(f64::from(status))),
-    ])
-}
-
-/// Renders `{"error": message}` (shared by every error response).
-pub fn error_body(message: &str) -> String {
-    serde_json::to_string(&Value::Object(vec![(
-        "error".to_string(),
-        Value::String(message.to_string()),
-    )]))
-    .expect("error body serialises")
-}
-
 /// The owned pieces of a validated request that a [`PathRequest`] borrows.
 #[derive(Debug, Clone)]
 pub struct ResolvedRequest {
@@ -202,11 +195,124 @@ impl ResolvedRequest {
     }
 }
 
-/// The canonical, deterministic JSON encoding of a pipeline result.
+/// The full `POST /v1/generate` response body: the corpus name, whether
+/// the cache answered, the result object and the timings object.
+pub fn generate_response_body(corpus: &str, output: &RepagerOutput, cached: bool) -> String {
+    let ids = output.reading_list.len()
+        + output.path.order.len()
+        + output.seeds.initial.len()
+        + output.seeds.reallocated.len();
+    // Room for ids of up to six digits, so a typical body never regrows.
+    let mut out = String::with_capacity(
+        512 + corpus.len()
+            + 7 * ids
+            + 26 * output.path.edges.len()
+            + 28 * output.seeds.cooccurrence.len(),
+    );
+    out.push_str(r#"{"corpus":"#);
+    serde_json::write_string(&mut out, corpus);
+    out.push_str(if cached {
+        r#","cached":true,"result":"#
+    } else {
+        r#","cached":false,"result":"#
+    });
+    write_result(&mut out, output);
+    out.push_str(r#","timings":"#);
+    write_timings(&mut out, &output.timings);
+    out.push('}');
+    out
+}
+
+/// The `{"error": message}` body of every error response.
+pub fn error_body(message: &str) -> String {
+    let mut out = open_error(message);
+    out.push('}');
+    out
+}
+
+/// A failed `/v1/batch` item, `{"error": message, "status": status}`: items
+/// that fail (validation, unknown corpus, per-tenant throttling) carry it
+/// in their result slot while the surrounding batch still answers `200`.
+pub fn item_error_body(status: u16, message: &str) -> String {
+    let mut out = open_error(message);
+    out.push_str(r#","status":"#);
+    write_int(&mut out, status.into());
+    out.push('}');
+    out
+}
+
+/// The `/v1/batch` body: the items' bodies, in request order, joined into
+/// `{"results":[...]}` in one allocation sized from their lengths.
+pub fn batch_body(items: &[Vec<u8>]) -> Vec<u8> {
+    const OPEN: &[u8] = br#"{"results":["#;
+    const CLOSE: &[u8] = b"]}";
+    let items_len: usize = items.iter().map(Vec::len).sum();
+    let mut body =
+        Vec::with_capacity(OPEN.len() + items_len + items.len().saturating_sub(1) + CLOSE.len());
+    body.extend_from_slice(OPEN);
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            body.push(b',');
+        }
+        body.extend_from_slice(item);
+    }
+    body.extend_from_slice(CLOSE);
+    body
+}
+
+/// The canonical, deterministic result object, as a [`Value`] view of the
+/// writer's bytes.
 ///
 /// Excludes wall-clock timings (they never repeat) so that two runs of the
 /// same request encode to byte-identical JSON.
 pub fn output_result_value(output: &RepagerOutput) -> Value {
+    let mut out = String::new();
+    write_result(&mut out, output);
+    view(&out)
+}
+
+/// Per-stage wall-clock times in integer microseconds, plus the run's work
+/// counters (Steiner solves, lazy-path bookkeeping, scratch allocations,
+/// realloc retries) under a nested `counters` object, as a [`Value`] view
+/// of the writer's bytes.
+pub fn timings_value(timings: &StageTimings) -> Value {
+    let mut out = String::new();
+    write_timings(&mut out, timings);
+    view(&out)
+}
+
+/// The full `POST /v1/generate` response body, as a [`Value`] view of
+/// [`generate_response_body`].
+pub fn generate_response_value(corpus: &str, output: &RepagerOutput, cached: bool) -> Value {
+    view(&generate_response_body(corpus, output, cached))
+}
+
+/// Parses the writer's text into its [`Value`] view.
+fn view(text: &str) -> Value {
+    serde_json::from_str(text).expect("the writer emits valid JSON")
+}
+
+/// Appends the result object of `output`.
+fn write_result(out: &mut String, output: &RepagerOutput) {
+    out.push_str(r#"{"reading_list":"#);
+    write_ids(out, &output.reading_list);
+    out.push_str(r#","path":{"order":"#);
+    write_ids(out, &output.path.order);
+    out.push_str(r#","edges":"#);
+    write_array(out, &output.path.edges, |out, edge| {
+        out.push_str(r#"{"from":"#);
+        write_int(out, edge.from.0.into());
+        out.push_str(r#","to":"#);
+        write_int(out, edge.to.0.into());
+        out.push('}');
+    });
+    out.push_str(r#","cost":"#);
+    serde_json::write_number(out, output.path.cost);
+    out.push_str(r#"},"seeds":{"initial":"#);
+    write_ids(out, &output.seeds.initial);
+    out.push_str(r#","reallocated":"#);
+    write_ids(out, &output.seeds.reallocated);
+    out.push_str(r#","cooccurrence":"#);
     let mut cooccurrence: Vec<(PaperId, usize)> = output
         .seeds
         .cooccurrence
@@ -214,84 +320,74 @@ pub fn output_result_value(output: &RepagerOutput) -> Value {
         .map(|(&paper, &count)| (paper, count))
         .collect();
     cooccurrence.sort_unstable();
-    Value::Object(vec![
-        ("reading_list".to_string(), output.reading_list.to_value()),
-        ("path".to_string(), output.path.to_value()),
-        (
-            "seeds".to_string(),
-            Value::Object(vec![
-                ("initial".to_string(), output.seeds.initial.to_value()),
-                (
-                    "reallocated".to_string(),
-                    output.seeds.reallocated.to_value(),
-                ),
-                (
-                    "cooccurrence".to_string(),
-                    Value::Array(
-                        cooccurrence
-                            .into_iter()
-                            .map(|(paper, count)| {
-                                Value::Object(vec![
-                                    ("paper".to_string(), paper.to_value()),
-                                    ("count".to_string(), Value::Number(count as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        (
-            "subgraph_nodes".to_string(),
-            Value::Number(output.subgraph_nodes as f64),
-        ),
-        (
-            "subgraph_edges".to_string(),
-            Value::Number(output.subgraph_edges as f64),
-        ),
-    ])
+    write_array(out, &cooccurrence, |out, &(paper, count)| {
+        out.push_str(r#"{"paper":"#);
+        write_int(out, paper.0.into());
+        out.push_str(r#","count":"#);
+        write_int(out, count as u64);
+        out.push('}');
+    });
+    out.push_str(r#"},"subgraph_nodes":"#);
+    write_int(out, output.subgraph_nodes as u64);
+    out.push_str(r#","subgraph_edges":"#);
+    write_int(out, output.subgraph_edges as u64);
+    out.push('}');
 }
 
-/// Per-stage wall-clock times in integer microseconds, plus the run's work
-/// counters (Steiner solves, lazy-path bookkeeping, scratch allocations,
-/// realloc retries) under a nested `counters` object.
-pub fn timings_value(timings: &StageTimings) -> Value {
-    let mut fields: Vec<(String, Value)> = timings
-        .stages()
-        .iter()
-        .map(|(name, duration)| {
-            (
-                format!("{name}_us"),
-                Value::Number(duration.as_micros() as f64),
-            )
-        })
-        .collect();
-    fields.push((
-        "total_us".to_string(),
-        Value::Number(timings.total.as_micros() as f64),
-    ));
-    fields.push((
-        "counters".to_string(),
-        Value::Object(
-            timings
-                .counters
-                .fields()
-                .iter()
-                .map(|&(name, value)| (name.to_string(), Value::Number(value as f64)))
-                .collect(),
-        ),
-    ));
-    Value::Object(fields)
+/// Appends the timings object. Stage and counter names are plain
+/// identifiers, so they need no escaping.
+fn write_timings(out: &mut String, timings: &StageTimings) {
+    out.push('{');
+    for (name, duration) in timings.stages() {
+        out.push('"');
+        out.push_str(name);
+        out.push_str(r#"_us":"#);
+        write_int(out, duration.as_micros() as u64);
+        out.push(',');
+    }
+    out.push_str(r#""total_us":"#);
+    write_int(out, timings.total.as_micros() as u64);
+    out.push_str(r#","counters":{"#);
+    for (i, (name, value)) in timings.counters.fields().into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(name);
+        out.push_str(r#"":"#);
+        write_int(out, value);
+    }
+    out.push_str("}}");
 }
 
-/// The full `POST /v1/generate` response body.
-pub fn generate_response_value(corpus: &str, output: &RepagerOutput, cached: bool) -> Value {
-    Value::Object(vec![
-        ("corpus".to_string(), Value::String(corpus.to_string())),
-        ("cached".to_string(), Value::Bool(cached)),
-        ("result".to_string(), output_result_value(output)),
-        ("timings".to_string(), timings_value(&output.timings)),
-    ])
+/// `{"error":` and the escaped message, left open for more fields.
+fn open_error(message: &str) -> String {
+    let mut out = String::with_capacity(message.len() + 32);
+    out.push_str(r#"{"error":"#);
+    serde_json::write_string(&mut out, message);
+    out
+}
+
+fn write_ids(out: &mut String, ids: &[PaperId]) {
+    write_array(out, ids, |out, id| write_int(out, id.0.into()));
+}
+
+/// Appends `items` as a JSON array, each written by `write`.
+fn write_array<T>(out: &mut String, items: &[T], mut write: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(out, item);
+    }
+    out.push(']');
+}
+
+/// Appends an integer by the number rule the [`Value`] views use: plain
+/// digits below 9e15, which covers every id, count and microsecond total.
+fn write_int(out: &mut String, n: u64) {
+    serde_json::write_number(out, n as f64);
 }
 
 #[cfg(test)]
@@ -549,21 +645,43 @@ mod pins {
         };
     }
 
+    fn written_result(output: &RepagerOutput) -> String {
+        let mut out = String::new();
+        write_result(&mut out, output);
+        out
+    }
+
+    fn written_timings(timings: &StageTimings) -> String {
+        let mut out = String::new();
+        write_timings(&mut out, timings);
+        out
+    }
+
+    /// Asserts the writer's bytes of a result and its view's re-encoding
+    /// are both `text`.
+    fn assert_result(output: &RepagerOutput, text: &str) {
+        assert_eq!(written_result(output), text);
+        assert_eq!(json(&output_result_value(output)), text);
+    }
+
     #[test]
     fn responses_encode_to_the_pinned_text() {
         let output = literal_output();
-        assert_eq!(
-            json(&generate_response_value(TENANT, &output, true)),
-            response_text!("true")
-        );
-        assert_eq!(
-            json(&generate_response_value(TENANT, &output, false)),
-            response_text!("false")
-        );
-        assert_eq!(json(&output_result_value(&output)), result_text!("2.5"));
+        for (cached, text) in [
+            (true, response_text!("true")),
+            (false, response_text!("false")),
+        ] {
+            assert_eq!(generate_response_body(TENANT, &output, cached), text);
+            assert_eq!(
+                json(&generate_response_value(TENANT, &output, cached)),
+                text
+            );
+        }
+        assert_result(&output, result_text!("2.5"));
+        assert_eq!(written_timings(&output.timings), timings_text!());
         assert_eq!(json(&timings_value(&output.timings)), timings_text!());
         assert_eq!(
-            json(&item_error_value(404, "unknown corpus \"ghost\"")),
+            item_error_body(404, "unknown corpus \"ghost\""),
             r#"{"error":"unknown corpus \"ghost\"","status":404}"#
         );
     }
@@ -576,7 +694,7 @@ mod pins {
             (f64::NEG_INFINITY, result_text!("null")),
             (f64::NAN, result_text!("null")),
         ] {
-            assert_eq!(json(&output_result_value(&with_cost(cost))), text, "{cost}");
+            assert_result(&with_cost(cost), text);
         }
         let empty = RepagerOutput {
             reading_list: Vec::new(),
@@ -591,13 +709,157 @@ mod pins {
             subgraph_edges: 0,
             timings: StageTimings::default(),
         };
-        assert_eq!(
-            json(&output_result_value(&empty)),
+        assert_result(
+            &empty,
             concat!(
                 r#"{"reading_list":[],"path":{"order":[],"edges":[],"cost":0},"#,
                 r#""seeds":{"initial":[],"reallocated":[],"cooccurrence":[]},"#,
                 r#""subgraph_nodes":0,"subgraph_edges":0}"#,
-            )
+            ),
         );
+    }
+
+    #[test]
+    fn batch_bodies_join_their_items_in_order() {
+        assert_eq!(batch_body(&[]), br#"{"results":[]}"#);
+        let items = [
+            item_error_body(404, "a").into_bytes(),
+            error_body("b").into_bytes(),
+        ];
+        let body = batch_body(&items);
+        assert_eq!(
+            body,
+            br#"{"results":[{"error":"a","status":404},{"error":"b"}]}"#
+        );
+        assert_eq!(body.capacity(), body.len(), "the body is sized up front");
+    }
+}
+
+#[cfg(all(test, feature = "proptests"))]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use rpg_repager::newst::NewstForest;
+    use rpg_repager::path::{ReadingEdge, ReadingPath};
+    use rpg_repager::seeds::SeedAllocation;
+    use rpg_repager::StageCounters;
+    use std::time::Duration;
+
+    /// Corpus names over escapes, control characters and non-ASCII text.
+    const NAME: &str = "[\u{0}-\u{1f}\"\\\\/a-z0-9 é中✓𝕏\u{7f}\u{2028}]{0,24}";
+
+    /// Costs: non-integral, negative, integral, past 9e15, and non-finite.
+    fn cost() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            3 => -1.0e3..1.0e3,
+            1 => (0u32..10_000).prop_map(f64::from),
+            1 => 9.0e15..1.0e22,
+            1 => -1.0e22..-9.0e15,
+            1 => (0u32..3).prop_map(|i| [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][i as usize]),
+        ]
+    }
+
+    fn ids() -> impl Strategy<Value = Vec<PaperId>> {
+        prop::collection::vec((0u32..=u32::MAX).prop_map(PaperId), 0..40)
+    }
+
+    /// Every field of an output the encoding reads, drawn at random.
+    fn output() -> impl Strategy<Value = RepagerOutput> {
+        (
+            (ids(), ids(), ids(), ids()),
+            (
+                prop::collection::vec((0u32..6000, 0u32..6000), 0..30),
+                cost(),
+            ),
+            prop::collection::vec((0u32..6000, 0usize..=usize::MAX), 0..30),
+            (
+                prop::collection::vec(0u64..=u64::MAX, 6..7),
+                prop::collection::vec(0u64..10_000_000_000, 6..7),
+                (0usize..100_000, 0usize..=usize::MAX),
+            ),
+        )
+            .prop_map(
+                |(
+                    (reading_list, order, initial, reallocated),
+                    (edges, cost),
+                    cooccurrence,
+                    (counters, micros, (subgraph_nodes, subgraph_edges)),
+                )| {
+                    let us = |i: usize| Duration::from_micros(micros[i]);
+                    RepagerOutput {
+                        reading_list,
+                        path: ReadingPath {
+                            order,
+                            edges: edges
+                                .into_iter()
+                                .map(|(from, to)| ReadingEdge {
+                                    from: PaperId(from),
+                                    to: PaperId(to),
+                                })
+                                .collect(),
+                            cost,
+                        },
+                        forest: NewstForest::default(),
+                        seeds: SeedAllocation {
+                            initial,
+                            reallocated,
+                            cooccurrence: cooccurrence
+                                .into_iter()
+                                .map(|(paper, count)| (PaperId(paper), count))
+                                .collect(),
+                        },
+                        subgraph_nodes,
+                        subgraph_edges,
+                        timings: StageTimings {
+                            seed: us(0),
+                            subgraph: us(1),
+                            realloc: us(2),
+                            steiner: us(3),
+                            render: us(4),
+                            total: us(5),
+                            counters: StageCounters {
+                                steiner_runs: counters[0],
+                                steiner_paths_expanded: counters[1],
+                                steiner_paths_skipped: counters[2],
+                                steiner_pruned_leaves: counters[3],
+                                scratch_allocations: counters[4],
+                                realloc_retries: counters[5],
+                            },
+                        },
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every `Value` view re-encodes to exactly the writer's bytes.
+        #[test]
+        fn views_re_encode_to_the_writers_bytes(
+            output in output(),
+            corpus in NAME,
+            cached in 0u8..2,
+            status in 100u16..600,
+            message in NAME,
+        ) {
+            let cached = cached == 1;
+            let body = generate_response_body(&corpus, &output, cached);
+            let view = generate_response_value(&corpus, &output, cached);
+            prop_assert_eq!(serde_json::to_string(&view).unwrap(), body);
+
+            let mut result = String::new();
+            write_result(&mut result, &output);
+            prop_assert_eq!(serde_json::to_string(&output_result_value(&output)).unwrap(), result);
+
+            let mut timings = String::new();
+            write_timings(&mut timings, &output.timings);
+            prop_assert_eq!(serde_json::to_string(&timings_value(&output.timings)).unwrap(), timings);
+
+            let error: Value = serde_json::from_str(&item_error_body(status, &message)).unwrap();
+            prop_assert_eq!(error.get("error").and_then(Value::as_str), Some(message.as_str()));
+            prop_assert_eq!(error.get("status").and_then(Value::as_f64), Some(f64::from(status)));
+            prop_assert_eq!(serde_json::to_string(&error).unwrap(), item_error_body(status, &message));
+        }
     }
 }

@@ -44,8 +44,8 @@
 //! *global* request queue turns into a `503` for everyone.
 
 use crate::api::{
-    error_body, generate_response_value, item_error_value, timings_value, ApiError, BatchRequest,
-    GenerateRequest, ResolvedRequest, TenantPatch, MAX_BATCH,
+    batch_body, error_body, generate_response_body, item_error_body, timings_value, ApiError,
+    BatchRequest, GenerateRequest, ResolvedRequest, TenantPatch, MAX_BATCH,
 };
 use crate::auth::{bearer_token, AuthTable, Principal, StoredKey};
 use crate::histogram::TenantMetrics;
@@ -514,10 +514,11 @@ struct Job {
 
 /// The shared result collector of one `/v1/batch` request: per-item admission
 /// means the items complete independently (across compute workers, or
-/// instantly at admission for rejected items), and whichever fill lands last
-/// assembles the ordered `results` array and posts the batch's single reply.
+/// instantly at admission for rejected items). Each slot holds its item's
+/// encoded bytes, and whichever fill lands last joins them into the ordered
+/// `results` array and posts the batch's single reply.
 struct BatchAssembly {
-    slots: Mutex<Vec<Option<Value>>>,
+    slots: Mutex<Vec<Option<Vec<u8>>>>,
     remaining: AtomicUsize,
     reply: Mutex<Option<Reply>>,
 }
@@ -541,22 +542,19 @@ impl BatchAssembly {
         }
     }
 
-    fn fill(&self, index: usize, value: Value) {
+    fn fill(&self, index: usize, item: Vec<u8>) {
         {
             let mut slots = self.slots.lock().unwrap();
             debug_assert!(slots[index].is_none(), "batch slot filled twice");
-            slots[index] = Some(value);
+            slots[index] = Some(item);
         }
         if self.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let results: Vec<Value> = std::mem::take(&mut *self.slots.lock().unwrap())
+            let items: Vec<Vec<u8>> = std::mem::take(&mut *self.slots.lock().unwrap())
                 .into_iter()
-                .map(|slot| slot.unwrap_or_else(|| item_error_value(500, "request was dropped")))
+                .map(|slot| slot.unwrap_or_else(dropped_item))
                 .collect();
             if let Some(reply) = self.reply.lock().unwrap().take() {
-                reply.send(json_200(&Value::Object(vec![(
-                    "results".to_string(),
-                    Value::Array(results),
-                )])));
+                reply.send(Response::json(200, batch_body(&items)));
             }
         }
     }
@@ -570,19 +568,28 @@ struct BatchTicket {
 }
 
 impl BatchTicket {
-    fn fill(mut self, value: Value) {
+    fn fill(mut self, item: Vec<u8>) {
         self.filled = true;
-        self.assembly.fill(self.index, value);
+        self.assembly.fill(self.index, item);
+    }
+
+    /// Fills the slot with a failed item's bytes.
+    fn fail(self, status: u16, message: &str) {
+        self.fill(item_error_body(status, message).into_bytes());
     }
 }
 
 impl Drop for BatchTicket {
     fn drop(&mut self) {
         if !self.filled {
-            self.assembly
-                .fill(self.index, item_error_value(500, "request was dropped"));
+            self.assembly.fill(self.index, dropped_item());
         }
     }
+}
+
+/// The item of a batch slot whose job was dropped unfilled.
+fn dropped_item() -> Vec<u8> {
+    item_error_body(500, "request was dropped").into_bytes()
 }
 
 /// What the acceptor and the compute workers hand to an event loop.
@@ -2165,15 +2172,24 @@ fn answer_cached(
 
 /// The one rendering of a `/v1/generate` cache hit, shared by the loop's
 /// inline answer and a worker whose key got cached while it was queued:
-/// the entry's encoded body, rendered from [`generate_response_value`] by
-/// the entry's first hit and replayed byte for byte by every later one.
+/// the entry's encoded body, written by [`generate_response_body`] on the
+/// entry's first hit and replayed byte for byte by every later one.
 fn cache_hit_response(corpus: &str, hit: &CachedResult) -> Response {
-    let body = hit.hit_body(|output| {
-        serde_json::to_string(&generate_response_value(corpus, output, true))
-            .expect("response serialises")
-            .into_bytes()
-    });
-    Response::json(200, body.to_vec())
+    Response::json(200, hit_body(corpus, hit).to_vec())
+}
+
+/// A cache entry's hit body, written on its first hit.
+fn hit_body(corpus: &str, hit: &CachedResult) -> Arc<[u8]> {
+    hit.hit_body(|output| generate_response_body(corpus, output, true).into_bytes())
+}
+
+/// The body of a served generate request: a hit's entry bytes, or a fresh
+/// run's encoding.
+fn served_body(corpus: &str, served: &Served) -> Vec<u8> {
+    match served.hit() {
+        Some(hit) => hit_body(corpus, hit).to_vec(),
+        None => generate_response_body(corpus, &served.output, false).into_bytes(),
+    }
 }
 
 /// Admits a batch *per item*: every item is validated on the loop, billed
@@ -2205,10 +2221,7 @@ fn admit_batch(
         ));
     }
     if batch.requests.is_empty() {
-        return Routed::Inline(json_200(&Value::Object(vec![(
-            "results".to_string(),
-            Value::Array(Vec::new()),
-        )])));
+        return Routed::Inline(Response::json(200, batch_body(&[])));
     }
     // An anonymous caller is a request-level 401, not 256 item errors.
     if matches!(principal, Some(Principal::Anonymous)) {
@@ -2227,19 +2240,19 @@ fn admit_batch(
         let mut resolved = match ResolvedRequest::resolve(dto) {
             Ok(resolved) => resolved,
             Err(e) => {
-                ticket.fill(item_error_value(e.status, &e.message));
+                ticket.fail(e.status, &e.message);
                 continue;
             }
         };
         let tenant = match billing_tenant(dto.corpus.as_deref(), principal, shared) {
             Billing::Tenant(tenant) => tenant,
             Billing::Reject(status, message) => {
-                ticket.fill(item_error_value(status, &message));
+                ticket.fail(status, &message);
                 continue;
             }
         };
         if !shared.registry.contains(&tenant) {
-            ticket.fill(item_error_value(404, &format!("unknown corpus {tenant:?}")));
+            ticket.fail(404, &format!("unknown corpus {tenant:?}"));
             continue;
         }
         if dto.variant.is_none() {
@@ -2279,7 +2292,7 @@ fn admit_batch(
                 };
                 let job = rejection.into_inner();
                 if let Work::BatchItem { ticket, .. } = job.work {
-                    ticket.fill(item_error_value(status, &message));
+                    ticket.fail(status, &message);
                 }
             }
         }
@@ -2658,14 +2671,11 @@ fn run_job(job: Job, shared: &Shared) {
             if abandoned {
                 // Nobody can read the result; skip the pipeline run.
                 metrics.cancelled.inc();
-                ticket.fill(item_error_value(500, "client disconnected"));
+                ticket.fail(500, "client disconnected");
                 return;
             }
             if expired {
-                ticket.fill(item_error_value(
-                    503,
-                    "deadline exceeded before compute, retry shortly",
-                ));
+                ticket.fail(503, "deadline exceeded before compute, retry shortly");
                 return;
             }
             // A panic inside the pipeline must never take the worker
@@ -2673,9 +2683,11 @@ fn run_job(job: Job, shared: &Shared) {
             // worker lives on.
             let compute = open_span(&trace, "compute");
             let stage = stage_trace(&trace, &compute);
-            let value = catch_unwind(AssertUnwindSafe(|| {
+            // The item is encoded here, as soon as its run ends; the slot
+            // holds only its bytes until the batch is assembled.
+            let item = catch_unwind(AssertUnwindSafe(|| {
                 run_resolved(&corpus, &resolved, shared, deadline, &metrics, stage)
-                    .map(|served| generate_response_value(&corpus, &served.output, served.cached))
+                    .map(|served| served_body(&corpus, &served))
             }))
             .unwrap_or_else(|_| {
                 Err(ApiError {
@@ -2688,10 +2700,10 @@ fn run_job(job: Job, shared: &Shared) {
             // observes the response is guaranteed to observe the sample too
             // (/v1/stats and /metrics stay consistent with what was served).
             metrics.latency.record(admitted_at.elapsed());
-            ticket.fill(match value {
-                Ok(value) => value,
-                Err(e) => item_error_value(e.status, &e.message),
-            });
+            match item {
+                Ok(item) => ticket.fill(item),
+                Err(e) => ticket.fail(e.status, &e.message),
+            }
         }
         work => {
             let reply = reply.expect("non-batch work carries a reply");
@@ -2741,12 +2753,9 @@ fn execute(
     match work {
         Work::Generate(corpus, resolved) => {
             match run_resolved(corpus, resolved, shared, deadline, metrics, stage) {
-                // Cached while this request sat in the queue: the same
-                // bytes the loop answers hits with.
-                Ok(served) => match served.hit() {
-                    Some(hit) => cache_hit_response(corpus, hit),
-                    None => json_200(&generate_response_value(corpus, &served.output, false)),
-                },
+                // A key cached while this request sat in the queue answers
+                // with the same bytes the loop answers hits with.
+                Ok(served) => Response::json(200, served_body(corpus, &served)),
                 Err(e) => Response::json(e.status, e.body()),
             }
         }
@@ -3420,8 +3429,7 @@ mod tests {
         // same function, the same bytes, nothing encoded twice.
         let from_loop = cache_hit_response("default", &entry);
         assert_eq!(from_loop.body, from_worker.body);
-        let expected =
-            serde_json::to_string(&generate_response_value("default", &warm.output, true)).unwrap();
+        let expected = generate_response_body("default", &warm.output, true);
         assert_eq!(from_loop.body, expected.as_bytes());
     }
 }
