@@ -198,28 +198,15 @@ impl ResolvedRequest {
 /// The full `POST /v1/generate` response body: the corpus name, whether
 /// the cache answered, the result object and the timings object.
 pub fn generate_response_body(corpus: &str, output: &RepagerOutput, cached: bool) -> String {
+    let (path, seeds) = (&output.path, &output.seeds);
     let ids = output.reading_list.len()
-        + output.path.order.len()
-        + output.seeds.initial.len()
-        + output.seeds.reallocated.len();
+        + path.order.len()
+        + seeds.initial.len()
+        + seeds.reallocated.len()
+        + 4 * (path.edges.len() + seeds.cooccurrence.len());
     // Room for ids of up to six digits, so a typical body never regrows.
-    let mut out = String::with_capacity(
-        512 + corpus.len()
-            + 7 * ids
-            + 26 * output.path.edges.len()
-            + 28 * output.seeds.cooccurrence.len(),
-    );
-    out.push_str(r#"{"corpus":"#);
-    serde_json::write_string(&mut out, corpus);
-    out.push_str(if cached {
-        r#","cached":true,"result":"#
-    } else {
-        r#","cached":false,"result":"#
-    });
-    write_result(&mut out, output);
-    out.push_str(r#","timings":"#);
-    write_timings(&mut out, &output.timings);
-    out.push('}');
+    let mut out = String::with_capacity(512 + corpus.len() + 7 * ids);
+    write_response(&mut out, corpus, output, cached);
     out
 }
 
@@ -244,19 +231,18 @@ pub fn item_error_body(status: u16, message: &str) -> String {
 /// The `/v1/batch` body: the items' bodies, in request order, joined into
 /// `{"results":[...]}` in one allocation sized from their lengths.
 pub fn batch_body(items: &[Vec<u8>]) -> Vec<u8> {
-    const OPEN: &[u8] = br#"{"results":["#;
-    const CLOSE: &[u8] = b"]}";
-    let items_len: usize = items.iter().map(Vec::len).sum();
-    let mut body =
-        Vec::with_capacity(OPEN.len() + items_len + items.len().saturating_sub(1) + CLOSE.len());
-    body.extend_from_slice(OPEN);
+    let (open, close) = (br#"{"results":["#, b"]}");
+    let commas = items.len().saturating_sub(1);
+    let len = open.len() + items.iter().map(Vec::len).sum::<usize>() + commas + close.len();
+    let mut body = Vec::with_capacity(len);
+    body.extend_from_slice(open);
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
             body.push(b',');
         }
         body.extend_from_slice(item);
     }
-    body.extend_from_slice(CLOSE);
+    body.extend_from_slice(close);
     body
 }
 
@@ -266,9 +252,7 @@ pub fn batch_body(items: &[Vec<u8>]) -> Vec<u8> {
 /// Excludes wall-clock timings (they never repeat) so that two runs of the
 /// same request encode to byte-identical JSON.
 pub fn output_result_value(output: &RepagerOutput) -> Value {
-    let mut out = String::new();
-    write_result(&mut out, output);
-    view(&out)
+    view(|out| write_result(out, output))
 }
 
 /// Per-stage wall-clock times in integer microseconds, plus the run's work
@@ -276,20 +260,34 @@ pub fn output_result_value(output: &RepagerOutput) -> Value {
 /// realloc retries) under a nested `counters` object, as a [`Value`] view
 /// of the writer's bytes.
 pub fn timings_value(timings: &StageTimings) -> Value {
-    let mut out = String::new();
-    write_timings(&mut out, timings);
-    view(&out)
+    view(|out| write_timings(out, timings))
 }
 
 /// The full `POST /v1/generate` response body, as a [`Value`] view of
 /// [`generate_response_body`].
 pub fn generate_response_value(corpus: &str, output: &RepagerOutput, cached: bool) -> Value {
-    view(&generate_response_body(corpus, output, cached))
+    view(|out| write_response(out, corpus, output, cached))
 }
 
-/// Parses the writer's text into its [`Value`] view.
-fn view(text: &str) -> Value {
-    serde_json::from_str(text).expect("the writer emits valid JSON")
+/// Parses what `write` appends into its [`Value`] view.
+fn view(write: impl FnOnce(&mut String)) -> Value {
+    let mut out = String::new();
+    write(&mut out);
+    serde_json::from_str(&out).expect("the writer emits valid JSON")
+}
+
+fn write_response(out: &mut String, corpus: &str, output: &RepagerOutput, cached: bool) {
+    out.push_str(r#"{"corpus":"#);
+    serde_json::write_string(out, corpus);
+    out.push_str(if cached {
+        r#","cached":true,"result":"#
+    } else {
+        r#","cached":false,"result":"#
+    });
+    write_result(out, output);
+    out.push_str(r#","timings":"#);
+    write_timings(out, &output.timings);
+    out.push('}');
 }
 
 /// Appends the result object of `output`.
@@ -313,14 +311,9 @@ fn write_result(out: &mut String, output: &RepagerOutput) {
     out.push_str(r#","reallocated":"#);
     write_ids(out, &output.seeds.reallocated);
     out.push_str(r#","cooccurrence":"#);
-    let mut cooccurrence: Vec<(PaperId, usize)> = output
-        .seeds
-        .cooccurrence
-        .iter()
-        .map(|(&paper, &count)| (paper, count))
-        .collect();
+    let mut cooccurrence: Vec<_> = output.seeds.cooccurrence.iter().collect();
     cooccurrence.sort_unstable();
-    write_array(out, &cooccurrence, |out, &(paper, count)| {
+    write_array(out, &cooccurrence, |out, &(paper, &count)| {
         out.push_str(r#"{"paper":"#);
         write_int(out, paper.0.into());
         out.push_str(r#","count":"#);

@@ -47,9 +47,13 @@
 //!   the event loop), `GET /v1/healthz`, and `GET /v1/stats`
 //!   (cache hit/miss counters, per-stage timing aggregates, queue depth,
 //!   connection gauges);
-//! * **deterministic result encoding** — [`api::output_result_value`] is
-//!   the single encoder for pipeline results, shared with the tests so the
-//!   HTTP surface is provably byte-identical to in-process generation.
+//! * **deterministic result encoding** — one writer in [`api`] emits every
+//!   response body as JSON text straight from a pipeline result; misses,
+//!   cache hits and `/v1/batch` items all carry its bytes, and a batch is
+//!   joined from its items' bytes. [`api::output_result_value`] and its
+//!   siblings are `Value` views of those bytes, kept for the benchmark and
+//!   the tests, so the HTTP surface is provably byte-identical to
+//!   in-process generation.
 //!
 //! ```no_run
 //! use rpg_server::{Server, ServerConfig};
