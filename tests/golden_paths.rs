@@ -12,17 +12,19 @@
 //! Changing [`GOLDEN`] is a claim that the method's output changed on
 //! purpose; it needs a `CHANGES.md` note saying why.
 //!
-//! [`INDEX_SECTIONS`] pins the text index the seed stage scores from: the
-//! length and CRC-32 of the snapshot's index section for the demonstration
-//! corpus and the default-scale benchmark corpus. Changing it is the same
-//! kind of claim and needs the same kind of note.
+//! [`SECTIONS`] pins everything a corpus build produces: the length and
+//! CRC-32 of each of the six snapshot sections (papers, refs, graph,
+//! PageRank, text index, meta) for the demonstration corpus and the
+//! default-scale benchmark corpus. It is the byte-identity oracle of the
+//! corpus generator and of `CorpusArtifacts::build`. Changing it is the
+//! same kind of claim and needs the same kind of note.
 
 use rpg_corpus::{generate, Corpus};
 use rpg_repager::artifacts::CorpusArtifacts;
 use rpg_repager::system::PathRequest;
 use rpg_repro::demo_corpus;
 use rpg_server::api;
-use rpg_service::snapshot::{self, SectionKind, NO_SPEC_FINGERPRINT};
+use rpg_service::snapshot::{self, NO_SPEC_FINGERPRINT};
 use rpg_service::PathService;
 use std::sync::Arc;
 
@@ -81,10 +83,21 @@ const GOLDEN: &[(u32, u64)] = &[
     (1225, 0xc7af7689845e051e),
 ];
 
-/// `(corpus, index section length in bytes, its CRC-32)`.
-const INDEX_SECTIONS: &[(&str, u64, u32)] = &[
-    ("demo", 65_985, 0x51a6_e98c),
-    ("default scale", 254_854, 0x819f_6cb6),
+/// `(corpus, section, payload length in bytes, its CRC-32)`, in container
+/// order per corpus.
+const SECTIONS: &[(&str, &str, u64, u32)] = &[
+    ("demo", "papers", 451_398, 0xa105_c363),
+    ("demo", "refs", 24_483, 0x2903_4d2a),
+    ("demo", "graph", 15_250, 0x4ec4_1960),
+    ("demo", "pagerank", 9_819, 0xb26a_181c),
+    ("demo", "index", 65_985, 0x51a6_e98c),
+    ("demo", "meta", 49_052, 0x3a9d_8f1e),
+    ("default scale", "papers", 1_846_734, 0xbb57_a5a2),
+    ("default scale", "refs", 204_240, 0x2eaa_7761),
+    ("default scale", "graph", 125_630, 0x33c0_8e30),
+    ("default scale", "pagerank", 40_859, 0x7d2c_b333),
+    ("default scale", "index", 254_854, 0x819f_6cb6),
+    ("default scale", "meta", 157_389, 0xb2c0_1fb1),
 ];
 
 /// 64-bit FNV-1a.
@@ -136,7 +149,7 @@ fn every_survey_reading_path_matches_its_golden_digest() {
 }
 
 #[test]
-fn text_index_section_bytes_match_their_pins() {
+fn snapshot_section_bytes_match_their_pins() {
     let corpora: [(&str, Arc<Corpus>); 2] = [
         ("demo", demo_corpus()),
         (
@@ -144,22 +157,26 @@ fn text_index_section_bytes_match_their_pins() {
             Arc::new(generate(&rpg_bench::bench_corpus_config())),
         ),
     ];
-    let table: Vec<(&str, u64, u32)> = corpora
-        .into_iter()
-        .map(|(name, corpus)| {
-            let artifacts = CorpusArtifacts::build(corpus).expect("artifacts build");
-            let bytes = snapshot::encode(&artifacts, NO_SPEC_FINGERPRINT).expect("encodes");
-            let info = snapshot::inspect(&bytes).expect("inspects");
-            let index = info
-                .sections
+    let mut table: Vec<(&str, &str, u64, u32)> = Vec::new();
+    for (name, corpus) in corpora {
+        let artifacts = CorpusArtifacts::build(corpus).expect("artifacts build");
+        let bytes = snapshot::encode(&artifacts, NO_SPEC_FINGERPRINT).expect("encodes");
+        let info = snapshot::inspect(&bytes).expect("inspects");
+        table.extend(
+            info.sections
                 .iter()
-                .find(|s| s.kind == SectionKind::Index)
-                .expect("an index section");
-            (name, index.len, index.crc)
-        })
-        .collect();
-    assert_eq!(
-        table, INDEX_SECTIONS,
-        "the text index changed: (corpus, index section bytes, CRC-32)"
-    );
+                .map(|section| (name, section.kind.name(), section.len, section.crc)),
+        );
+    }
+    if table != SECTIONS {
+        println!("const SECTIONS: &[(&str, &str, u64, u32)] = &[");
+        for (corpus, section, len, crc) in &table {
+            println!("    ({corpus:?}, {section:?}, {len}, 0x{crc:08x}),");
+        }
+        println!("];");
+        panic!(
+            "a corpus build changed: (corpus, section, bytes, CRC-32) differ from the pins; \
+             the matching table is printed above"
+        );
+    }
 }
