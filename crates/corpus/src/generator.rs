@@ -155,12 +155,12 @@ fn pick<'a, T>(rng: &mut StdRng, items: &'a [T]) -> &'a T {
     &items[rng.gen_range(0..items.len())]
 }
 
-fn sample_terms(rng: &mut StdRng, terms: &[String], count: usize) -> Vec<String> {
-    let mut pool: Vec<&String> = terms.iter().collect();
+fn sample_terms<'a>(rng: &mut StdRng, terms: &'a [String], count: usize) -> Vec<&'a str> {
+    let mut pool: Vec<&str> = terms.iter().map(String::as_str).collect();
     let mut out = Vec::with_capacity(count);
     for _ in 0..count.min(pool.len()) {
         let i = rng.gen_range(0..pool.len());
-        out.push(pool.swap_remove(i).clone());
+        out.push(pool.swap_remove(i));
     }
     out
 }
@@ -168,7 +168,7 @@ fn sample_terms(rng: &mut StdRng, terms: &[String], count: usize) -> Vec<String>
 fn research_title(rng: &mut StdRng, topic_terms: &[String]) -> String {
     let t = sample_terms(rng, topic_terms, 4);
     let filler = *pick(rng, FILLER_TERMS);
-    let get = |i: usize| t.get(i).cloned().unwrap_or_else(|| filler.to_string());
+    let get = |i: usize| t.get(i).copied().unwrap_or(filler);
     match rng.gen_range(0..TITLE_PATTERNS) {
         0 => format!("{} {} for {} {}", get(0), get(1), get(2), get(3)),
         1 => format!("Learning {} {} with {} models", get(0), get(1), get(2)),
@@ -189,42 +189,58 @@ fn survey_title(rng: &mut StdRng, topic_name: &str) -> String {
     }
 }
 
+/// Writes `words` space-separated words into `buf` (cleared first) and
+/// returns them as an exactly sized `String`.
 fn abstract_text(
     rng: &mut StdRng,
+    buf: &mut String,
     topic_terms: &[String],
-    prerequisite_terms: &[String],
+    prerequisite_terms: &[&str],
     words: usize,
 ) -> String {
-    let mut out = Vec::with_capacity(words);
-    for _ in 0..words {
+    buf.clear();
+    for i in 0..words {
         let roll: f64 = rng.gen();
-        if roll < 0.55 && !topic_terms.is_empty() {
-            out.push(pick(rng, topic_terms).clone());
+        let word = if roll < 0.55 && !topic_terms.is_empty() {
+            pick(rng, topic_terms).as_str()
         } else if roll < 0.75 && !prerequisite_terms.is_empty() {
-            out.push(pick(rng, prerequisite_terms).clone());
+            pick(rng, prerequisite_terms)
         } else {
-            out.push((*pick(rng, FILLER_TERMS)).to_string());
+            pick(rng, FILLER_TERMS)
+        };
+        if i > 0 {
+            buf.push(' ');
         }
+        buf.push_str(word);
     }
-    out.join(" ")
+    buf.as_str().to_owned()
 }
 
-fn sample_venue(rng: &mut StdRng, venues: &VenueTable) -> VenueId {
+/// The venue tiers in the order [`sample_venue`] draws them.
+const VENUE_TIERS: [VenueTier; 4] = [
+    VenueTier::A,
+    VenueTier::B,
+    VenueTier::C,
+    VenueTier::Unranked,
+];
+
+/// `tier_pools` holds each of [`VENUE_TIERS`]' venues, in the same order.
+fn sample_venue(rng: &mut StdRng, tier_pools: &[Vec<VenueId>; 4]) -> VenueId {
     let roll: f64 = rng.gen();
     let tier = if roll < 0.20 {
-        VenueTier::A
+        0
     } else if roll < 0.55 {
-        VenueTier::B
+        1
     } else if roll < 0.85 {
-        VenueTier::C
+        2
     } else {
-        VenueTier::Unranked
+        3
     };
-    let pool = venues.by_tier(tier);
+    let pool = &tier_pools[tier];
     if pool.is_empty() {
         VenueId(0)
     } else {
-        *pick(rng, &pool)
+        *pick(rng, pool)
     }
 }
 
@@ -238,6 +254,13 @@ pub fn generate(config: &CorpusConfig) -> Corpus {
 }
 
 /// Generates a corpus with a caller-provided topic catalogue and venue table.
+///
+/// The corpus is a pure function of the configuration through the order
+/// of its RNG draws: one seeded stream, drawn paper by paper in plan
+/// order, then reference list by reference list in id order. That order
+/// is the contract. `tests/golden_paths.rs` pins every snapshot section
+/// of the demonstration and default-scale corpora, so a rewrite that
+/// skips, adds or reorders a single draw fails there.
 pub fn generate_with(config: &CorpusConfig, topics: TopicCatalog, venues: VenueTable) -> Corpus {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let depths = topic_depths(&topics);
@@ -284,17 +307,25 @@ pub fn generate_with(config: &CorpusConfig, topics: TopicCatalog, venues: VenueT
     // ------------------------------------------------------------------
     // Materialise papers (titles, abstracts, venues, defects).
     // ------------------------------------------------------------------
+    // Each topic's direct-prerequisite vocabulary, borrowed once.
+    let prereq_terms: Vec<Vec<&str>> = topics
+        .iter()
+        .map(|topic| {
+            topic
+                .prerequisites
+                .iter()
+                .filter_map(|&p| topics.get(p))
+                .flat_map(|t| t.terms.iter().map(String::as_str))
+                .collect()
+        })
+        .collect();
+    let venue_pools = VENUE_TIERS.map(|tier| venues.by_tier(tier));
+    let mut abstract_buf = String::new();
     let mut papers: Vec<Paper> = Vec::with_capacity(plans.len());
     let mut survey_titles_by_topic: std::collections::HashMap<TopicId, Vec<String>> =
         std::collections::HashMap::new();
     for (i, plan) in plans.iter().enumerate() {
         let topic = topics.get(plan.topic).expect("planned topic exists");
-        let prereq_terms: Vec<String> = topic
-            .prerequisites
-            .iter()
-            .filter_map(|&p| topics.get(p))
-            .flat_map(|t| t.terms.iter().cloned())
-            .collect();
         let (title, pages, parse_ok) = match plan.kind {
             PaperKind::Research => (
                 research_title(&mut rng, &topic.terms),
@@ -339,9 +370,15 @@ pub fn generate_with(config: &CorpusConfig, topics: TopicCatalog, venues: VenueT
         papers.push(Paper {
             id: PaperId::from_index(i),
             title,
-            abstract_text: abstract_text(&mut rng, &topic.terms, &prereq_terms, abstract_words),
+            abstract_text: abstract_text(
+                &mut rng,
+                &mut abstract_buf,
+                &topic.terms,
+                &prereq_terms[plan.topic.index()],
+                abstract_words,
+            ),
             year: plan.year,
-            venue: sample_venue(&mut rng, &venues),
+            venue: sample_venue(&mut rng, &venue_pools),
             topic: plan.topic,
             kind: plan.kind,
             pages,
@@ -358,24 +395,32 @@ pub fn generate_with(config: &CorpusConfig, topics: TopicCatalog, venues: VenueT
     let mut topic_published: Vec<Vec<usize>> = vec![Vec::new(); topics.len()];
     // Per-topic list of already-published surveys (for survey citations).
     let mut topic_surveys: Vec<Vec<usize>> = vec![Vec::new(); topics.len()];
+    let closures: Vec<Vec<TopicId>> = topics
+        .iter()
+        .map(|topic| topics.prerequisite_closure(topic.id))
+        .collect();
+    // The three candidate pools, refilled for every paper.
+    let mut same_topic: Vec<Candidate> = Vec::new();
+    let mut prerequisite: Vec<Candidate> = Vec::new();
+    let mut background: Vec<Candidate> = Vec::new();
 
     for i in 0..papers.len() {
         let paper_topic = papers[i].topic;
-        let topic = topics.get(paper_topic).expect("topic exists");
         let is_survey = papers[i].kind == PaperKind::Survey;
 
         // Candidate pools.
-        let same_topic: Vec<Candidate> = topic_published[paper_topic.index()]
-            .iter()
-            .map(|&j| Candidate {
-                paper: PaperId::from_index(j),
-                weight: 1.0 + f64::from(in_degree[j]),
-            })
-            .collect();
+        same_topic.clear();
+        same_topic.extend(
+            topic_published[paper_topic.index()]
+                .iter()
+                .map(|&j| Candidate {
+                    paper: PaperId::from_index(j),
+                    weight: 1.0 + f64::from(in_degree[j]),
+                }),
+        );
 
-        let closure = topics.prerequisite_closure(paper_topic);
-        let mut prerequisite: Vec<Candidate> = Vec::new();
-        for (hop, &pt) in closure.iter().enumerate() {
+        prerequisite.clear();
+        for (hop, &pt) in closures[paper_topic.index()].iter().enumerate() {
             let published = &topic_published[pt.index()];
             if published.is_empty() {
                 continue;
@@ -405,7 +450,7 @@ pub fn generate_with(config: &CorpusConfig, topics: TopicCatalog, venues: VenueT
 
         // A bounded random slice of everything already published serves as
         // the background pool.
-        let mut background: Vec<Candidate> = Vec::new();
+        background.clear();
         if i > 0 {
             for _ in 0..60.min(i) {
                 let j = rng.gen_range(0..i);
@@ -486,7 +531,6 @@ pub fn generate_with(config: &CorpusConfig, topics: TopicCatalog, venues: VenueT
             PaperKind::Research => topic_published[paper_topic.index()].push(i),
             PaperKind::Survey => topic_surveys[paper_topic.index()].push(i),
         }
-        let _ = topic; // topic metadata only needed for candidate pools above
     }
 
     let mut corpus = Corpus::assemble(papers, references, topics, venues);

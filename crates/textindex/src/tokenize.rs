@@ -11,8 +11,6 @@
 //! text allocates only for terms the vocabulary has not seen.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
-use std::sync::OnceLock;
 
 /// A single token produced by [`tokenize`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -23,21 +21,37 @@ pub struct Token {
     pub position: usize,
 }
 
-/// English stop words that carry no topical signal in scholarly titles.
-pub const STOP_WORDS: &[&str] = &[
-    "a", "an", "the", "and", "or", "of", "in", "on", "for", "with", "to", "from", "by", "at", "as",
-    "is", "are", "was", "were", "be", "been", "being", "this", "that", "these", "those", "it",
-    "its", "we", "our", "their", "his", "her", "your", "via", "using", "based", "toward",
-    "towards", "into", "over", "under", "between", "among", "about", "can", "may", "do", "does",
-    "not", "no", "new", "novel", "approach", "method", "methods", "paper", "study",
+/// English stop words that carry no topical signal in scholarly titles,
+/// bucketed by byte length: `STOP_WORDS[n]` holds the stop words of `n`
+/// bytes, so [`is_stop_word`] compares a term only with words of its own
+/// length and hashes nothing.
+pub const STOP_WORDS: [&[&str]; 9] = [
+    &[],
+    &["a"],
+    &[
+        "an", "or", "of", "in", "on", "to", "by", "at", "as", "is", "be", "it", "we", "do", "no",
+    ],
+    &[
+        "the", "and", "for", "are", "was", "its", "our", "his", "her", "via", "can", "may", "not",
+        "new",
+    ],
+    &[
+        "with", "from", "were", "been", "this", "that", "your", "into", "over", "does",
+    ],
+    &[
+        "being", "these", "those", "their", "using", "based", "under", "among", "about", "novel",
+        "paper", "study",
+    ],
+    &["toward", "method"],
+    &["towards", "between", "methods"],
+    &["approach"],
 ];
 
 /// Returns `true` if `term` is a stop word.
 pub fn is_stop_word(term: &str) -> bool {
-    static LOOKUP: OnceLock<HashSet<&'static str>> = OnceLock::new();
-    LOOKUP
-        .get_or_init(|| STOP_WORDS.iter().copied().collect())
-        .contains(term)
+    STOP_WORDS
+        .get(term.len())
+        .is_some_and(|words| words.contains(&term))
 }
 
 /// A light stemmer: strips a handful of common English suffixes so that
@@ -198,7 +212,7 @@ mod tests {
             if lower.chars().all(|c| c.is_ascii_digit()) && lower.len() < 4 {
                 continue;
             }
-            if options.remove_stop_words && STOP_WORDS.contains(&lower.as_str()) {
+            if options.remove_stop_words && STOP_WORDS.concat().contains(&lower.as_str()) {
                 continue;
             }
             let term = if options.stem {
@@ -297,6 +311,20 @@ mod tests {
             "Ⅻ ١٢٣",
         ] {
             assert_walk_matches_reference(text);
+        }
+    }
+
+    #[test]
+    fn stop_words_sit_in_their_length_bucket() {
+        for (len, words) in STOP_WORDS.iter().enumerate() {
+            for word in *words {
+                assert_eq!(word.len(), len, "{word:?}");
+                assert!(is_stop_word(word), "{word:?}");
+            }
+        }
+        assert_eq!(STOP_WORDS.concat().len(), 58);
+        for term in ["", "aa", "approaches", "methodology", "survey", "The"] {
+            assert!(!is_stop_word(term), "{term:?}");
         }
     }
 
