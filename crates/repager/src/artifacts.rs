@@ -29,11 +29,29 @@ impl CorpusArtifacts {
     /// Builds all artifacts for a corpus: engine index, seed engine, global
     /// PageRank, and node weights.
     ///
+    /// PageRank runs on a scoped thread named `rpg-pagerank` while the
+    /// calling thread builds the text index; the two read the corpus and
+    /// nothing else, so the result is bit-identical to
+    /// [`CorpusArtifacts::with_index`] over [`EngineIndex::build`]. If the
+    /// thread cannot be spawned, PageRank runs after the index instead.
+    ///
     /// Errors if the corpus graph rejects the PageRank computation.
     pub fn build(corpus: impl Into<Arc<Corpus>>) -> Result<Arc<Self>, GraphError> {
         let corpus = corpus.into();
-        let index = EngineIndex::build(&corpus);
-        Self::with_index(corpus, index)
+        let (index, pagerank) = std::thread::scope(|scope| {
+            let pagerank = std::thread::Builder::new()
+                .name("rpg-pagerank".to_string())
+                .spawn_scoped(scope, || pagerank_default(corpus.graph()));
+            let index = EngineIndex::build(&corpus);
+            let pagerank = match pagerank {
+                Ok(thread) => thread
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                Err(_) => pagerank_default(corpus.graph()),
+            };
+            (index, pagerank)
+        });
+        Ok(Self::assemble(corpus, index, pagerank?))
     }
 
     /// Builds the artifacts reusing an existing shared engine index (avoids
@@ -42,16 +60,8 @@ impl CorpusArtifacts {
         corpus: Arc<Corpus>,
         index: Arc<EngineIndex>,
     ) -> Result<Arc<Self>, GraphError> {
-        let scholar = ScholarEngine::from_index(index.clone());
         let pagerank = pagerank_default(corpus.graph())?;
-        let node_weights = NodeWeights::build(&corpus, &pagerank);
-        Ok(Arc::new(CorpusArtifacts {
-            corpus,
-            index,
-            scholar,
-            pagerank,
-            node_weights,
-        }))
+        Ok(Self::assemble(corpus, index, pagerank))
     }
 
     /// Reassembles the artifacts from persisted parts (e.g. a decoded
@@ -75,15 +85,25 @@ impl CorpusArtifacts {
                 ),
             });
         }
+        Ok(Self::assemble(corpus, index, pagerank))
+    }
+
+    /// The one assembly every constructor ends in: derives the seed engine
+    /// and the node weights from the index and the scores.
+    fn assemble(
+        corpus: Arc<Corpus>,
+        index: Arc<EngineIndex>,
+        pagerank: PageRankScores,
+    ) -> Arc<Self> {
         let scholar = ScholarEngine::from_index(index.clone());
         let node_weights = NodeWeights::build(&corpus, &pagerank);
-        Ok(Arc::new(CorpusArtifacts {
+        Arc::new(CorpusArtifacts {
             corpus,
             index,
             scholar,
             pagerank,
             node_weights,
-        }))
+        })
     }
 
     /// The corpus the artifacts were built from.
@@ -141,6 +161,39 @@ mod tests {
         std::thread::spawn(move || clone.corpus().len())
             .join()
             .unwrap();
+    }
+
+    #[test]
+    fn the_threaded_build_equals_the_sequential_one() {
+        // The demonstration corpus (`rpg_repro::demo_corpus`).
+        let corpus = Arc::new(generate(&CorpusConfig {
+            seed: 0xDE40,
+            ..CorpusConfig::small()
+        }));
+        let threaded = CorpusArtifacts::build(corpus.clone()).unwrap();
+        let sequential =
+            CorpusArtifacts::with_index(corpus.clone(), EngineIndex::build(&corpus)).unwrap();
+        let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&threaded.pagerank().scores),
+            bits(&sequential.pagerank().scores)
+        );
+        assert_eq!(
+            threaded.pagerank().iterations,
+            sequential.pagerank().iterations
+        );
+        assert_eq!(
+            threaded.pagerank().delta.to_bits(),
+            sequential.pagerank().delta.to_bits()
+        );
+        let (a, b) = (threaded.node_weights(), sequential.node_weights());
+        assert_eq!(a.len(), corpus.len());
+        assert_eq!(b.len(), corpus.len());
+        for i in 0..corpus.len() {
+            let id = rpg_corpus::PaperId(i as u32);
+            assert_eq!(a.pagerank(id).to_bits(), b.pagerank(id).to_bits(), "{i}");
+            assert_eq!(a.venue(id).to_bits(), b.venue(id).to_bits(), "{i}");
+        }
     }
 
     #[test]
