@@ -87,7 +87,7 @@ mod sys;
 pub use api::{BatchRequest, GenerateRequest};
 pub use auth::{AuthTable, Principal};
 #[doc(hidden)]
-pub use serve::test_hooks;
+pub use serve::{test_hooks, ReplyHold};
 pub use serve::{Server, ServerConfig, StatsSnapshot};
 pub use sys::{install_sighup, sighup_pending, IoBackend, IoBackendChoice};
 

@@ -437,6 +437,17 @@ impl<T> FairQueue<T> {
         self.state.lock().unwrap().total
     }
 
+    /// Queued items, across every tenant, for which `matches` holds.
+    pub fn count_queued(&self, mut matches: impl FnMut(&T) -> bool) -> usize {
+        let state = self.state.lock().unwrap();
+        state
+            .subs
+            .iter()
+            .flat_map(|sub| &sub.items)
+            .filter(|item| matches(item))
+            .count()
+    }
+
     /// Queued items per tenant, for every tenant seen so far, in
     /// first-seen order.
     pub fn tenant_depths(&self) -> Vec<(String, usize)> {

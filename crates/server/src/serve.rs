@@ -74,7 +74,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -656,6 +656,47 @@ struct Shared {
     open_connections: AtomicUsize,
     shutdown: AtomicBool,
     counters: Counters,
+    /// Closed unless a test holds it through [`Server::hold_replies`].
+    reply_gate: ReplyGate,
+}
+
+/// A per-server gate between a non-batch job's compute and its reply.
+/// Closed while any [`ReplyHold`] lives; open, it costs a worker one
+/// atomic load per job.
+#[derive(Default)]
+struct ReplyGate {
+    holds: AtomicUsize,
+    lock: Mutex<()>,
+    opened: Condvar,
+}
+
+impl ReplyGate {
+    /// Blocks the calling worker until no hold is left.
+    fn pass(&self) {
+        if self.holds.load(Ordering::Acquire) == 0 {
+            return;
+        }
+        let mut guard = self.lock.lock().unwrap();
+        while self.holds.load(Ordering::Acquire) > 0 {
+            guard = self.opened.wait(guard).unwrap();
+        }
+    }
+}
+
+/// Keeps a server's workers holding their finished replies until dropped;
+/// see [`Server::hold_replies`].
+#[doc(hidden)]
+#[must_use = "the hold ends when this guard is dropped"]
+pub struct ReplyHold<'a> {
+    gate: &'a ReplyGate,
+}
+
+impl Drop for ReplyHold<'_> {
+    fn drop(&mut self) {
+        let _guard = self.gate.lock.lock().unwrap();
+        self.gate.holds.fetch_sub(1, Ordering::Release);
+        self.gate.opened.notify_all();
+    }
 }
 
 /// A running HTTP front end over a [`CorpusRegistry`].
@@ -730,6 +771,7 @@ impl Server {
             open_connections: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             counters,
+            reply_gate: ReplyGate::default(),
         });
         let acceptor = {
             let shared = shared.clone();
@@ -808,6 +850,30 @@ impl Server {
     /// Queued requests per tenant seen so far.
     pub fn tenant_depths(&self) -> Vec<(String, usize)> {
         self.shared.requests.tenant_depths()
+    }
+
+    /// Test support, not part of the public API: queued requests whose
+    /// client has already reset its connection, so a worker will skip
+    /// them.
+    #[doc(hidden)]
+    pub fn cancelled_depth(&self) -> usize {
+        self.shared
+            .requests
+            .count_queued(|job| job.cancelled.load(Ordering::SeqCst))
+    }
+
+    /// Test support, not part of the public API: until the returned guard
+    /// drops, a worker that finishes a non-batch job's compute holds the
+    /// job, and its reply, instead of answering. A loopback test plugs a
+    /// worker with one request, stages queue state behind it, then drops
+    /// the guard, so no step races the plug's compute. The hold belongs to
+    /// this server alone, so tests running in parallel cannot reach each
+    /// other's workers.
+    #[doc(hidden)]
+    pub fn hold_replies(&self) -> ReplyHold<'_> {
+        let gate = &self.shared.reply_gate;
+        gate.holds.fetch_add(1, Ordering::AcqRel);
+        ReplyHold { gate }
     }
 
     /// A copy of the server counters.
@@ -2732,6 +2798,7 @@ fn run_job(job: Job, shared: &Shared) {
             }))
             .unwrap_or_else(|_| Response::json(500, error_body("internal error")));
             close_span(&compute);
+            shared.reply_gate.pass();
             // Sample before the send: once the client holds the response it
             // must also find the sample in /metrics and /v1/stats.
             metrics.latency.record(admitted_at.elapsed());

@@ -178,6 +178,30 @@ pub fn spawn(registry: Arc<CorpusRegistry>, workers: usize, queue: usize) -> Tes
     })
 }
 
+/// Waits until `ready` holds, failing the test with `what` after 10 s.
+pub fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !ready() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::yield_now();
+    }
+}
+
+/// Waits until the single compute worker provably holds a just-sent plug
+/// request: its lane exists (admitted), the queue is empty (popped), and
+/// nothing has completed yet. Tests take [`Server::hold_replies`] before
+/// sending the plug, so the plug stays on the worker, reply unsent, until
+/// the test drops the hold.
+pub fn wait_worker_busy(server: &TestServer, tenant: &str) {
+    wait_until("worker never picked up the plug request", || {
+        let lane_exists = server
+            .tenant_depths()
+            .iter()
+            .any(|(name, _)| name == tenant);
+        lane_exists && server.request_depth() == 0 && server.stats().handled == 0
+    });
+}
+
 /// The admin bearer key of [`demo_manifest`].
 pub const ADMIN_KEY: &str = "root-key";
 /// Tenant `alpha`'s bearer key in [`demo_manifest`].

@@ -12,7 +12,7 @@ mod common;
 use common::{
     demo_manifest_json, demo_registry, demo_registry_without_cache, get_with_key,
     post_json_with_key, request_with_key, spawn_manifest_server, spawn_with, tenant_query,
-    TestServer, ADMIN_KEY, ALPHA_KEY, BETA_KEY,
+    wait_until, wait_worker_busy, TestServer, ADMIN_KEY, ALPHA_KEY, BETA_KEY,
 };
 use rpg_server::api::ResolvedRequest;
 use rpg_server::{client, GenerateRequest};
@@ -39,31 +39,12 @@ fn gen_body(query: &str, year: u16, corpus: Option<&str>) -> String {
     }
 }
 
-/// A deliberately expensive generate body (hundreds of seeds) used to hold
-/// a compute worker busy while the test stages queue state behind it.
-fn slow_body(query: &str, corpus: &str) -> String {
-    format!(r#"{{"query": {query:?}, "top_k": 40, "seed_count": 400, "corpus": {corpus:?}}}"#)
-}
-
-/// Waits until the single compute worker provably holds the plug request:
-/// the tenant's lane exists (the plug was admitted), the queue is empty
-/// (the worker popped it), and nothing has completed yet.
-fn wait_worker_busy(server: &TestServer, tenant: &str) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let lane_exists = server
-            .tenant_depths()
-            .iter()
-            .any(|(name, _)| name == tenant);
-        if lane_exists && server.request_depth() == 0 && server.stats().handled == 0 {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "worker never picked up the plug request"
-        );
-        std::thread::yield_now();
-    }
+/// The generate body a test plugs the single compute worker with while it
+/// stages queue state behind it. The server's reply hold, not the body's
+/// cost, keeps the worker busy; no other request repeats the body, so it
+/// is never a cache hit.
+fn plug_body(query: &str, corpus: &str) -> String {
+    format!(r#"{{"query": {query:?}, "top_k": 40, "corpus": {corpus:?}}}"#)
 }
 
 #[test]
@@ -501,11 +482,12 @@ fn live_weight_retune_shifts_the_drr_share_under_load() {
 
     // Plug the worker so the eight requests park in the queue while the
     // retune happens.
+    let hold = server.hold_replies();
     let plug = {
         let (query, _) = alpha_queries[0].clone();
         std::thread::spawn(move || {
             let response =
-                post_json_with_key(addr, "/v1/generate", &slow_body(&query, "alpha"), ALPHA_KEY);
+                post_json_with_key(addr, "/v1/generate", &plug_body(&query, "alpha"), ALPHA_KEY);
             assert_eq!(response.unwrap().status, 200);
         })
     };
@@ -541,6 +523,11 @@ fn live_weight_retune_shifts_the_drr_share_under_load() {
             }));
         }
     }
+    // Unplug only once all eight are parked.
+    wait_until("the eight requests never queued", || {
+        server.request_depth() == 8
+    });
+    drop(hold);
     let completions: Vec<(String, Instant)> =
         handles.into_iter().map(|h| h.join().unwrap()).collect();
     plug.join().unwrap();
@@ -629,9 +616,10 @@ fn batch_items_bill_their_own_tenants_with_partial_429s() {
     });
     let addr = server.addr();
     let queries = common::demo_queries(2);
+    let hold = server.hold_replies();
     let (plug_query, _) = queries[0].clone();
     let plug = std::thread::spawn(move || {
-        let response = client::post_json(addr, "/v1/generate", &slow_body(&plug_query, "default"));
+        let response = client::post_json(addr, "/v1/generate", &plug_body(&plug_query, "default"));
         assert_eq!(response.unwrap().status, 200);
     });
     wait_worker_busy(&server, "default");
@@ -640,7 +628,14 @@ fn batch_items_bill_their_own_tenants_with_partial_429s() {
     let (query, year) = queries[1].clone();
     let item = gen_body(&query, year, None);
     let burst = format!(r#"{{"requests": [{item}, {item}, {item}, {item}]}}"#);
-    let response = client::post_json(addr, "/v1/batch", &burst).unwrap();
+    let batch = std::thread::spawn(move || client::post_json(addr, "/v1/batch", &burst).unwrap());
+    // The batch answers once its queued item has run, so the plug ends
+    // after the loop has queued that item and throttled the other three.
+    wait_until("the batch was never admitted", || {
+        server.request_depth() == 1 && server.stats().throttled == 3
+    });
+    drop(hold);
+    let response = batch.join().unwrap();
     assert_eq!(
         response.status, 200,
         "partial throttling keeps the batch a 200"
@@ -688,9 +683,10 @@ fn mid_compute_hangup_cancels_queued_work() {
     let queries = common::demo_queries(2);
 
     // Plug the single worker.
+    let hold = server.hold_replies();
     let (plug_query, _) = queries[0].clone();
     let plug = std::thread::spawn(move || {
-        let response = client::post_json(addr, "/v1/generate", &slow_body(&plug_query, "default"));
+        let response = client::post_json(addr, "/v1/generate", &plug_body(&plug_query, "default"));
         assert_eq!(response.unwrap().status, 200);
     });
     wait_worker_busy(&server, "default");
@@ -723,6 +719,12 @@ fn mid_compute_hangup_cancels_queued_work() {
     // Close without reading: the unread `100 Continue` turns the close
     // into an RST, which is what POLLHUP/POLLERR watching detects.
     drop(stream);
+    // The loop flags the queued job when it sees the reset; the plug ends
+    // only then.
+    wait_until("the reset never cancelled the queued job", || {
+        server.cancelled_depth() == 1
+    });
+    drop(hold);
 
     // The plug finishes; the abandoned job is skipped (not computed) and
     // its connection slot drains away.
@@ -762,9 +764,10 @@ fn mid_compute_half_close_still_gets_its_reply() {
 
     // Plug the single worker so the half-closing request is provably in
     // `ComputeInFlight` when its FIN arrives.
+    let hold = server.hold_replies();
     let (plug_query, _) = queries[0].clone();
     let plug = std::thread::spawn(move || {
-        let response = client::post_json(addr, "/v1/generate", &slow_body(&plug_query, "default"));
+        let response = client::post_json(addr, "/v1/generate", &plug_body(&plug_query, "default"));
         assert_eq!(response.unwrap().status, 200);
     });
     wait_worker_busy(&server, "default");
@@ -794,6 +797,7 @@ fn mid_compute_half_close_still_gets_its_reply() {
     // plugged — the regression this guards against flipped the cancel flag
     // right here and the reply never came.
     std::thread::sleep(Duration::from_millis(50));
+    drop(hold);
     let response = client::read_response(&mut stream, &mut Vec::new()).unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     plug.join().unwrap();
@@ -816,26 +820,35 @@ fn expired_deadlines_shed_queued_work_with_a_503() {
     });
     let addr = server.addr();
     let queries = common::demo_queries(2);
+    let hold = server.hold_replies();
     let (plug_query, _) = queries[0].clone();
     let plug = std::thread::spawn(move || {
-        let response = client::post_json(addr, "/v1/generate", &slow_body(&plug_query, "default"));
+        let response = client::post_json(addr, "/v1/generate", &plug_body(&plug_query, "default"));
         assert_eq!(response.unwrap().status, 200);
     });
     wait_worker_busy(&server, "default");
 
-    // A 1 ms budget behind a plug that takes far longer: by the time the
-    // worker reaches this request its deadline is blown, so the worker
-    // sheds it — 503 plus retry-after — instead of computing a result the
-    // client has already given up on.
+    // A 1 ms budget behind a plug held past it: by the time the worker
+    // reaches this request its deadline is blown, so the worker sheds it —
+    // 503 plus retry-after — instead of computing a result the client has
+    // already given up on.
     let (query, year) = queries[1].clone();
-    let response = client::request_with(
-        addr,
-        "POST",
-        "/v1/generate",
-        Some(&gen_body(&query, year, None)),
-        &[("x-rpg-deadline-ms", "1")],
-    )
-    .unwrap();
+    let shed = std::thread::spawn(move || {
+        client::request_with(
+            addr,
+            "POST",
+            "/v1/generate",
+            Some(&gen_body(&query, year, None)),
+            &[("x-rpg-deadline-ms", "1")],
+        )
+        .unwrap()
+    });
+    wait_until("the 1 ms request never queued", || {
+        server.request_depth() == 1
+    });
+    std::thread::sleep(Duration::from_millis(5));
+    drop(hold);
+    let response = shed.join().unwrap();
     assert_eq!(response.status, 503, "{}", response.body);
     assert!(
         response.header("retry-after").is_some(),
@@ -1104,10 +1117,9 @@ fn cache_hits_are_answered_past_a_full_queue_while_misses_get_429() {
         .generate("default", &resolved.as_path_request())
         .unwrap();
 
-    // The plug holds the single worker only for as long as one slow
-    // pipeline run, so the three requests that follow ride connections
-    // opened up front and are written back to back, without waiting on
-    // each other's responses.
+    // The three requests that follow the plug ride connections opened up
+    // front and are written back to back, without waiting on each other's
+    // responses.
     let send = |stream: &mut TcpStream, body: &str| {
         let request = format!(
             "POST /v1/generate HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
@@ -1119,9 +1131,10 @@ fn cache_hits_are_answered_past_a_full_queue_while_misses_get_429() {
         [(); 4].map(|()| TcpStream::connect(addr).unwrap());
 
     // Plug the worker, then fill the tenant's one queue slot.
+    let hold = server.hold_replies();
     let (plug_query, _) = queries[0].clone();
     let plug = std::thread::spawn(move || {
-        let response = client::post_json(addr, "/v1/generate", &slow_body(&plug_query, "default"));
+        let response = client::post_json(addr, "/v1/generate", &plug_body(&plug_query, "default"));
         assert_eq!(response.unwrap().status, 200);
     });
     wait_worker_busy(&server, "default");
@@ -1161,6 +1174,7 @@ fn cache_hits_are_answered_past_a_full_queue_while_misses_get_429() {
     );
     assert_eq!(registry.cached_entries_for("default"), 0);
 
+    drop(hold);
     let fill = client::read_response(&mut fill, &mut Vec::new()).unwrap();
     assert_eq!(fill.status, 200, "{}", fill.body);
     plug.join().unwrap();

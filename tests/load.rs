@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::{demo_registry_without_cache, spawn_with};
+use common::{demo_registry_without_cache, spawn_with, wait_until, wait_worker_busy};
 use rpg_repro::demo_corpus;
 use rpg_server::client;
 use rpg_service::CorpusRegistry;
@@ -83,27 +83,6 @@ impl Lcg {
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         self.0 >> 33
-    }
-}
-
-/// Waits until the single compute worker provably holds a just-sent plug
-/// request: its lane exists (admitted), the queue is empty (popped), and
-/// nothing has completed yet.
-fn wait_worker_busy(server: &common::TestServer, tenant: &str) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let lane_exists = server
-            .tenant_depths()
-            .iter()
-            .any(|(name, _)| name == tenant);
-        if lane_exists && server.request_depth() == 0 && server.stats().handled == 0 {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "worker never picked up the plug request"
-        );
-        std::thread::yield_now();
     }
 }
 
@@ -327,13 +306,12 @@ fn abandonment_storm_is_cancelled_not_computed() {
     let addr = server.addr();
     let queries = common::demo_queries(3);
 
-    // Plug the single worker with one slow request so the storm's jobs are
-    // all still queued when their connections die.
+    // Plug the single worker, held until the test lets go, so the storm's
+    // jobs are all still queued when their connections die.
+    let hold = server.hold_replies();
     let (plug_query, _) = queries[0].clone();
     let plug = std::thread::spawn(move || {
-        let body = format!(
-            r#"{{"query": {plug_query:?}, "top_k": 40, "seed_count": 400, "corpus": "default"}}"#
-        );
+        let body = format!(r#"{{"query": {plug_query:?}, "top_k": 40, "corpus": "default"}}"#);
         assert_eq!(
             client::post_json(addr, "/v1/generate", &body)
                 .unwrap()
@@ -385,6 +363,12 @@ fn abandonment_storm_is_cancelled_not_computed() {
             .expect("the interim 100 Continue arrives");
     }
     drop(streams);
+    // The loop flags each queued job as its reset arrives; the plug ends
+    // only once every one is flagged.
+    wait_until("the resets never cancelled the storm", || {
+        server.cancelled_depth() == storm
+    });
+    drop(hold);
 
     plug.join().unwrap();
     // The storm drains without computing: pipeline ran only for the plug.
@@ -413,14 +397,11 @@ fn abandonment_storm_is_cancelled_not_computed() {
 
 #[test]
 fn deadline_shedding_keeps_a_backlog_from_going_stale() {
-    // A tenant with a short deadline budget dumps a backlog far deeper than
-    // the budget covers onto a single worker: each queued request's wait
-    // grows with its position, so the tail of the backlog is provably stale
-    // by the time the worker reaches it and must be shed with 503s instead
-    // of burning compute on replies nobody is waiting for — and the shed
-    // count matches what the clients saw. (One uncached demo generate costs
-    // ~2 ms release / ~10 ms debug, so a 96-deep backlog represents at
-    // least ~150 ms of queue delay against a 50 ms budget on any machine.)
+    // A tenant with a short deadline budget dumps a backlog onto a single
+    // worker that a plug holds past the budget: the backlog is provably
+    // stale by the time the worker reaches it and must be shed with 503s
+    // instead of burning compute on replies nobody is waiting for — and
+    // the shed count matches what the clients saw.
     let scale = scale();
     let backlog = 96 * scale;
     let server = spawn_with(demo_registry_without_cache(), |config| {
@@ -432,13 +413,12 @@ fn deadline_shedding_keeps_a_backlog_from_going_stale() {
     let addr = server.addr();
     let queries = common::demo_queries(3);
 
+    let hold = server.hold_replies();
     let (plug_query, _) = queries[0].clone();
     let plug = std::thread::spawn(move || {
-        let body = format!(
-            r#"{{"query": {plug_query:?}, "top_k": 40, "seed_count": 400, "corpus": "default"}}"#
-        );
-        // The plug outlives its own 50 ms budget only because it is
-        // popped immediately — deadlines gate the *queue*, not compute.
+        let body = format!(r#"{{"query": {plug_query:?}, "top_k": 40, "corpus": "default"}}"#);
+        // The plug is popped at once and computes inside its own 50 ms
+        // budget; the hold then keeps only its finished reply.
         assert_eq!(
             client::post_json(addr, "/v1/generate", &body)
                 .unwrap()
@@ -459,6 +439,12 @@ fn deadline_shedding_keeps_a_backlog_from_going_stale() {
             })
         })
         .collect();
+    wait_until("the backlog never queued", || {
+        server.request_depth() == backlog
+    });
+    // Every queued request's budget runs out behind the plug.
+    std::thread::sleep(Duration::from_millis(60));
+    drop(hold);
     let statuses: Vec<u16> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     plug.join().unwrap();
 

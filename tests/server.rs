@@ -994,3 +994,31 @@ fn a_panic_past_the_reply_keeps_the_worker_and_releases_the_charge() {
     let second = client::post_json(server.addr(), "/v1/generate", &body).unwrap();
     assert_eq!(second.status, 200, "{}", second.body);
 }
+
+#[test]
+fn a_reply_hold_plugs_only_its_own_server() {
+    // The loopback suites plug a worker with `Server::hold_replies` while
+    // other tests run in parallel against their own servers: a hold taken
+    // on one server must leave every other server's workers free.
+    let held = spawn_with(common::demo_registry_without_cache(), |config| {
+        config.workers = 1;
+    });
+    let free = spawn_with(common::demo_registry_without_cache(), |config| {
+        config.workers = 1;
+    });
+    let queries = demo_queries(2);
+    let hold = held.hold_replies();
+    let addr = held.addr();
+    let plug_body = generate_body(&queries[0].0, queries[0].1, 10);
+    let plug = std::thread::spawn(move || client::post_json(addr, "/v1/generate", &plug_body));
+    common::wait_worker_busy(&held, "default");
+
+    let body = generate_body(&queries[1].0, queries[1].1, 10);
+    let response = client::post_json(free.addr(), "/v1/generate", &body).unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    assert_eq!(held.stats().handled, 0, "the plug's reply is still held");
+
+    drop(hold);
+    let plugged = plug.join().unwrap().unwrap();
+    assert_eq!(plugged.status, 200, "{}", plugged.body);
+}
