@@ -74,7 +74,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -656,7 +656,7 @@ struct Shared {
     open_connections: AtomicUsize,
     shutdown: AtomicBool,
     counters: Counters,
-    /// Closed unless a test holds it through [`Server::hold_replies`].
+    /// Open unless a test holds it through [`Server::hold_replies`].
     reply_gate: ReplyGate,
 }
 
@@ -666,6 +666,8 @@ struct Shared {
 #[derive(Default)]
 struct ReplyGate {
     holds: AtomicUsize,
+    /// Guards no data, so a poisoned lock is still a usable one: it only
+    /// orders a hold's release against a worker's check.
     lock: Mutex<()>,
     opened: Condvar,
 }
@@ -673,12 +675,15 @@ struct ReplyGate {
 impl ReplyGate {
     /// Blocks the calling worker until no hold is left.
     fn pass(&self) {
-        if self.holds.load(Ordering::Acquire) == 0 {
+        if self.holds.load(Ordering::SeqCst) == 0 {
             return;
         }
-        let mut guard = self.lock.lock().unwrap();
-        while self.holds.load(Ordering::Acquire) > 0 {
-            guard = self.opened.wait(guard).unwrap();
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        while self.holds.load(Ordering::SeqCst) > 0 {
+            guard = self
+                .opened
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -693,8 +698,12 @@ pub struct ReplyHold<'a> {
 
 impl Drop for ReplyHold<'_> {
     fn drop(&mut self) {
-        let _guard = self.gate.lock.lock().unwrap();
-        self.gate.holds.fetch_sub(1, Ordering::Release);
+        let _guard = self
+            .gate
+            .lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.gate.holds.fetch_sub(1, Ordering::SeqCst);
         self.gate.opened.notify_all();
     }
 }
@@ -872,7 +881,7 @@ impl Server {
     #[doc(hidden)]
     pub fn hold_replies(&self) -> ReplyHold<'_> {
         let gate = &self.shared.reply_gate;
-        gate.holds.fetch_add(1, Ordering::AcqRel);
+        gate.holds.fetch_add(1, Ordering::SeqCst);
         ReplyHold { gate }
     }
 

@@ -846,6 +846,7 @@ fn expired_deadlines_shed_queued_work_with_a_503() {
     wait_until("the 1 ms request never queued", || {
         server.request_depth() == 1
     });
+    // Its budget runs out while the plug is still held.
     std::thread::sleep(Duration::from_millis(5));
     drop(hold);
     let response = shed.join().unwrap();
