@@ -438,7 +438,7 @@ impl<T> FairQueue<T> {
     }
 
     /// Queued items, across every tenant, for which `matches` holds.
-    pub fn count_queued(&self, mut matches: impl FnMut(&T) -> bool) -> usize {
+    pub(crate) fn count_queued(&self, mut matches: impl FnMut(&T) -> bool) -> usize {
         let state = self.state.lock().unwrap();
         state
             .subs
