@@ -12,6 +12,12 @@
 //! Changing [`GOLDEN`] is a claim that the method's output changed on
 //! purpose; it needs a `CHANGES.md` note saying why.
 //!
+//! [`SEED_RANKINGS`] pins the first stage alone: the full seed ranking
+//! of each of those surveys (every admitted candidate with its score, in
+//! rank order), digested the same way. A change that moves a single BM25
+//! score fails here even when the top seeds, and so the reading path, stay
+//! put. Changing it is the same kind of claim as changing [`GOLDEN`].
+//!
 //! [`SECTIONS`] pins everything a corpus build produces: the length and
 //! CRC-32 of each of the six snapshot sections (papers, refs, graph,
 //! PageRank, text index, meta) for the demonstration corpus and the
@@ -20,6 +26,7 @@
 //! same kind of claim and needs the same kind of note.
 
 use rpg_corpus::{generate, Corpus};
+use rpg_engines::Query;
 use rpg_repager::artifacts::CorpusArtifacts;
 use rpg_repager::system::PathRequest;
 use rpg_repro::demo_corpus;
@@ -83,6 +90,58 @@ const GOLDEN: &[(u32, u64)] = &[
     (1225, 0xc7af7689845e051e),
 ];
 
+/// `(survey paper id, FNV-1a-64 of its seed ranking)`, in survey order.
+const SEED_RANKINGS: &[(u32, u64)] = &[
+    (676, 0xcba4e09e4650d6ba),
+    (680, 0x575419dd4b3d53c4),
+    (684, 0xecd102e44e6dfaf7),
+    (699, 0x187e3ad6f006bf28),
+    (720, 0x507145a399b1909c),
+    (722, 0xdf5b80d69a12c46d),
+    (742, 0x6f3236abf60a1635),
+    (748, 0x7f9fe32ee49bc22f),
+    (751, 0xa1a31b44fe925394),
+    (757, 0xa03bfd96e81d1301),
+    (767, 0x1314f0cc740e9f5e),
+    (785, 0x9f9f97d47412a4d6),
+    (792, 0xacf9bb50e764500f),
+    (884, 0xb99f83caaeb03a83),
+    (897, 0xde902c737679f1e4),
+    (940, 0x2b29f883922c3721),
+    (954, 0x8376ca54bf38d245),
+    (963, 0x6ae0e2954127bcbf),
+    (968, 0xb171928d05465038),
+    (970, 0xd39967f3fbcf9eeb),
+    (982, 0x4bd8fc2f3480c157),
+    (986, 0x86d53bae3fc5033e),
+    (993, 0xe0e05fafa23eba3c),
+    (995, 0xa3bc67cba8df1c96),
+    (1000, 0xcfa54bf7b9e97a94),
+    (1001, 0x9193fbd858221dd0),
+    (1006, 0x32abecca40a4c0b0),
+    (1082, 0xa4c69ccb727f0d52),
+    (1084, 0xc8ff8145e1b5eee7),
+    (1120, 0xb3615cfde655ebd9),
+    (1140, 0x20b474c398d6e8e3),
+    (1177, 0x14937a10713c1fff),
+    (1180, 0x9b70326148abf100),
+    (1189, 0x438ffccbd7e2d654),
+    (1193, 0x9b8da550db57078c),
+    (1196, 0xc95655e96a5335f7),
+    (1198, 0x22f352f35004eea8),
+    (1202, 0xa63db274a1d11259),
+    (1214, 0x2475a23d52bc1197),
+    (1215, 0xfe1c29de0f41776b),
+    (1216, 0xa45c5269543bb66b),
+    (1218, 0x0975d6cd11c9a5e2),
+    (1219, 0x7d49a84bb16ff146),
+    (1220, 0xd8be34fb3de9ce5d),
+    (1221, 0x914882748675fc9d),
+    (1222, 0x96d3ab066053fc7d),
+    (1223, 0xc73108b5aded0068),
+    (1225, 0xe09d37c07e32add1),
+];
+
 /// `(corpus, section, payload length in bytes, its CRC-32)`, in container
 /// order per corpus.
 const SECTIONS: &[(&str, &str, u64, u32)] = &[
@@ -141,6 +200,49 @@ fn every_survey_reading_path_matches_its_golden_digest() {
         println!("];");
         panic!(
             "{} of {} reading paths differ from the golden table (surveys {moved:?}); \
+             the matching table is printed above",
+            moved.len(),
+            table.len()
+        );
+    }
+}
+
+#[test]
+fn every_survey_seed_ranking_matches_its_pin() {
+    let corpus = demo_corpus();
+    let artifacts = CorpusArtifacts::build(corpus.clone()).expect("demo artifacts build");
+    let table: Vec<(u32, u64)> = corpus
+        .survey_bank()
+        .iter()
+        .map(|survey| {
+            let exclude = [survey.paper];
+            let ranking = artifacts.scholar().lexical().ranked_candidates(&Query {
+                text: &survey.query,
+                top_k: TOP_K,
+                max_year: Some(survey.year),
+                exclude: &exclude,
+            });
+            let mut bytes = Vec::with_capacity(ranking.len() * 12);
+            for scored in &ranking {
+                bytes.extend_from_slice(&scored.doc.to_le_bytes());
+                bytes.extend_from_slice(&scored.score.to_bits().to_le_bytes());
+            }
+            (survey.paper.0, fnv1a64(&bytes))
+        })
+        .collect();
+    if table != SEED_RANKINGS {
+        let moved: Vec<u32> = table
+            .iter()
+            .filter(|row| !SEED_RANKINGS.contains(row))
+            .map(|(paper, _)| *paper)
+            .collect();
+        println!("const SEED_RANKINGS: &[(u32, u64)] = &[");
+        for (paper, digest) in &table {
+            println!("    ({paper}, 0x{digest:016x}),");
+        }
+        println!("];");
+        panic!(
+            "{} of {} seed rankings differ from their pins (surveys {moved:?}); \
              the matching table is printed above",
             moved.len(),
             table.len()
