@@ -13,7 +13,7 @@
 use crate::citation::{Candidate, CitationSampler, PoolWeights, Reference};
 use crate::paper::{Paper, PaperId, PaperKind};
 use crate::pipeline::{self, PipelineConfig};
-use crate::store::Corpus;
+use crate::store::{text_index, Corpus};
 use crate::topic::{TopicCatalog, TopicId};
 use crate::venue::{VenueId, VenueTable, VenueTier};
 use rand::rngs::StdRng;
@@ -261,6 +261,10 @@ pub fn generate(config: &CorpusConfig) -> Corpus {
 /// is the contract. `tests/golden_paths.rs` pins every snapshot section
 /// of the demonstration and default-scale corpora, so a rewrite that
 /// skips, adds or reorders a single draw fails there.
+///
+/// The corpus's text index is built on a scoped thread (`rpg-index`) while
+/// the calling thread wires the citations. If the thread cannot be
+/// spawned, the index is built after the wiring instead.
 pub fn generate_with(config: &CorpusConfig, topics: TopicCatalog, venues: VenueTable) -> Corpus {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let depths = topic_depths(&topics);
@@ -387,8 +391,46 @@ pub fn generate_with(config: &CorpusConfig, topics: TopicCatalog, venues: VenueT
     }
 
     // ------------------------------------------------------------------
-    // Wire citations in chronological (= id) order.
+    // Wire citations while another thread indexes the papers' text.
     // ------------------------------------------------------------------
+    // The indexer reads only the finished papers and draws nothing, so
+    // the RNG order and the index bytes are the same on one thread or two.
+    let (references, index) = std::thread::scope(|scope| {
+        let indexer = std::thread::Builder::new()
+            .name("rpg-index".to_string())
+            .spawn_scoped(scope, || text_index(&papers));
+        let references = wire_citations(&mut rng, config, &topics, &papers);
+        let index = match indexer {
+            Ok(thread) => thread
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            Err(_) => text_index(&papers),
+        };
+        (references, index)
+    });
+
+    let mut corpus = Corpus::assemble_indexed(papers, references, index, topics, venues);
+    let bank = pipeline::run(
+        &corpus,
+        &PipelineConfig {
+            seed: config.seed ^ 0x9E37_79B9,
+            ..Default::default()
+        },
+    )
+    .bank;
+    corpus.set_survey_bank(bank);
+    corpus
+}
+
+/// Samples every paper's reference list, in chronological (= id) order:
+/// each paper draws from the papers published before it, weighted by the
+/// citations those have gathered so far.
+fn wire_citations(
+    rng: &mut StdRng,
+    config: &CorpusConfig,
+    topics: &TopicCatalog,
+    papers: &[Paper],
+) -> Vec<Vec<Reference>> {
     let mut references: Vec<Vec<Reference>> = vec![Vec::new(); papers.len()];
     let mut in_degree = vec![0u32; papers.len()];
     // Per-topic lists of already-published research papers (ids ascending).
@@ -467,7 +509,7 @@ pub fn generate_with(config: &CorpusConfig, topics: TopicCatalog, venues: VenueT
             rng.gen_range(config.min_references..=config.max_references)
         };
 
-        let mut sampler = CitationSampler::new(&mut rng);
+        let mut sampler = CitationSampler::new(rng);
         let pool_weights = if is_survey {
             // Surveys lean a bit harder on their own topic but still pull in
             // prerequisite work (the behaviour Observation I is about).
@@ -533,17 +575,7 @@ pub fn generate_with(config: &CorpusConfig, topics: TopicCatalog, venues: VenueT
         }
     }
 
-    let mut corpus = Corpus::assemble(papers, references, topics, venues);
-    let bank = pipeline::run(
-        &corpus,
-        &PipelineConfig {
-            seed: config.seed ^ 0x9E37_79B9,
-            ..Default::default()
-        },
-    )
-    .bank;
-    corpus.set_survey_bank(bank);
-    corpus
+    references
 }
 
 #[cfg(test)]

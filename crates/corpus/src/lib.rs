@@ -15,7 +15,8 @@
 //!   (collection → deduplication → filtering → processing), producing the
 //!   [`survey::SurveyBank`] benchmark.
 //! * [`store`] — the assembled [`Corpus`]: papers, per-edge in-text
-//!   occurrence counts, the citation graph, and the benchmark.
+//!   occurrence counts, the citation graph, the text index over titles and
+//!   abstracts, and the benchmark.
 //! * [`stats`] — the statistics of Fig. 4 and Table I.
 //!
 //! Everything is deterministic given a [`generator::CorpusConfig`] seed, so

@@ -1,10 +1,18 @@
-//! The assembled corpus: papers, reference lists, citation graph, and the
-//! SurveyBank benchmark derived from it.
+//! The assembled corpus: papers, reference lists, citation graph, text
+//! index, and the SurveyBank benchmark derived from it.
 //!
 //! [`Corpus`] is the object every downstream crate works against: the
-//! simulated search engines index its papers, the RePaGer pipeline walks its
-//! citation graph and reads its per-edge occurrence counts, and the
-//! evaluation harness iterates its surveys.
+//! simulated search engines score its text index, the RePaGer pipeline
+//! walks its citation graph and reads its per-edge occurrence counts, and
+//! the evaluation harness iterates its surveys.
+//!
+//! The text index is part of the corpus because it is a pure function of
+//! the papers: [`text_index`] adds every title and abstract in id order.
+//! It is built once per corpus and shared behind an `Arc`, so every engine
+//! index, artifact set and snapshot over the corpus reads the same one.
+//! The generator builds it on a thread beside its citation wiring;
+//! [`Corpus::assemble`] builds it inline; [`Corpus::from_parts`] takes a
+//! decoded one and checks that it covers exactly the papers.
 
 use crate::citation::Reference;
 use crate::paper::{Paper, PaperId};
@@ -12,23 +20,35 @@ use crate::survey::SurveyBank;
 use crate::topic::TopicCatalog;
 use crate::venue::VenueTable;
 use rpg_graph::{CitationGraph, GraphBuilder, NodeId};
-use serde::{Deserialize, Serialize};
+use rpg_textindex::InvertedIndex;
+use std::sync::Arc;
 
 /// A complete synthetic scholarly corpus.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Corpus {
     papers: Vec<Paper>,
     references: Vec<Vec<Reference>>,
     graph: CitationGraph,
+    index: Arc<InvertedIndex>,
     topics: TopicCatalog,
     venues: VenueTable,
     survey_bank: SurveyBank,
 }
 
+/// The text index of `papers`: each paper's title and abstract, added in
+/// slice order under its id. The one way a corpus's index is built.
+pub(crate) fn text_index(papers: &[Paper]) -> InvertedIndex {
+    let mut index = InvertedIndex::new();
+    for paper in papers {
+        index.add_document(paper.id.0, &paper.title, &paper.abstract_text);
+    }
+    index
+}
+
 impl Corpus {
     /// Assembles a corpus from papers and their reference lists, building the
-    /// citation graph.  The survey bank starts empty; the dataset pipeline
-    /// (see [`crate::pipeline`]) fills it in.
+    /// citation graph and the text index.  The survey bank starts empty; the
+    /// dataset pipeline (see [`crate::pipeline`]) fills it in.
     ///
     /// # Panics
     ///
@@ -38,6 +58,19 @@ impl Corpus {
     pub fn assemble(
         papers: Vec<Paper>,
         references: Vec<Vec<Reference>>,
+        topics: TopicCatalog,
+        venues: VenueTable,
+    ) -> Self {
+        let index = text_index(&papers);
+        Self::assemble_indexed(papers, references, index, topics, venues)
+    }
+
+    /// [`Corpus::assemble`] with the text index already built by
+    /// [`text_index`] over the same `papers`.
+    pub(crate) fn assemble_indexed(
+        papers: Vec<Paper>,
+        references: Vec<Vec<Reference>>,
+        index: InvertedIndex,
         topics: TopicCatalog,
         venues: VenueTable,
     ) -> Self {
@@ -60,6 +93,7 @@ impl Corpus {
             papers,
             references,
             graph,
+            index: Arc::new(index),
             topics,
             venues,
             survey_bank: SurveyBank::default(),
@@ -67,18 +101,20 @@ impl Corpus {
     }
 
     /// Reassembles a corpus from previously extracted parts (e.g. a decoded
-    /// snapshot), including a pre-built citation graph, without re-running
-    /// the graph builder.
+    /// snapshot), including a pre-built citation graph and text index,
+    /// without re-running the graph builder or the tokenizer.
     ///
     /// Unlike [`Corpus::assemble`] this validates instead of panicking,
     /// because the parts come from external bytes rather than the generator:
     /// paper ids must be dense and in order, every reference must stay in
-    /// bounds, and the graph's node count and per-node reference lists must
-    /// agree with `references` exactly.
+    /// bounds, the graph's node count and per-node reference lists must
+    /// agree with `references` exactly, and the index must hold a document
+    /// for every paper and no other.
     pub fn from_parts(
         papers: Vec<Paper>,
         references: Vec<Vec<Reference>>,
         graph: CitationGraph,
+        index: InvertedIndex,
         topics: TopicCatalog,
         venues: VenueTable,
         survey_bank: SurveyBank,
@@ -121,10 +157,22 @@ impl Corpus {
                 ));
             }
         }
+        // A document for every paper id, and no other.
+        if let Some(doc) = (0..papers.len() as u32).find(|&d| index.doc_stats(d).is_none()) {
+            return Err(format!("text index has no document for paper {doc}"));
+        }
+        if index.doc_count() != papers.len() {
+            return Err(format!(
+                "text index covers {} documents for {} papers",
+                index.doc_count(),
+                papers.len()
+            ));
+        }
         Ok(Corpus {
             papers,
             references,
             graph,
+            index: Arc::new(index),
             topics,
             venues,
             survey_bank,
@@ -159,6 +207,12 @@ impl Corpus {
     /// The citation graph over all papers (node ids equal paper ids).
     pub fn graph(&self) -> &CitationGraph {
         &self.graph
+    }
+
+    /// The text index over every paper's title and abstract (document id =
+    /// paper id), shared by everything that searches this corpus.
+    pub fn text_index(&self) -> &Arc<InvertedIndex> {
+        &self.index
     }
 
     /// The topic catalogue.
@@ -374,12 +428,14 @@ mod tests {
                 .map(|i| c.references_of(PaperId(i as u32)).to_vec())
                 .collect(),
             c.graph().clone(),
+            InvertedIndex::clone(c.text_index()),
             c.topics().clone(),
             c.venues().clone(),
             c.survey_bank().clone(),
         )
         .unwrap();
         assert_eq!(rebuilt.len(), c.len());
+        assert_eq!(rebuilt.text_index().doc_count(), c.len());
         assert_eq!(rebuilt.graph().edge_count(), c.graph().edge_count());
         assert_eq!(rebuilt.occurrences(PaperId(3), PaperId(0)), 3);
         assert_eq!(rebuilt.citation_count(PaperId(0)), 3);
@@ -391,57 +447,55 @@ mod tests {
         let refs: Vec<Vec<Reference>> = (0..c.len())
             .map(|i| c.references_of(PaperId(i as u32)).to_vec())
             .collect();
+        let from_parts = |papers: Vec<Paper>, refs, graph, index| {
+            Corpus::from_parts(
+                papers,
+                refs,
+                graph,
+                index,
+                c.topics().clone(),
+                c.venues().clone(),
+                c.survey_bank().clone(),
+            )
+        };
+        let index = || InvertedIndex::clone(c.text_index());
 
         // Wrong number of reference lists.
-        assert!(Corpus::from_parts(
-            c.papers().to_vec(),
-            vec![],
-            c.graph().clone(),
-            c.topics().clone(),
-            c.venues().clone(),
-            c.survey_bank().clone(),
-        )
-        .is_err());
+        assert!(from_parts(c.papers().to_vec(), vec![], c.graph().clone(), index()).is_err());
 
         // Graph node count disagrees with the paper count.
-        assert!(Corpus::from_parts(
+        assert!(from_parts(
             c.papers().to_vec(),
             refs.clone(),
             CitationGraph::empty(1),
-            c.topics().clone(),
-            c.venues().clone(),
-            c.survey_bank().clone(),
+            index()
         )
         .is_err());
 
         // Non-dense paper ids.
         let mut papers = c.papers().to_vec();
         papers[0].id = PaperId(9);
-        assert!(Corpus::from_parts(
-            papers,
-            refs.clone(),
-            c.graph().clone(),
-            c.topics().clone(),
-            c.venues().clone(),
-            c.survey_bank().clone(),
-        )
-        .is_err());
+        assert!(from_parts(papers, refs.clone(), c.graph().clone(), index()).is_err());
 
         // Reference list that disagrees with the graph adjacency.
-        let mut broken = refs;
+        let mut broken = refs.clone();
         broken[0].push(Reference {
             cited: PaperId(1),
             occurrences: 1,
         });
-        assert!(Corpus::from_parts(
-            c.papers().to_vec(),
-            broken,
-            c.graph().clone(),
-            c.topics().clone(),
-            c.venues().clone(),
-            c.survey_bank().clone(),
-        )
-        .is_err());
+        assert!(from_parts(c.papers().to_vec(), broken, c.graph().clone(), index()).is_err());
+
+        // Text index missing a paper, or holding one too many.
+        let short = text_index(&c.papers()[1..]);
+        let err = from_parts(c.papers().to_vec(), refs.clone(), c.graph().clone(), short);
+        assert_eq!(err.unwrap_err(), "text index has no document for paper 0");
+        let mut long = index();
+        long.add_document(c.len() as u32, "extra", "");
+        let err = from_parts(c.papers().to_vec(), refs, c.graph().clone(), long);
+        assert_eq!(
+            err.unwrap_err(),
+            "text index covers 5 documents for 4 papers"
+        );
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! that the concrete engines borrow; [`LexicalEngine`] is the configurable
 //! keyword-retrieval core that the three simulated academic search engines
 //! are thin wrappers around.
+//!
+//! [`EngineIndex`] tokenises nothing: its text index is the corpus's own
+//! ([`Corpus::text_index`]), shared by `Arc`, and it adds only the per-paper
+//! metadata columns the engines filter and rank by.
 
 use rpg_corpus::{Corpus, PaperId};
 use rpg_textindex::bm25::{Bm25Index, Bm25Params};
@@ -63,43 +67,20 @@ pub trait SearchEngine {
     fn search(&self, query: &Query<'_>) -> Vec<PaperId>;
 }
 
-/// The shared per-corpus index: inverted text index plus the per-paper
-/// metadata the engines need for filtering and ranking priors.
+/// The shared per-corpus index: the corpus's text index plus the
+/// per-paper metadata the engines need for filtering and ranking priors.
 #[derive(Debug)]
 pub struct EngineIndex {
-    inverted: InvertedIndex,
+    inverted: Arc<InvertedIndex>,
     years: Vec<u16>,
     citation_counts: Vec<u32>,
     is_survey: Vec<bool>,
 }
 
 impl EngineIndex {
-    /// Builds the index over every paper of the corpus (titles + abstracts).
+    /// Builds the index over every paper of the corpus: shares the corpus's
+    /// text index (titles + abstracts) and copies the metadata columns.
     pub fn build(corpus: &Corpus) -> Arc<Self> {
-        let mut inverted = InvertedIndex::new();
-        let mut years = Vec::with_capacity(corpus.len());
-        let mut citation_counts = Vec::with_capacity(corpus.len());
-        let mut is_survey = Vec::with_capacity(corpus.len());
-        for paper in corpus.papers() {
-            inverted.add_document(paper.id.0, &paper.title, &paper.abstract_text);
-            years.push(paper.year);
-            citation_counts.push(corpus.citation_count(paper.id) as u32);
-            is_survey.push(paper.is_survey());
-        }
-        Arc::new(EngineIndex {
-            inverted,
-            years,
-            citation_counts,
-            is_survey,
-        })
-    }
-
-    /// Assembles the index from a pre-built inverted index (e.g. decoded
-    /// from a snapshot), rebuilding only the cheap per-paper metadata
-    /// columns from the corpus.  The caller is responsible for the inverted
-    /// index actually covering this corpus; `decode` paths guard that with
-    /// checksums and a document-count check.
-    pub fn with_inverted(corpus: &Corpus, inverted: InvertedIndex) -> Arc<Self> {
         let mut years = Vec::with_capacity(corpus.len());
         let mut citation_counts = Vec::with_capacity(corpus.len());
         let mut is_survey = Vec::with_capacity(corpus.len());
@@ -109,7 +90,7 @@ impl EngineIndex {
             is_survey.push(paper.is_survey());
         }
         Arc::new(EngineIndex {
-            inverted,
+            inverted: Arc::clone(corpus.text_index()),
             years,
             citation_counts,
             is_survey,
@@ -126,8 +107,8 @@ impl EngineIndex {
         self.years.is_empty()
     }
 
-    /// The underlying inverted index.
-    pub fn inverted(&self) -> &InvertedIndex {
+    /// The underlying inverted index: the corpus's text index.
+    pub fn inverted(&self) -> &Arc<InvertedIndex> {
         &self.inverted
     }
 
@@ -284,33 +265,6 @@ mod tests {
         let any_survey = c.survey_bank().iter().next().unwrap().paper;
         assert!(idx.is_survey(any_survey));
         assert_eq!(idx.year(any_survey), c.year(any_survey));
-    }
-
-    #[test]
-    fn with_inverted_matches_a_full_build() {
-        let c = corpus();
-        let built = EngineIndex::build(&c);
-        let rebuilt = EngineIndex::with_inverted(&c, built.inverted().clone());
-        assert_eq!(rebuilt.len(), built.len());
-        for paper in c.papers() {
-            assert_eq!(rebuilt.year(paper.id), built.year(paper.id));
-            assert_eq!(
-                rebuilt.citation_count(paper.id),
-                built.citation_count(paper.id)
-            );
-            assert_eq!(rebuilt.is_survey(paper.id), built.is_survey(paper.id));
-        }
-        // The same engine over both indexes ranks identically.
-        let survey = c.survey_bank().iter().next().unwrap();
-        let config = LexicalConfig {
-            scoring: LexicalScoring::Bm25,
-            title_boost: 3.0,
-            citation_weight: 0.2,
-            recency_weight: 0.0,
-        };
-        let a = LexicalEngine::new(built, "a", config).search(&Query::simple(&survey.query, 20));
-        let b = LexicalEngine::new(rebuilt, "b", config).search(&Query::simple(&survey.query, 20));
-        assert_eq!(a, b);
     }
 
     #[test]

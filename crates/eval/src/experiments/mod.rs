@@ -57,9 +57,9 @@ impl<'c> ExperimentContext<'c> {
         threads: usize,
     ) -> Self {
         let set = EvaluationSet::select(corpus, min_references, max_surveys);
-        let index = EngineIndex::build(corpus);
-        let artifacts = CorpusArtifacts::with_index(Arc::clone(corpus), index.clone())
+        let artifacts = CorpusArtifacts::build(Arc::clone(corpus))
             .expect("corpus artifacts build on a valid corpus");
+        let index = artifacts.index().clone();
         let system = PathService::with_artifacts(artifacts);
         ExperimentContext {
             corpus: corpus.as_ref(),

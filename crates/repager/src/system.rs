@@ -152,7 +152,7 @@ pub struct RePaGer<'c> {
 
 impl<'c> RePaGer<'c> {
     /// Builds the system: computes global PageRank (Step 2's node weights)
-    /// and the seed search engine over the corpus.
+    /// and the seed search engine over the corpus's text index.
     ///
     /// Errors if the corpus graph rejects the PageRank computation.
     pub fn build(corpus: &'c Corpus) -> Result<Self, GraphError> {
@@ -160,8 +160,8 @@ impl<'c> RePaGer<'c> {
         Self::with_engine(corpus, ScholarEngine::from_index(index))
     }
 
-    /// Builds the system reusing an existing shared engine index (avoids
-    /// re-indexing when baselines share the same corpus).
+    /// Builds the system around a given seed engine (e.g. one whose engine
+    /// index the baselines share).
     ///
     /// Errors if the corpus graph rejects the PageRank computation.
     pub fn with_engine(corpus: &'c Corpus, scholar: ScholarEngine) -> Result<Self, GraphError> {

@@ -36,7 +36,6 @@ use rpg_corpus::citation::Reference;
 use rpg_corpus::{
     Corpus, Paper, PaperId, PaperKind, SurveyBank, TopicCatalog, TopicId, VenueId, VenueTable,
 };
-use rpg_engines::EngineIndex;
 use rpg_graph::pagerank::PageRankScores;
 use rpg_graph::{CitationGraph, NodeId};
 use rpg_repager::artifacts::CorpusArtifacts;
@@ -786,9 +785,7 @@ pub fn encode_into(
             SectionKind::Refs => encode_refs(&references, &mut payload),
             SectionKind::Graph => encode_graph(corpus.graph(), &mut payload),
             SectionKind::PageRank => encode_pagerank(artifacts.pagerank(), &mut payload),
-            SectionKind::Index => {
-                encode_index(artifacts.index().inverted(), corpus.len(), &mut payload)?
-            }
+            SectionKind::Index => encode_index(corpus.text_index(), corpus.len(), &mut payload)?,
             SectionKind::Meta => {
                 let meta = MetaSection {
                     topics: corpus.topics().clone(),
@@ -935,26 +932,19 @@ pub fn decode(
     let meta: MetaSection = serde_json::from_str(meta_json)
         .map_err(|e| SnapshotError::malformed(format!("metadata does not parse: {e:?}")))?;
 
-    if inverted.doc_count() != papers.len() {
-        return Err(SnapshotError::malformed(format!(
-            "inverted index covers {} documents for {} papers",
-            inverted.doc_count(),
-            papers.len()
-        )));
-    }
     let corpus = Arc::new(
         Corpus::from_parts(
             papers,
             references,
             graph,
+            inverted,
             meta.topics,
             meta.venues,
             meta.survey_bank,
         )
         .map_err(SnapshotError::malformed)?,
     );
-    let index = EngineIndex::with_inverted(&corpus, inverted);
-    CorpusArtifacts::from_parts(corpus, index, pagerank)
+    CorpusArtifacts::from_parts(corpus, pagerank)
         .map_err(|e| SnapshotError::malformed(e.to_string()))
 }
 
