@@ -7,7 +7,7 @@
 //! the evaluation harness iterates its surveys.
 //!
 //! The text index is part of the corpus because it is a pure function of
-//! the papers: [`text_index`] adds every title and abstract in id order.
+//! the papers: one loop adds every title and abstract in id order.
 //! It is built once per corpus and shared behind an `Arc`, so every engine
 //! index, artifact set and snapshot over the corpus reads the same one.
 //! The generator builds it on a thread beside its citation wiring;
