@@ -123,10 +123,12 @@ fn engines_and_artifacts_share_the_corpus_index() {
             artifacts.pagerank().delta.to_bits(),
             pagerank.delta.to_bits()
         );
-        let weights = NodeWeights::build(corpus, &pagerank);
-        assert_eq!(artifacts.node_weights().len(), corpus.len());
+        let (a, b) = (
+            artifacts.node_weights(),
+            NodeWeights::build(corpus, &pagerank),
+        );
+        assert_eq!(a.len(), corpus.len());
         for paper in corpus.papers() {
-            let (a, b) = (artifacts.node_weights(), &weights);
             assert_eq!(
                 a.pagerank(paper.id).to_bits(),
                 b.pagerank(paper.id).to_bits()
@@ -152,8 +154,8 @@ fn a_snapshot_round_trip_keeps_the_index_and_the_rankings() {
             Arc::ptr_eq(loaded.index().inverted(), loaded.corpus().text_index()),
             "{name}: the loaded engine index copied the decoded index"
         );
+        let (a, b) = (loaded.index(), built.index());
         for paper in corpus.papers() {
-            let (a, b) = (loaded.index(), built.index());
             assert_eq!(a.year(paper.id), b.year(paper.id));
             assert_eq!(a.citation_count(paper.id), b.citation_count(paper.id));
             assert_eq!(a.is_survey(paper.id), b.is_survey(paper.id));
