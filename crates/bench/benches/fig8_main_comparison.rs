@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rpg_bench::{bench_corpus, bench_threads, BENCH_SURVEY_LIMIT};
 use rpg_eval::experiments::{fig8_main, ExperimentContext};
 use rpg_repager::system::PathRequest;
-use rpg_repager::{RepagerConfig, Variant};
+use rpg_repager::{PipelineScratch, RepagerConfig, Variant};
 
 fn fig8(c: &mut Criterion) {
     let corpus = bench_corpus();
@@ -18,6 +18,7 @@ fn fig8(c: &mut Criterion) {
     let exclude = [survey.paper];
     let mut group = c.benchmark_group("fig8_main_comparison");
     group.sample_size(10);
+    let mut scratch = PipelineScratch::new();
     group.bench_function("newst_single_query_top30", |b| {
         b.iter(|| {
             let request = PathRequest {
@@ -29,7 +30,7 @@ fn fig8(c: &mut Criterion) {
                 variant: Variant::Newst,
             };
             ctx.system
-                .generate_uncached(&request)
+                .generate(&request, &mut scratch)
                 .unwrap()
                 .reading_list
                 .len()

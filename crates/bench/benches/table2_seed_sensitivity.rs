@@ -6,7 +6,7 @@ use rpg_bench::{bench_corpus, bench_threads, BENCH_SURVEY_LIMIT};
 use rpg_corpus::LabelLevel;
 use rpg_eval::experiments::{table2_seed_count, ExperimentContext};
 use rpg_repager::system::PathRequest;
-use rpg_repager::{RepagerConfig, Variant};
+use rpg_repager::{PipelineScratch, RepagerConfig, Variant};
 
 fn table2(c: &mut Criterion) {
     let corpus = bench_corpus();
@@ -24,6 +24,7 @@ fn table2(c: &mut Criterion) {
     let exclude = [survey.paper];
     let mut group = c.benchmark_group("table2_seed_sensitivity");
     group.sample_size(10);
+    let mut scratch = PipelineScratch::new();
     for seeds in [10usize, 50] {
         group.bench_function(format!("newst_query_{seeds}_seeds"), |b| {
             b.iter(|| {
@@ -36,7 +37,7 @@ fn table2(c: &mut Criterion) {
                     variant: Variant::Newst,
                 };
                 ctx.system
-                    .generate_uncached(&request)
+                    .generate(&request, &mut scratch)
                     .unwrap()
                     .reading_list
                     .len()

@@ -6,7 +6,7 @@ use rpg_bench::{bench_corpus, bench_threads, BENCH_SURVEY_LIMIT};
 use rpg_corpus::LabelLevel;
 use rpg_eval::experiments::{table3_ablation, ExperimentContext};
 use rpg_repager::system::PathRequest;
-use rpg_repager::{RepagerConfig, Variant};
+use rpg_repager::{PipelineScratch, RepagerConfig, Variant};
 
 fn table3(c: &mut Criterion) {
     let corpus = bench_corpus();
@@ -19,6 +19,7 @@ fn table3(c: &mut Criterion) {
     let exclude = [survey.paper];
     let mut group = c.benchmark_group("table3_ablation");
     group.sample_size(10);
+    let mut scratch = PipelineScratch::new();
     for variant in [
         Variant::Newst,
         Variant::CandidatesOnly,
@@ -35,7 +36,7 @@ fn table3(c: &mut Criterion) {
                     variant,
                 };
                 ctx.system
-                    .generate_uncached(&request)
+                    .generate(&request, &mut scratch)
                     .unwrap()
                     .reading_list
                     .len()

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rpg_bench::{bench_corpus, bench_threads, BENCH_SURVEY_LIMIT};
 use rpg_eval::experiments::{table4_runtime, ExperimentContext};
 use rpg_repager::system::PathRequest;
-use rpg_repager::{RepagerConfig, Variant};
+use rpg_repager::{PipelineScratch, RepagerConfig, Variant};
 
 fn table4(c: &mut Criterion) {
     let corpus = bench_corpus();
@@ -26,6 +26,7 @@ fn table4(c: &mut Criterion) {
         .enumerate()
         .map(|(i, s)| (format!("case_{}", i + 1), s.query.clone(), s.year, s.paper))
         .collect();
+    let mut scratch = PipelineScratch::new();
     for (name, query, year, paper) in &cases {
         let exclude = [*paper];
         group.bench_function(format!("end_to_end_{name}"), |b| {
@@ -39,7 +40,7 @@ fn table4(c: &mut Criterion) {
                     variant: Variant::Newst,
                 };
                 ctx.system
-                    .generate_uncached(&request)
+                    .generate(&request, &mut scratch)
                     .unwrap()
                     .subgraph_nodes
             })

@@ -4,8 +4,8 @@
 //! `cargo bench` (Criterion) is great for interactive exploration but its
 //! output is neither deterministic in shape nor easy to diff across PRs.
 //! This module is the complement: a fixed-iteration runner over the same
-//! kernel instances as `benches/micro_graph_algorithms.rs` and
-//! `benches/service_throughput.rs`, reporting medians in a stable JSON
+//! kernel instances as `benches/micro_graph_algorithms.rs` plus single
+//! uncached and cached requests, reporting medians in a stable JSON
 //! schema (`rpg-bench-report/v1`) that is committed per PR as the repo's
 //! performance trajectory and regression-gated in CI (`rpg bench --check`).
 //!
@@ -48,9 +48,9 @@ use rpg_repager::seeds::{reallocate, TerminalSelection};
 use rpg_repager::subgraph::SubGraph;
 use rpg_repager::system::PathRequest;
 use rpg_repager::weights::NodeWeights;
-use rpg_repager::RepagerConfig;
+use rpg_repager::{PipelineScratch, RepagerConfig};
 use rpg_server::{client, IoBackendChoice, Server, ServerConfig};
-use rpg_service::{snapshot, CorpusRegistry, CorpusSpec, PathService};
+use rpg_service::{snapshot, CorpusRegistry, CorpusSpec};
 use serde::value::Value;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -366,9 +366,10 @@ pub fn run_report(label: &str, iters: Iterations) -> BenchReport {
         || mst::minimum_spanning_forest(graph).edges.len(),
     ));
 
-    // End-to-end service path on the same corpus: the uncached cost is what
-    // the kernel rewrite moves; the cache hit pins the fast path.
-    let service = PathService::build(corpus.clone()).expect("service builds");
+    // End-to-end requests on the same corpus: the uncached cost (on one
+    // reused workspace, as a serving worker holds) is what the kernel
+    // rewrite moves; the registry's cache hit pins the fast path.
+    let artifacts = CorpusArtifacts::build(corpus.clone()).expect("artifacts build");
     let survey = corpus.survey_bank().iter().next().expect("survey bank");
     let exclude = [survey.paper];
     let request = PathRequest {
@@ -376,27 +377,33 @@ pub fn run_report(label: &str, iters: Iterations) -> BenchReport {
         exclude: &exclude,
         ..PathRequest::new(&survey.query, 30)
     };
+    let mut scratch = PipelineScratch::new();
     results.push(run_bench(
         "service_generate_uncached",
         iters.service,
         iters.warmup,
         || {
-            service
-                .generate_uncached(&request)
+            artifacts
+                .generate(&request, &mut scratch)
                 .expect("request serves")
                 .reading_list
                 .len()
         },
     ));
-    service.generate(&request).expect("cache populates");
+    let registry = CorpusRegistry::new();
+    registry.register_artifacts("default", artifacts);
+    registry
+        .generate("default", &request)
+        .expect("cache populates");
     results.push(run_bench(
         "service_generate_cache_hit",
         iters.service,
         iters.warmup,
         || {
-            service
-                .generate(&request)
+            registry
+                .generate("default", &request)
                 .expect("cache hit serves")
+                .output
                 .reading_list
                 .len()
         },

@@ -13,8 +13,8 @@ use crate::metrics::{mean, overlap};
 use rpg_corpus::{Corpus, LabelLevel, PaperId, Survey};
 use rpg_engines::{Query, SearchEngine};
 use rpg_repager::system::PathRequest;
-use rpg_repager::{RepagerConfig, Variant};
-use rpg_service::PathService;
+use rpg_repager::{CorpusArtifacts, RepagerConfig, Variant};
+use rpg_service::with_thread_scratch;
 use serde::{Deserialize, Serialize};
 
 /// A method that produces a ranked reading list for a survey's query.
@@ -56,10 +56,10 @@ impl<E: SearchEngine + Sync> ListMethod for EngineMethod<E> {
     }
 }
 
-/// Wraps a [`PathService`] (with a variant and configuration) as a
-/// [`ListMethod`].
+/// Wraps a corpus's [`CorpusArtifacts`] (with a variant and configuration)
+/// as a [`ListMethod`].
 pub struct RepagerMethod<'c> {
-    system: &'c PathService,
+    system: &'c CorpusArtifacts,
     /// The model variant being evaluated.
     pub variant: Variant,
     /// The configuration used for every query.
@@ -68,7 +68,7 @@ pub struct RepagerMethod<'c> {
 
 impl<'c> RepagerMethod<'c> {
     /// The full NEWST model with the paper's default parameters.
-    pub fn newst(system: &'c PathService) -> Self {
+    pub fn newst(system: &'c CorpusArtifacts) -> Self {
         RepagerMethod {
             system,
             variant: Variant::Newst,
@@ -77,7 +77,7 @@ impl<'c> RepagerMethod<'c> {
     }
 
     /// A specific variant with a specific configuration.
-    pub fn variant(system: &'c PathService, variant: Variant, config: RepagerConfig) -> Self {
+    pub fn variant(system: &'c CorpusArtifacts, variant: Variant, config: RepagerConfig) -> Self {
         RepagerMethod {
             system,
             variant,
@@ -105,7 +105,7 @@ impl<'c> ListMethod for RepagerMethod<'c> {
             config: self.config,
             variant: self.variant,
         };
-        match self.system.generate(&request) {
+        match with_thread_scratch(|scratch| self.system.generate(&request, scratch)) {
             Ok(output) => output.reading_list,
             Err(_) => Vec::new(),
         }
@@ -237,7 +237,6 @@ mod tests {
     use super::*;
     use rpg_corpus::{generate, CorpusConfig};
     use rpg_engines::ScholarEngine;
-    use rpg_service::PathService;
 
     fn corpus() -> Corpus {
         generate(&CorpusConfig {
@@ -291,7 +290,7 @@ mod tests {
     fn repager_method_runs_over_the_set() {
         let c = corpus();
         let set = EvaluationSet::select(&c, 15, 4);
-        let system = PathService::build(c.clone()).unwrap();
+        let system = CorpusArtifacts::build(c.clone()).unwrap();
         let method = RepagerMethod::newst(&system);
         assert_eq!(method.name(), "NEWST");
         let lists = collect_lists(&c, &set, &method, 30, 2);
@@ -306,7 +305,7 @@ mod tests {
     #[test]
     fn repager_method_name_reflects_seed_count() {
         let c = corpus();
-        let system = PathService::build(c.clone()).unwrap();
+        let system = CorpusArtifacts::build(c.clone()).unwrap();
         let method = RepagerMethod::variant(
             &system,
             Variant::Newst,

@@ -14,6 +14,7 @@ use rpg_engines::Query;
 use rpg_repager::render::{output_to_text, path_to_dot};
 use rpg_repager::system::PathRequest;
 use rpg_repager::{RepagerConfig, Variant};
+use rpg_service::with_thread_scratch;
 use serde::{Deserialize, Serialize};
 
 /// The Fig. 9 report.
@@ -79,7 +80,7 @@ pub fn run(ctx: &ExperimentContext<'_>, query: Option<&str>) -> CaseStudyReport 
         config: RepagerConfig::default(),
         variant: Variant::Newst,
     };
-    let Ok(output) = ctx.system.generate(&request) else {
+    let Ok(output) = with_thread_scratch(|scratch| ctx.system.generate(&request, scratch)) else {
         return CaseStudyReport {
             query,
             ..Default::default()

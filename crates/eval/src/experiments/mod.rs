@@ -28,19 +28,19 @@ use crate::benchmark::EvaluationSet;
 use rpg_corpus::Corpus;
 use rpg_engines::EngineIndex;
 use rpg_repager::artifacts::CorpusArtifacts;
-use rpg_service::PathService;
 use std::sync::Arc;
 
-/// Shared state for experiment runs: the evaluation set, the serving-layer
-/// [`PathService`], and the shared engine index, built once per corpus.
+/// Shared state for experiment runs: the evaluation set, the corpus
+/// artifacts, and the shared engine index, built once per corpus.
 pub struct ExperimentContext<'c> {
     /// The corpus under evaluation.
     pub corpus: &'c Corpus,
     /// The evaluation surveys.
     pub set: EvaluationSet,
-    /// The reading-path service (engine index, PageRank and node weights
-    /// computed once, shared across the evaluation worker threads).
-    pub system: PathService,
+    /// The corpus artifacts the reading paths run over (engine index,
+    /// PageRank and node weights computed once, shared across the
+    /// evaluation worker threads).
+    pub system: Arc<CorpusArtifacts>,
     /// Shared lexical index for building the engine baselines.
     pub index: Arc<EngineIndex>,
     /// Number of worker threads used by the evaluation loops.
@@ -57,10 +57,9 @@ impl<'c> ExperimentContext<'c> {
         threads: usize,
     ) -> Self {
         let set = EvaluationSet::select(corpus, min_references, max_surveys);
-        let artifacts = CorpusArtifacts::build(Arc::clone(corpus))
+        let system = CorpusArtifacts::build(Arc::clone(corpus))
             .expect("corpus artifacts build on a valid corpus");
-        let index = artifacts.index().clone();
-        let system = PathService::with_artifacts(artifacts);
+        let index = system.index().clone();
         ExperimentContext {
             corpus: corpus.as_ref(),
             set,
@@ -106,7 +105,10 @@ mod tests {
         let survey = &ctx.set.surveys[0];
         let output = ctx
             .system
-            .generate(&rpg_repager::system::PathRequest::new(&survey.query, 10))
+            .generate(
+                &rpg_repager::system::PathRequest::new(&survey.query, 10),
+                &mut rpg_repager::PipelineScratch::new(),
+            )
             .unwrap();
         assert!(output.reading_list.len() <= 10);
     }

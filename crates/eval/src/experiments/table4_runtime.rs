@@ -11,6 +11,7 @@ use crate::experiments::ExperimentContext;
 use crate::report::format_table;
 use rpg_repager::system::PathRequest;
 use rpg_repager::{RepagerConfig, Variant};
+use rpg_service::with_thread_scratch;
 use serde::{Deserialize, Serialize};
 
 /// One measured retrieval case.
@@ -50,10 +51,8 @@ pub fn run(ctx: &ExperimentContext<'_>, limit: usize) -> Table4Report {
             config: RepagerConfig::default(),
             variant: Variant::Newst,
         };
-        // Bypass the result cache: this experiment *measures* the pipeline,
-        // and an identical request may already have been cached by an
-        // earlier experiment in the same process.
-        let Ok(output) = ctx.system.generate_uncached(&request) else {
+        let Ok(output) = with_thread_scratch(|scratch| ctx.system.generate(&request, scratch))
+        else {
             continue;
         };
         if output.reading_list.is_empty() {

@@ -15,6 +15,7 @@ use rpg_corpus::{Domain, Survey};
 use rpg_engines::{Query, ScholarEngine, SearchEngine};
 use rpg_repager::system::PathRequest;
 use rpg_repager::{RepagerConfig, Variant};
+use rpg_service::with_thread_scratch;
 use serde::{Deserialize, Serialize};
 
 /// The preference shares of one domain and criterion.
@@ -94,10 +95,9 @@ pub fn run(
                     config: RepagerConfig::default(),
                     variant: Variant::Newst,
                 };
-                let list_b = match ctx.system.generate(&request) {
-                    Ok(output) => output.reading_list,
-                    Err(_) => Vec::new(),
-                };
+                let list_b = with_thread_scratch(|scratch| ctx.system.generate(&request, scratch))
+                    .map(|output| output.reading_list)
+                    .unwrap_or_default();
                 if list_a.is_empty() && list_b.is_empty() {
                     continue;
                 }

@@ -3,15 +3,17 @@
 //! Everything the query pipeline needs that is a pure function of the corpus
 //! — the engine index, the seed engine, global PageRank, and the Eq. (3)
 //! node-weight table — is built once into a [`CorpusArtifacts`] and shared
-//! across threads behind an `Arc`. The borrowing [`crate::system::RePaGer`]
-//! facade recomputes these per instance; the serving layer
-//! (`rpg-service::PathService`) holds an `Arc<CorpusArtifacts>` so concurrent
-//! requests pay the build cost exactly once.
+//! across threads behind an `Arc`, so concurrent requests pay the build cost
+//! exactly once. [`CorpusArtifacts::generate`] runs one request over them;
+//! the serving layer (`rpg-service::CorpusRegistry`) adds the result cache.
 //!
 //! The text index is not built here: it belongs to the corpus, which built
 //! it when it was generated or decoded, and the engine index shares it. A
 //! build is PageRank plus cheap per-paper columns.
 
+use crate::scratch::PipelineScratch;
+use crate::stages::{run_pipeline, StageContext};
+use crate::system::{PathRequest, RepagerError, RepagerOutput};
 use crate::weights::NodeWeights;
 use rpg_corpus::Corpus;
 use rpg_engines::{EngineIndex, ScholarEngine};
@@ -107,6 +109,26 @@ impl CorpusArtifacts {
     /// The Eq. (3) node-weight table.
     pub fn node_weights(&self) -> &NodeWeights {
         &self.node_weights
+    }
+
+    /// Generates a reading path and reading list for one request, uncached:
+    /// validates the configuration, applies the variant and drives the five
+    /// stages, reusing the caller's pipeline workspace.
+    pub fn generate(
+        &self,
+        request: &PathRequest<'_>,
+        scratch: &mut PipelineScratch,
+    ) -> Result<RepagerOutput, RepagerError> {
+        request.config.validate()?;
+        let mut cx = StageContext {
+            corpus: &self.corpus,
+            scholar: &self.scholar,
+            node_weights: &self.node_weights,
+            request,
+            config: request.variant.apply(request.config),
+            scratch,
+        };
+        run_pipeline(&mut cx)
     }
 }
 

@@ -22,9 +22,10 @@
 //!    direction and publication year, is the reading path ([`newst`],
 //!    [`path`]).
 //!
-//! [`system::RePaGer`] wires the stages together; [`variants`] exposes the
-//! ablation variants of Table III; [`render`] produces the textual / DOT
-//! artefacts that stand in for the web UI of Section V.
+//! [`CorpusArtifacts::generate`] wires the stages together over a corpus's
+//! shared artifacts; [`variants`] exposes the ablation variants of Table
+//! III; [`render`] produces the textual / DOT artefacts that stand in for the
+//! web UI of Section V.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -50,5 +51,5 @@ pub use path::ReadingPath;
 pub use scratch::PipelineScratch;
 pub use stages::{Stage, StageContext, StageCounters, StageTimings};
 pub use stats::TimingAggregate;
-pub use system::{RePaGer, RepagerError, RepagerOutput};
+pub use system::{RepagerError, RepagerOutput};
 pub use variants::Variant;

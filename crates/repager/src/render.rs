@@ -180,7 +180,9 @@ pub fn graph_sample_dot(corpus: &Corpus, sample_size: usize, seed: u64) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::{PathRequest, RePaGer};
+    use crate::artifacts::CorpusArtifacts;
+    use crate::scratch::PipelineScratch;
+    use crate::system::PathRequest;
     use rpg_corpus::{generate, Corpus, CorpusConfig};
 
     fn corpus() -> Corpus {
@@ -191,10 +193,13 @@ mod tests {
     }
 
     fn output(c: &Corpus) -> RepagerOutput {
-        let system = RePaGer::build(c).unwrap();
+        let system = CorpusArtifacts::build(c.clone()).unwrap();
         let survey = c.survey_bank().iter().next().unwrap();
         system
-            .generate(&PathRequest::new(&survey.query, 25))
+            .generate(
+                &PathRequest::new(&survey.query, 25),
+                &mut PipelineScratch::new(),
+            )
             .unwrap()
     }
 

@@ -12,12 +12,13 @@
 //! with the same evaluation harness (see the `semantic_blend` ablation in
 //! the repository's examples).
 
+use crate::artifacts::CorpusArtifacts;
 use crate::config::RepagerConfig;
 use crate::newst::{self, NewstForest};
 use crate::path::{self, ReadingPath};
 use crate::seeds::{reallocate, TerminalSelection};
 use crate::subgraph::SubGraph;
-use crate::system::{PathRequest, RePaGer, RepagerError};
+use crate::system::{PathRequest, RepagerError};
 use rpg_corpus::{Corpus, PaperId};
 use rpg_engines::Query;
 use rpg_graph::GraphError;
@@ -112,12 +113,12 @@ pub struct SemanticOutput {
 
 /// Runs the RePaGer pipeline with semantically blended edge costs.
 ///
-/// The stages are identical to [`RePaGer::generate`] except that the
+/// The stages are identical to [`CorpusArtifacts::generate`] except that the
 /// sub-graph's edge costs are rescaled by the semantic similarity before the
 /// Steiner stage.  Only the full-NEWST variant is supported (the extension
 /// targets the model, not its ablations).
 pub fn generate_with_semantics(
-    system: &RePaGer<'_>,
+    system: &CorpusArtifacts,
     request: &PathRequest<'_>,
     semantic: &SemanticSimilarity,
     blend: f64,
@@ -268,9 +269,9 @@ mod tests {
 
     #[test]
     fn semantic_generation_produces_a_consistent_path() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
-        let sem = SemanticSimilarity::build(&c);
+        let system = CorpusArtifacts::build(corpus()).unwrap();
+        let c = system.corpus();
+        let sem = SemanticSimilarity::build(c);
         let survey = c.survey_bank().iter().next().unwrap();
         let exclude = [survey.paper];
         let request = PathRequest {
@@ -290,9 +291,8 @@ mod tests {
 
     #[test]
     fn empty_query_yields_empty_semantic_output() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
-        let sem = SemanticSimilarity::build(&c);
+        let system = CorpusArtifacts::build(corpus()).unwrap();
+        let sem = SemanticSimilarity::build(system.corpus());
         let request = PathRequest::new("zzz qqq", 10);
         let output = generate_with_semantics(&system, &request, &sem, 1.0).unwrap();
         assert!(output.reading_list.is_empty());

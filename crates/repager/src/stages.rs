@@ -1,17 +1,16 @@
 //! The RePaGer query path as an explicit five-stage pipeline.
 //!
-//! [`crate::system::RePaGer::generate`] used to be a monolith that walked all
-//! five steps of Fig. 6 inline. This module splits it into one [`Stage`] per
-//! step — [`SeedStage`] → [`SubgraphStage`] → [`ReallocStage`] →
-//! [`SteinerStage`] → [`RenderStage`] — driven by [`run_pipeline`], which
-//! times every stage into a [`StageTimings`] so per-request hot spots are
-//! observable, and threads a shared [`PipelineScratch`] through the realloc
-//! and Steiner stages so the co-occurrence counting and the KMB heuristic's
-//! K single-source runs reuse one per-worker workspace.
+//! One [`Stage`] per step of Fig. 6 — [`SeedStage`] → [`SubgraphStage`] →
+//! [`ReallocStage`] → [`SteinerStage`] → [`RenderStage`] — driven by
+//! [`run_pipeline`], which times every stage into a [`StageTimings`] so
+//! per-request hot spots are observable, and threads a shared
+//! [`PipelineScratch`] through the realloc and Steiner stages so the
+//! co-occurrence counting and the KMB heuristic's K single-source runs reuse
+//! one per-worker workspace.
 //!
-//! The stages borrow the corpus artifacts through a [`StageContext`]; both
-//! the borrowing [`crate::system::RePaGer`] facade and the owned
-//! `rpg-service::PathService` build one per request.
+//! The stages borrow the corpus artifacts through a [`StageContext`], which
+//! [`CorpusArtifacts::generate`](crate::artifacts::CorpusArtifacts::generate)
+//! builds once per request.
 
 use crate::config::RepagerConfig;
 use crate::newst::{self, NewstForest};
@@ -423,32 +422,6 @@ fn timed_stage<T, E>(
     out
 }
 
-/// Validates a request and drives the pipeline over borrowed corpus
-/// artifacts.
-///
-/// This is the single entry point both facades share — the borrowing
-/// [`crate::system::RePaGer`] and the owned `rpg-service::PathService` — so
-/// validation, variant application and stage sequencing cannot drift between
-/// them.
-pub fn serve_request(
-    corpus: &Corpus,
-    scholar: &ScholarEngine,
-    node_weights: &NodeWeights,
-    request: &PathRequest<'_>,
-    scratch: &mut PipelineScratch,
-) -> Result<RepagerOutput, RepagerError> {
-    request.config.validate()?;
-    let mut cx = StageContext {
-        corpus,
-        scholar,
-        node_weights,
-        request,
-        config: request.variant.apply(request.config),
-        scratch,
-    };
-    run_pipeline(&mut cx)
-}
-
 /// Returns [`RepagerError::DeadlineExceeded`] once the scratch's armed
 /// cooperative deadline has passed — called between stages so a request
 /// whose budget blew mid-compute sheds its remaining stages instead of
@@ -465,8 +438,9 @@ fn deadline_gate(cx: &StageContext<'_>) -> Result<(), RepagerError> {
 /// Drives the five stages for one request, recording per-stage timings.
 ///
 /// Validation of the request's configuration is the caller's responsibility
-/// (both facades validate before building the [`StageContext`], so the
-/// context always carries an applied, valid configuration).
+/// ([`CorpusArtifacts::generate`](crate::artifacts::CorpusArtifacts::generate)
+/// validates before building the [`StageContext`], so the context carries an
+/// applied, valid configuration).
 pub fn run_pipeline(cx: &mut StageContext<'_>) -> Result<RepagerOutput, RepagerError> {
     let started = Instant::now();
     let mut timings = StageTimings::default();

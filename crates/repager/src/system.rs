@@ -1,26 +1,21 @@
-//! The end-to-end RePaGer system (Fig. 6 of the paper).
+//! The end-to-end RePaGer system (Fig. 6 of the paper): its request, output
+//! and error types.
 //!
-//! [`RePaGer`] is the borrowing facade over the staged pipeline of
-//! [`crate::stages`]: seed retrieval, weighted citation graph, sub-graph
-//! construction, seed reallocation, and NEWST.  Its output carries the
-//! structured [`ReadingPath`] (what the web UI of Section V renders), a
-//! flattened ranked *reading list* (what the overlap-metric evaluation of
-//! Section VI consumes), and per-stage [`StageTimings`].
-//!
-//! For an owned, thread-shareable handle over the same pipeline (plus batch
-//! execution and result caching), see `rpg-service::PathService`.
+//! [`CorpusArtifacts::generate`](crate::artifacts::CorpusArtifacts::generate)
+//! runs a [`PathRequest`] through the staged pipeline of [`crate::stages`]:
+//! seed retrieval, weighted citation graph, sub-graph construction, seed
+//! reallocation, and NEWST.  Its [`RepagerOutput`] carries the structured
+//! [`ReadingPath`] (what the web UI of Section V renders), a flattened ranked
+//! *reading list* (what the overlap-metric evaluation of Section VI
+//! consumes), and per-stage [`StageTimings`].
 
 use crate::config::RepagerConfig;
 use crate::newst::NewstForest;
 use crate::path::ReadingPath;
-use crate::scratch::PipelineScratch;
 use crate::seeds::SeedAllocation;
 use crate::stages::StageTimings;
 use crate::variants::Variant;
-use crate::weights::NodeWeights;
-use rpg_corpus::{Corpus, PaperId};
-use rpg_engines::{EngineIndex, ScholarEngine};
-use rpg_graph::pagerank::pagerank_default;
+use rpg_corpus::PaperId;
 use rpg_graph::GraphError;
 
 /// An error serving a reading-path request: either the request's
@@ -143,91 +138,31 @@ impl RepagerOutput {
     }
 }
 
-/// The RePaGer system bound to a corpus.
-pub struct RePaGer<'c> {
-    corpus: &'c Corpus,
-    scholar: ScholarEngine,
-    node_weights: NodeWeights,
-}
-
-impl<'c> RePaGer<'c> {
-    /// Builds the system: computes global PageRank (Step 2's node weights)
-    /// and the seed search engine over the corpus's text index.
-    ///
-    /// Errors if the corpus graph rejects the PageRank computation.
-    pub fn build(corpus: &'c Corpus) -> Result<Self, GraphError> {
-        let index = EngineIndex::build(corpus);
-        Self::with_engine(corpus, ScholarEngine::from_index(index))
-    }
-
-    /// Builds the system around a given seed engine (e.g. one whose engine
-    /// index the baselines share).
-    ///
-    /// Errors if the corpus graph rejects the PageRank computation.
-    pub fn with_engine(corpus: &'c Corpus, scholar: ScholarEngine) -> Result<Self, GraphError> {
-        let pagerank = pagerank_default(corpus.graph())?;
-        let node_weights = NodeWeights::build(corpus, &pagerank);
-        Ok(RePaGer {
-            corpus,
-            scholar,
-            node_weights,
-        })
-    }
-
-    /// The corpus the system is bound to.
-    pub fn corpus(&self) -> &Corpus {
-        self.corpus
-    }
-
-    /// The node-weight table (exposed for diagnostics and rendering).
-    pub fn node_weights(&self) -> &NodeWeights {
-        &self.node_weights
-    }
-
-    /// The seed engine.
-    pub fn scholar(&self) -> &ScholarEngine {
-        &self.scholar
-    }
-
-    /// Generates a reading path and reading list for a request with a fresh
-    /// pipeline workspace.
-    pub fn generate(&self, request: &PathRequest<'_>) -> Result<RepagerOutput, RepagerError> {
-        let mut scratch = PipelineScratch::new();
-        self.generate_with_scratch(request, &mut scratch)
-    }
-
-    /// Generates a reading path reusing a caller-provided pipeline workspace
-    /// (the serving layer holds one per worker thread).
-    pub fn generate_with_scratch(
-        &self,
-        request: &PathRequest<'_>,
-        scratch: &mut PipelineScratch,
-    ) -> Result<RepagerOutput, RepagerError> {
-        crate::stages::serve_request(
-            self.corpus,
-            &self.scholar,
-            &self.node_weights,
-            request,
-            scratch,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifacts::CorpusArtifacts;
+    use crate::scratch::PipelineScratch;
     use rpg_corpus::{generate, CorpusConfig, LabelLevel};
+    use std::sync::Arc;
     use std::time::Duration;
 
-    fn corpus() -> Corpus {
-        generate(&CorpusConfig {
+    fn system() -> Arc<CorpusArtifacts> {
+        CorpusArtifacts::build(generate(&CorpusConfig {
             seed: 101,
             ..CorpusConfig::small()
-        })
+        }))
+        .unwrap()
+    }
+
+    fn run(
+        system: &CorpusArtifacts,
+        request: &PathRequest<'_>,
+    ) -> Result<RepagerOutput, RepagerError> {
+        system.generate(request, &mut PipelineScratch::new())
     }
 
     fn first_survey_request<'a>(
-        _corpus: &'a Corpus,
         query: &'a str,
         exclude: &'a [PaperId],
         year: u16,
@@ -244,12 +179,12 @@ mod tests {
 
     #[test]
     fn generates_a_consistent_reading_path() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
+        let system = system();
+        let c = system.corpus();
         let survey = c.survey_bank().iter().next().unwrap();
         let exclude = [survey.paper];
-        let request = first_survey_request(&c, &survey.query, &exclude, survey.year);
-        let output = system.generate(&request).unwrap();
+        let request = first_survey_request(&survey.query, &exclude, survey.year);
+        let output = run(&system, &request).unwrap();
         assert!(!output.reading_list.is_empty());
         assert!(output.reading_list.len() <= 30);
         assert!(output.path.is_consistent());
@@ -262,14 +197,14 @@ mod tests {
 
     #[test]
     fn reading_list_overlaps_ground_truth_better_than_chance() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
+        let system = system();
+        let c = system.corpus();
         let mut hits = 0usize;
         let mut evaluated = 0usize;
         for survey in c.survey_bank().iter().take(6) {
             let exclude = [survey.paper];
-            let request = first_survey_request(&c, &survey.query, &exclude, survey.year);
-            let output = system.generate(&request).unwrap();
+            let request = first_survey_request(&survey.query, &exclude, survey.year);
+            let output = run(&system, &request).unwrap();
             let truth: std::collections::HashSet<_> =
                 survey.label(LabelLevel::AtLeastOne).into_iter().collect();
             hits += output
@@ -285,8 +220,8 @@ mod tests {
 
     #[test]
     fn variants_produce_different_lists() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
+        let system = system();
+        let c = system.corpus();
         let survey = c.survey_bank().iter().next().unwrap();
         let exclude = [survey.paper];
         let mut lists = Vec::new();
@@ -297,33 +232,33 @@ mod tests {
         ] {
             let request = PathRequest {
                 variant,
-                ..first_survey_request(&c, &survey.query, &exclude, survey.year)
+                ..first_survey_request(&survey.query, &exclude, survey.year)
             };
-            lists.push(system.generate(&request).unwrap().reading_list);
+            lists.push(run(&system, &request).unwrap().reading_list);
         }
         assert!(lists.iter().any(|l| l != &lists[0]) || !lists[0].is_empty());
         // NEWST-C never produces a path.
         let request = PathRequest {
             variant: Variant::CandidatesOnly,
-            ..first_survey_request(&c, &survey.query, &exclude, survey.year)
+            ..first_survey_request(&survey.query, &exclude, survey.year)
         };
-        let output = system.generate(&request).unwrap();
+        let output = run(&system, &request).unwrap();
         assert!(output.path.is_empty());
         assert!(output.forest.is_empty());
     }
 
     #[test]
     fn top_k_controls_list_length() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
+        let system = system();
+        let c = system.corpus();
         let survey = c.survey_bank().iter().next().unwrap();
         let exclude = [survey.paper];
         for k in [5usize, 20, 50] {
             let request = PathRequest {
                 top_k: k,
-                ..first_survey_request(&c, &survey.query, &exclude, survey.year)
+                ..first_survey_request(&survey.query, &exclude, survey.year)
             };
-            let output = system.generate(&request).unwrap();
+            let output = run(&system, &request).unwrap();
             assert!(output.reading_list.len() <= k);
             if output.subgraph_nodes >= k {
                 assert_eq!(
@@ -337,18 +272,17 @@ mod tests {
 
     #[test]
     fn nonsense_query_yields_empty_output() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
+        let system = system();
         let request = PathRequest::new("zzzzz qqqqq xxxxx", 20);
-        let output = system.generate(&request).unwrap();
+        let output = run(&system, &request).unwrap();
         assert!(output.reading_list.is_empty());
         assert!(output.path.is_empty());
     }
 
     #[test]
     fn invalid_config_is_rejected() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
+        let system = system();
+        let c = system.corpus();
         let survey = c.survey_bank().iter().next().unwrap();
         let request = PathRequest {
             config: RepagerConfig {
@@ -359,7 +293,7 @@ mod tests {
         };
         // The typed configuration error survives to the caller.
         assert!(matches!(
-            system.generate(&request),
+            run(&system, &request),
             Err(RepagerError::Config(
                 crate::config::ConfigError::ZeroCount { name: "seed_count" }
             ))
@@ -368,12 +302,10 @@ mod tests {
 
     #[test]
     fn stage_timings_are_recorded() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
+        let system = system();
+        let c = system.corpus();
         let survey = c.survey_bank().iter().next().unwrap();
-        let output = system
-            .generate(&PathRequest::new(&survey.query, 20))
-            .unwrap();
+        let output = run(&system, &PathRequest::new(&survey.query, 20)).unwrap();
         assert!(output.timings.total > Duration::ZERO);
         assert_eq!(output.elapsed(), output.timings.total);
         // Every stage that ran must have a recorded duration, and the stages
@@ -389,21 +321,25 @@ mod tests {
 
     #[test]
     fn larger_seed_count_does_not_shrink_the_subgraph() {
-        let c = corpus();
-        let system = RePaGer::build(&c).unwrap();
+        let system = system();
+        let c = system.corpus();
         let survey = c.survey_bank().iter().next().unwrap();
-        let small = system
-            .generate(&PathRequest {
+        let small = run(
+            &system,
+            &PathRequest {
                 config: RepagerConfig::default().with_seed_count(10),
                 ..PathRequest::new(&survey.query, 20)
-            })
-            .unwrap();
-        let large = system
-            .generate(&PathRequest {
+            },
+        )
+        .unwrap();
+        let large = run(
+            &system,
+            &PathRequest {
                 config: RepagerConfig::default().with_seed_count(40),
                 ..PathRequest::new(&survey.query, 20)
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert!(large.subgraph_nodes >= small.subgraph_nodes);
     }
 }

@@ -12,7 +12,7 @@
 //! the benchmark's oracle and replay and for the tests. Each parses the
 //! writer's text, so `serde_json::to_string` of a view gives back exactly
 //! the bytes the server sends. The integration suite renders the view of a
-//! direct `PathService::generate` output and asserts byte-identical JSON
+//! direct `CorpusArtifacts::generate` output and asserts byte-identical JSON
 //! against the server's `result` field, so the HTTP layer provably adds
 //! nothing and loses nothing.
 //!

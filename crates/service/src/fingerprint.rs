@@ -11,8 +11,8 @@
 //! [`crate::registry::CorpusRegistry`] bumps whenever a tenant's corpus is
 //! refreshed. Identical requests against different corpus generations get
 //! different fingerprints, so a stale cached result can never be served for
-//! a refreshed corpus. Single-corpus callers ([`crate::PathService`]) leave
-//! the epoch at its default of 0.
+//! a refreshed corpus. [`RequestFingerprint::of`] starts at epoch 0; the
+//! registry binds the tenant's epoch with [`RequestFingerprint::with_epoch`].
 
 use rpg_corpus::PaperId;
 use rpg_repager::system::PathRequest;

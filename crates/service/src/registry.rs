@@ -17,7 +17,6 @@ use rpg_corpus::Corpus;
 use rpg_graph::GraphError;
 use rpg_obs::trace::StageTrace;
 use rpg_repager::artifacts::CorpusArtifacts;
-use rpg_repager::stages::serve_request;
 use rpg_repager::system::{PathRequest, RepagerError, RepagerOutput};
 use rpg_repager::Variant;
 use std::collections::{HashMap, HashSet};
@@ -640,13 +639,7 @@ impl CorpusRegistry {
         let output = crate::with_thread_scratch(|scratch| {
             scratch.set_deadline(deadline);
             scratch.set_trace(trace);
-            let output = serve_request(
-                artifacts.corpus(),
-                artifacts.scholar(),
-                artifacts.node_weights(),
-                request,
-                scratch,
-            );
+            let output = artifacts.generate(request, scratch);
             // Disarm before the scratch outlives this request — the
             // thread-local scratch serves unrelated (deadline-less,
             // untraced) requests next.
@@ -836,6 +829,27 @@ mod tests {
             .generate_with_deadline("alpha", &request, Some(std::time::Instant::now()))
             .unwrap();
         assert!(served.cached, "a hit costs no compute, so nothing to shed");
+    }
+
+    #[test]
+    fn invalid_requests_error_and_are_not_cached() {
+        let registry = CorpusRegistry::new();
+        registry.register("alpha", corpus(0xA)).unwrap();
+        let bad = PathRequest {
+            config: rpg_repager::RepagerConfig {
+                seed_count: 0,
+                ..Default::default()
+            },
+            ..PathRequest::new("anything", 10)
+        };
+        // The typed configuration error survives through the registry, and
+        // the failed request counts neither a hit nor a miss.
+        assert!(matches!(
+            registry.generate("alpha", &bad),
+            Err(RegistryError::Request(RepagerError::Config(_)))
+        ));
+        let stats = registry.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
     }
 
     #[test]

@@ -1032,12 +1032,9 @@ mod tests {
             max_year: Some(year),
             ..rpg_repager::system::PathRequest::new(&query, 25)
         };
-        let a = crate::PathService::with_artifacts(artifacts)
-            .generate_uncached(&request)
-            .unwrap();
-        let b = crate::PathService::with_artifacts(decoded)
-            .generate_uncached(&request)
-            .unwrap();
+        let mut scratch = rpg_repager::PipelineScratch::new();
+        let a = artifacts.generate(&request, &mut scratch).unwrap();
+        let b = decoded.generate(&request, &mut scratch).unwrap();
         assert!(a.same_result(&b));
         assert_eq!(a.reading_list, b.reading_list);
     }

@@ -14,13 +14,14 @@
 
 use rpg_repager::render::{output_to_text, path_to_dot};
 use rpg_repager::system::PathRequest;
-use rpg_repro::demo_service;
+use rpg_repager::PipelineScratch;
+use rpg_repro::demo_artifacts;
 
 fn main() {
     // 1+2. A synthetic scholarly corpus standing in for S2ORC (see
-    //    DESIGN.md), wrapped in the serving layer (global PageRank + seed
-    //    search engine are built once into shared artifacts).
-    let system = demo_service();
+    //    DESIGN.md), with its global PageRank and seed search engine built
+    //    once into shared artifacts.
+    let system = demo_artifacts();
     let corpus = system.corpus();
     println!(
         "corpus: {} papers, {} citation edges, {} surveys in the benchmark",
@@ -33,7 +34,9 @@ fn main() {
     //    case study; any free-text query works.
     let query = "pretrained language models";
     let request = PathRequest::new(query, 30);
-    let output = system.generate(&request).expect("path generation succeeds");
+    let output = system
+        .generate(&request, &mut PipelineScratch::new())
+        .expect("path generation succeeds");
 
     println!("\nquery: {query}");
     println!("{}", output_to_text(corpus, &output));

@@ -16,14 +16,15 @@
 use rpg_corpus::LabelLevel;
 use rpg_eval::metrics::{f1_score, precision};
 use rpg_repager::semantic::{generate_with_semantics, SemanticSimilarity};
-use rpg_repager::system::{PathRequest, RePaGer};
-use rpg_repager::{RepagerConfig, Variant};
-use rpg_repro::demo_corpus;
+use rpg_repager::system::PathRequest;
+use rpg_repager::{PipelineScratch, RepagerConfig, Variant};
+use rpg_repro::demo_artifacts;
 
 fn main() {
-    let corpus = demo_corpus();
-    let system = RePaGer::build(&corpus).unwrap();
-    let semantic = SemanticSimilarity::build(&corpus);
+    let system = demo_artifacts();
+    let corpus = system.corpus();
+    let semantic = SemanticSimilarity::build(corpus);
+    let mut scratch = PipelineScratch::new();
     let blend = 2.0;
 
     println!("query-by-query comparison (K = 30, blend = {blend}):\n");
@@ -44,7 +45,9 @@ fn main() {
             config: RepagerConfig::default(),
             variant: Variant::Newst,
         };
-        let plain = system.generate(&request).expect("plain NEWST runs");
+        let plain = system
+            .generate(&request, &mut scratch)
+            .expect("plain NEWST runs");
         let blended = generate_with_semantics(&system, &request, &semantic, blend)
             .expect("semantic NEWST runs");
         if plain.reading_list.is_empty() || blended.reading_list.is_empty() {

@@ -19,9 +19,9 @@
 use rpg_corpus::{generate, Corpus, CorpusConfig};
 use rpg_repager::render::{output_to_text, path_to_dot};
 use rpg_repager::system::PathRequest;
-use rpg_repager::{RepagerConfig, Variant};
+use rpg_repager::{CorpusArtifacts, PipelineScratch, RepagerConfig, Variant};
 use rpg_server::{IoBackendChoice, Server, ServerConfig};
-use rpg_service::{CorpusRegistry, Manifest, PathService};
+use rpg_service::{CorpusRegistry, Manifest};
 use std::sync::Arc;
 
 /// Parsed command-line options.
@@ -772,7 +772,7 @@ fn run(options: &CliOptions) -> Result<String, String> {
     let Some(query) = &options.query else {
         return Err(usage());
     };
-    let service = PathService::build(corpus).map_err(|e| e.to_string())?;
+    let artifacts = CorpusArtifacts::build(corpus).map_err(|e| e.to_string())?;
     let config = RepagerConfig::default().with_seed_count(options.seeds);
     let request = PathRequest {
         query,
@@ -782,7 +782,9 @@ fn run(options: &CliOptions) -> Result<String, String> {
         config,
         variant: options.variant,
     };
-    let output = service.generate(&request).map_err(|e| e.to_string())?;
+    let output = artifacts
+        .generate(&request, &mut PipelineScratch::new())
+        .map_err(|e| e.to_string())?;
     if output.reading_list.is_empty() {
         return Ok(format!("no papers found for query \"{query}\"\n"));
     }
@@ -792,16 +794,16 @@ fn run(options: &CliOptions) -> Result<String, String> {
         "query: {query}  (variant {}, {} seeds)\n",
         options.variant, options.seeds
     ));
-    text.push_str(&output_to_text(service.corpus(), &output));
+    text.push_str(&output_to_text(artifacts.corpus(), &output));
 
     if let Some(dot_path) = &options.dot_path {
-        let engine_top = service.scholar().seed_papers(&rpg_engines::Query {
+        let engine_top = artifacts.scholar().seed_papers(&rpg_engines::Query {
             text: query,
             top_k: options.seeds,
             max_year: None,
             exclude: &[],
         });
-        let dot = path_to_dot(service.corpus(), &output.path, &engine_top);
+        let dot = path_to_dot(artifacts.corpus(), &output.path, &engine_top);
         std::fs::write(dot_path, dot).map_err(|e| format!("cannot write {dot_path}: {e}"))?;
         text.push_str(&format!("\nDOT written to {dot_path}\n"));
     }

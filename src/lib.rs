@@ -19,13 +19,13 @@ pub use rpg_service as service;
 pub use rpg_textindex as textindex;
 
 use rpg_corpus::{generate, Corpus, CorpusConfig};
-use rpg_service::PathService;
+use rpg_repager::CorpusArtifacts;
 use std::sync::Arc;
 
 /// Generates the small demonstration corpus used by the examples and the
 /// integration tests (about 1.2k papers, 50 surveys; deterministic).
-/// Returned behind an `Arc` so services and experiment contexts share it
-/// without copying.
+/// Returned behind an `Arc` so artifacts, registries and experiment
+/// contexts share it without copying.
 pub fn demo_corpus() -> Arc<Corpus> {
     Arc::new(generate(&CorpusConfig {
         seed: 0xDE40,
@@ -39,8 +39,8 @@ pub fn full_corpus() -> Arc<Corpus> {
     Arc::new(generate(&CorpusConfig::default()))
 }
 
-/// Builds a [`PathService`] over the demonstration corpus: the one-line way
-/// to serve queries concurrently from examples and tests.
-pub fn demo_service() -> PathService {
-    PathService::build(demo_corpus()).expect("demo corpus artifacts build")
+/// Builds the [`CorpusArtifacts`] of the demonstration corpus: the one-line
+/// way to run queries from examples and tests.
+pub fn demo_artifacts() -> Arc<CorpusArtifacts> {
+    CorpusArtifacts::build(demo_corpus()).expect("demo corpus artifacts build")
 }

@@ -7,9 +7,8 @@ use rpg_eval::metrics::{f1_score, precision};
 use rpg_graph::topo;
 use rpg_repager::render::output_to_text;
 use rpg_repager::system::PathRequest;
-use rpg_repager::{RepagerConfig, Variant};
+use rpg_repager::{CorpusArtifacts, PipelineScratch, RepagerConfig, Variant};
 use rpg_repro::demo_corpus;
-use rpg_service::PathService;
 
 #[test]
 fn corpus_engines_and_repager_fit_together() {
@@ -45,18 +44,21 @@ fn corpus_engines_and_repager_fit_together() {
 
     // RePaGer produces a non-trivial, citation-consistent path for a survey
     // query and the flattened list scores above zero against the ground truth.
-    let system = PathService::build(corpus.clone()).unwrap();
+    let system = CorpusArtifacts::build(corpus.clone()).unwrap();
     let survey = corpus.survey_bank().iter().next().unwrap();
     let exclude = [survey.paper];
     let output = system
-        .generate(&PathRequest {
-            query: &survey.query,
-            top_k: 30,
-            max_year: Some(survey.year),
-            exclude: &exclude,
-            config: RepagerConfig::default(),
-            variant: Variant::Newst,
-        })
+        .generate(
+            &PathRequest {
+                query: &survey.query,
+                top_k: 30,
+                max_year: Some(survey.year),
+                exclude: &exclude,
+                config: RepagerConfig::default(),
+                variant: Variant::Newst,
+            },
+            &mut PipelineScratch::new(),
+        )
         .unwrap();
     assert!(!output.reading_list.is_empty());
     assert!(output.path.is_consistent());
@@ -71,21 +73,24 @@ fn corpus_engines_and_repager_fit_together() {
 #[test]
 fn repager_beats_a_random_baseline_on_precision() {
     let corpus = demo_corpus();
-    let system = PathService::build(corpus.clone()).unwrap();
+    let system = CorpusArtifacts::build(corpus.clone()).unwrap();
     let mut newst_precisions = Vec::new();
     let mut random_precisions = Vec::new();
 
     for (i, survey) in corpus.survey_bank().iter().take(8).enumerate() {
         let exclude = [survey.paper];
         let output = system
-            .generate(&PathRequest {
-                query: &survey.query,
-                top_k: 30,
-                max_year: Some(survey.year),
-                exclude: &exclude,
-                config: RepagerConfig::default(),
-                variant: Variant::Newst,
-            })
+            .generate(
+                &PathRequest {
+                    query: &survey.query,
+                    top_k: 30,
+                    max_year: Some(survey.year),
+                    exclude: &exclude,
+                    config: RepagerConfig::default(),
+                    variant: Variant::Newst,
+                },
+                &mut PipelineScratch::new(),
+            )
             .unwrap();
         if output.reading_list.is_empty() {
             continue;
@@ -134,29 +139,35 @@ fn generation_is_reproducible_across_processes() {
     assert_eq!(sa.query, sb.query);
     assert_eq!(sa.references, sb.references);
 
-    let system_a = PathService::build(a.clone()).unwrap();
-    let system_b = PathService::build(b.clone()).unwrap();
+    let system_a = CorpusArtifacts::build(a.clone()).unwrap();
+    let system_b = CorpusArtifacts::build(b.clone()).unwrap();
     let exclude_a = [sa.paper];
     let exclude_b = [sb.paper];
     let out_a = system_a
-        .generate(&PathRequest {
-            query: &sa.query,
-            top_k: 25,
-            max_year: Some(sa.year),
-            exclude: &exclude_a,
-            config: RepagerConfig::default(),
-            variant: Variant::Newst,
-        })
+        .generate(
+            &PathRequest {
+                query: &sa.query,
+                top_k: 25,
+                max_year: Some(sa.year),
+                exclude: &exclude_a,
+                config: RepagerConfig::default(),
+                variant: Variant::Newst,
+            },
+            &mut PipelineScratch::new(),
+        )
         .unwrap();
     let out_b = system_b
-        .generate(&PathRequest {
-            query: &sb.query,
-            top_k: 25,
-            max_year: Some(sb.year),
-            exclude: &exclude_b,
-            config: RepagerConfig::default(),
-            variant: Variant::Newst,
-        })
+        .generate(
+            &PathRequest {
+                query: &sb.query,
+                top_k: 25,
+                max_year: Some(sb.year),
+                exclude: &exclude_b,
+                config: RepagerConfig::default(),
+                variant: Variant::Newst,
+            },
+            &mut PipelineScratch::new(),
+        )
         .unwrap();
     assert_eq!(out_a.reading_list, out_b.reading_list);
     assert_eq!(out_a.path.order, out_b.path.order);

@@ -7,15 +7,16 @@ use rpg_eval::experiments::{table3_ablation, ExperimentContext};
 use rpg_eval::metrics::{average_precision, f1_score, ndcg};
 use rpg_eval::report::to_json;
 use rpg_repager::semantic::{generate_with_semantics, SemanticSimilarity};
-use rpg_repager::system::{PathRequest, RePaGer};
-use rpg_repager::{RepagerConfig, Variant};
-use rpg_repro::demo_corpus;
+use rpg_repager::system::PathRequest;
+use rpg_repager::{PipelineScratch, RepagerConfig, Variant};
+use rpg_repro::{demo_artifacts, demo_corpus};
 
 #[test]
 fn semantic_extension_is_competitive_with_plain_newst() {
-    let corpus = demo_corpus();
-    let system = RePaGer::build(&corpus).unwrap();
-    let semantic = SemanticSimilarity::build(&corpus);
+    let system = demo_artifacts();
+    let corpus = system.corpus();
+    let semantic = SemanticSimilarity::build(corpus);
+    let mut scratch = PipelineScratch::new();
 
     let mut plain = Vec::new();
     let mut blended = Vec::new();
@@ -29,7 +30,7 @@ fn semantic_extension_is_competitive_with_plain_newst() {
             config: RepagerConfig::default(),
             variant: Variant::Newst,
         };
-        let a = system.generate(&request).unwrap();
+        let a = system.generate(&request, &mut scratch).unwrap();
         let b = generate_with_semantics(&system, &request, &semantic, 2.0).unwrap();
         if a.reading_list.is_empty() || b.reading_list.is_empty() {
             continue;

@@ -10,7 +10,10 @@
 //! moved and printing the table that would match.
 //!
 //! Changing [`GOLDEN`] is a claim that the method's output changed on
-//! purpose; it needs a `CHANGES.md` note saying why.
+//! purpose; it needs a `CHANGES.md` note saying why. Every in-process way
+//! to run a request must reproduce it: `CorpusArtifacts::generate` on a
+//! fresh and on a reused workspace, and a `CorpusRegistry` miss and the hit
+//! that follows.
 //!
 //! [`SEED_RANKINGS`] pins the first stage alone: the full seed ranking
 //! of each of those surveys (every admitted candidate with its score, in
@@ -28,11 +31,12 @@
 use rpg_corpus::{generate, Corpus};
 use rpg_engines::Query;
 use rpg_repager::artifacts::CorpusArtifacts;
-use rpg_repager::system::PathRequest;
-use rpg_repro::demo_corpus;
+use rpg_repager::system::{PathRequest, RepagerOutput};
+use rpg_repager::PipelineScratch;
+use rpg_repro::{demo_artifacts, demo_corpus};
 use rpg_server::api;
 use rpg_service::snapshot::{self, NO_SPEC_FINGERPRINT};
-use rpg_service::PathService;
+use rpg_service::CorpusRegistry;
 use std::sync::Arc;
 
 /// The evaluation-form reading-list length.
@@ -166,25 +170,32 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
+/// The digest [`GOLDEN`] pins for one result.
+fn result_digest(output: &RepagerOutput) -> u64 {
+    let encoded =
+        serde_json::to_string(&api::output_result_value(output)).expect("result serialises");
+    fnv1a64(encoded.as_bytes())
+}
+
 #[test]
 fn every_survey_reading_path_matches_its_golden_digest() {
-    let corpus = demo_corpus();
-    let service = PathService::build(corpus.clone()).expect("demo artifacts build");
-    let table: Vec<(u32, u64)> = corpus
+    let artifacts = demo_artifacts();
+    let mut scratch = PipelineScratch::new();
+    let table: Vec<(u32, u64)> = artifacts
+        .corpus()
         .survey_bank()
         .iter()
         .map(|survey| {
             let exclude = [survey.paper];
-            let output = service
-                .generate(&PathRequest {
-                    max_year: Some(survey.year),
-                    exclude: &exclude,
-                    ..PathRequest::new(&survey.query, TOP_K)
-                })
+            let request = PathRequest {
+                max_year: Some(survey.year),
+                exclude: &exclude,
+                ..PathRequest::new(&survey.query, TOP_K)
+            };
+            let output = artifacts
+                .generate(&request, &mut scratch)
                 .unwrap_or_else(|e| panic!("survey {}: {e}", survey.paper.0));
-            let encoded = serde_json::to_string(&api::output_result_value(&output))
-                .expect("result serialises");
-            (survey.paper.0, fnv1a64(encoded.as_bytes()))
+            (survey.paper.0, result_digest(&output))
         })
         .collect();
     if table != GOLDEN {
@@ -204,6 +215,42 @@ fn every_survey_reading_path_matches_its_golden_digest() {
             moved.len(),
             table.len()
         );
+    }
+}
+
+#[test]
+fn every_in_process_path_reproduces_the_golden_digests() {
+    let artifacts = demo_artifacts();
+    let registry = CorpusRegistry::new();
+    registry.register_artifacts("demo", artifacts.clone());
+    let mut reused = PipelineScratch::new();
+    let surveys: Vec<_> = artifacts.corpus().survey_bank().iter().collect();
+    assert_eq!(surveys.len(), GOLDEN.len());
+    for (survey, &(paper, golden)) in surveys.into_iter().zip(GOLDEN) {
+        assert_eq!(survey.paper.0, paper, "survey order moved");
+        let exclude = [survey.paper];
+        let request = PathRequest {
+            max_year: Some(survey.year),
+            exclude: &exclude,
+            ..PathRequest::new(&survey.query, TOP_K)
+        };
+        let fresh = artifacts.generate(&request, &mut PipelineScratch::new());
+        let warm = artifacts.generate(&request, &mut reused);
+        let miss = registry.generate("demo", &request).expect("registry miss");
+        let hit = registry.generate("demo", &request).expect("registry hit");
+        assert!(!miss.cached && hit.cached, "survey {paper}: miss then hit");
+        for (path, output) in [
+            ("fresh scratch", &fresh.expect("fresh run")),
+            ("reused scratch", &warm.expect("warm run")),
+            ("registry miss", &*miss.output),
+            ("registry hit", &*hit.output),
+        ] {
+            assert_eq!(
+                result_digest(output),
+                golden,
+                "survey {paper}: the {path} path differs from its golden digest"
+            );
+        }
     }
 }
 

@@ -16,9 +16,10 @@ mod common;
 use common::{demo_queries, demo_registry, generate_body, spawn, spawn_with};
 use rpg_corpus::{generate, CorpusConfig};
 use rpg_repager::system::PathRequest;
+use rpg_repager::{CorpusArtifacts, PipelineScratch};
 use rpg_repro::demo_corpus;
 use rpg_server::{api, client, GenerateRequest};
-use rpg_service::{CorpusRegistry, PathService};
+use rpg_service::CorpusRegistry;
 use serde_json::Value;
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,12 +33,15 @@ fn result_bytes(body: &str) -> String {
 }
 
 /// The canonical JSON a direct in-process run of this query produces.
-fn expected_result(direct: &PathService, query: &str, year: u16, top_k: usize) -> String {
+fn expected_result(direct: &CorpusArtifacts, query: &str, year: u16, top_k: usize) -> String {
     let output = direct
-        .generate(&PathRequest {
-            max_year: Some(year),
-            ..PathRequest::new(query, top_k)
-        })
+        .generate(
+            &PathRequest {
+                max_year: Some(year),
+                ..PathRequest::new(query, top_k)
+            },
+            &mut PipelineScratch::new(),
+        )
         .unwrap();
     serde_json::to_string(&api::output_result_value(&output)).unwrap()
 }
@@ -45,9 +49,9 @@ fn expected_result(direct: &PathService, query: &str, year: u16, top_k: usize) -
 #[test]
 fn concurrent_clients_get_byte_identical_json_to_in_process_generation() {
     let registry = demo_registry();
-    // The direct service shares the server's artifacts, so any divergence
+    // The direct run shares the server's artifacts, so any divergence
     // below is the HTTP layer's fault, not a different corpus build.
-    let direct = PathService::with_artifacts(registry.artifacts("default").unwrap());
+    let direct = registry.artifacts("default").unwrap();
     let server = spawn(registry, 4, 32);
 
     let queries = demo_queries(4);
@@ -198,7 +202,7 @@ fn queue_overflow_gets_503_with_retry_after_and_the_server_recovers() {
 #[test]
 fn malformed_bodies_are_400_and_the_same_workers_keep_serving() {
     let registry = demo_registry();
-    let direct = PathService::with_artifacts(registry.artifacts("default").unwrap());
+    let direct = registry.artifacts("default").unwrap();
     // A single worker: if any malformed request killed it, the follow-up
     // real request could never be answered.
     let server = spawn(registry, 1, 8);
@@ -233,7 +237,7 @@ fn malformed_bodies_are_400_and_the_same_workers_keep_serving() {
 #[test]
 fn batch_preserves_order_and_isolates_per_item_failures() {
     let registry = demo_registry();
-    let direct = PathService::with_artifacts(registry.artifacts("default").unwrap());
+    let direct = registry.artifacts("default").unwrap();
     let server = spawn(registry, 2, 16);
     let queries = demo_queries(2);
 
@@ -273,7 +277,7 @@ fn batch_preserves_order_and_isolates_per_item_failures() {
 #[test]
 fn a_mixed_batch_body_is_canonical_json_with_exact_items() {
     let registry = demo_registry();
-    let direct = PathService::with_artifacts(registry.artifacts("default").unwrap());
+    let direct = registry.artifacts("default").unwrap();
     let server = spawn(registry, 2, 16);
     let queries = demo_queries(2);
 
@@ -523,7 +527,7 @@ fn refresh_endpoint_evicts_exactly_that_tenants_cached_results() {
 #[test]
 fn keep_alive_serves_sequential_requests_on_one_connection() {
     let registry = demo_registry();
-    let direct = PathService::with_artifacts(registry.artifacts("default").unwrap());
+    let direct = registry.artifacts("default").unwrap();
     let server = spawn_with(registry, |config| {
         config.workers = 2;
         config.queue_capacity = 16;
@@ -563,7 +567,7 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
 fn pipelined_second_request_is_served_from_the_retained_buffer() {
     use std::io::Write;
     let registry = demo_registry();
-    let direct = PathService::with_artifacts(registry.artifacts("default").unwrap());
+    let direct = registry.artifacts("default").unwrap();
     let server = spawn_with(registry, |config| {
         config.workers = 2;
         config.queue_capacity = 16;

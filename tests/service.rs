@@ -1,9 +1,11 @@
-//! Integration tests for the `rpg-service` serving layer over the demo
-//! corpus: concurrency, caching, batch/serial equivalence and stage timings.
+//! Integration tests for the two ways to run a request over the demo
+//! corpus: the uncached `CorpusArtifacts::generate` and the cached
+//! `CorpusRegistry`. Concurrency, caching and stage timings.
 
 use rpg_repager::system::{PathRequest, RepagerOutput};
-use rpg_repager::RePaGer;
-use rpg_repro::{demo_corpus, demo_service};
+use rpg_repager::PipelineScratch;
+use rpg_repro::{demo_artifacts, demo_corpus};
+use rpg_service::CorpusRegistry;
 use std::time::Duration;
 
 fn demo_requests(count: usize) -> Vec<(String, u16)> {
@@ -15,27 +17,39 @@ fn demo_requests(count: usize) -> Vec<(String, u16)> {
         .collect()
 }
 
+/// A one-tenant registry over the demo corpus.
+fn demo_registry() -> CorpusRegistry {
+    let registry = CorpusRegistry::new();
+    registry.register_artifacts("demo", demo_artifacts());
+    registry
+}
+
 #[test]
 fn shared_service_across_threads_matches_serial_runs() {
-    let service = demo_service();
+    let registry = demo_registry();
+    let artifacts = registry.artifacts("demo").unwrap();
     let surveys = demo_requests(5);
+    let mut scratch = PipelineScratch::new();
     let serial: Vec<RepagerOutput> = surveys
         .iter()
         .map(|(query, year)| {
-            service
-                .generate_uncached(&PathRequest {
-                    max_year: Some(*year),
-                    ..PathRequest::new(query, 25)
-                })
+            artifacts
+                .generate(
+                    &PathRequest {
+                        max_year: Some(*year),
+                        ..PathRequest::new(query, 25)
+                    },
+                    &mut scratch,
+                )
                 .unwrap()
         })
         .collect();
 
-    // N threads hammer the same service; every output must carry exactly the
-    // result of the serial reference run.
+    // N threads hammer the same registry; every output must carry exactly
+    // the result of the serial reference run.
     std::thread::scope(|scope| {
         for worker in 0..4 {
-            let service = service.clone();
+            let registry = &registry;
             let surveys = &surveys;
             let serial = &serial;
             scope.spawn(move || {
@@ -44,14 +58,17 @@ fn shared_service_across_threads_matches_serial_runs() {
                 for i in 0..surveys.len() {
                     let pick = (i + worker) % surveys.len();
                     let (query, year) = &surveys[pick];
-                    let output = service
-                        .generate(&PathRequest {
-                            max_year: Some(*year),
-                            ..PathRequest::new(query, 25)
-                        })
+                    let served = registry
+                        .generate(
+                            "demo",
+                            &PathRequest {
+                                max_year: Some(*year),
+                                ..PathRequest::new(query, 25)
+                            },
+                        )
                         .unwrap();
                     assert!(
-                        output.same_result(&serial[pick]),
+                        served.output.same_result(&serial[pick]),
                         "thread {worker} diverged on query {query:?}"
                     );
                 }
@@ -61,76 +78,38 @@ fn shared_service_across_threads_matches_serial_runs() {
 }
 
 #[test]
-fn service_and_facade_agree_on_the_demo_corpus() {
-    // The acceptance bar for the refactor: the owned serving layer and the
-    // borrowing facade are the same model.
-    let corpus = demo_corpus();
-    let facade = RePaGer::build(&corpus).unwrap();
-    let service = demo_service();
-    for (query, year) in demo_requests(5) {
-        let request = PathRequest {
-            max_year: Some(year),
-            ..PathRequest::new(&query, 30)
-        };
-        let via_facade = facade.generate(&request).unwrap();
-        let via_service = service.generate(&request).unwrap();
-        assert_eq!(via_facade.reading_list, via_service.reading_list);
-        assert_eq!(via_facade.path.order, via_service.path.order);
-    }
-}
-
-#[test]
-fn batch_over_survey_queries_matches_the_serial_loop() {
-    let service = demo_service();
-    let surveys = demo_requests(8);
-    let requests: Vec<PathRequest<'_>> = surveys
-        .iter()
-        .map(|(query, year)| PathRequest {
-            max_year: Some(*year),
-            ..PathRequest::new(query, 30)
-        })
-        .collect();
-    let serial: Vec<Vec<_>> = requests
-        .iter()
-        .map(|r| service.generate_uncached(r).unwrap().reading_list)
-        .collect();
-    let batched = service.generate_batch(&requests);
-    assert_eq!(batched.len(), serial.len());
-    for (batch_result, serial_list) in batched.into_iter().zip(&serial) {
-        assert_eq!(&batch_result.unwrap().reading_list, serial_list);
-    }
-}
-
-#[test]
 fn repeated_identical_request_hits_the_cache_with_identical_list() {
-    let service = demo_service();
+    let registry = demo_registry();
     let (query, year) = demo_requests(1).remove(0);
     let request = PathRequest {
         max_year: Some(year),
         ..PathRequest::new(&query, 30)
     };
-    let first = service.generate(&request).unwrap();
-    let before = service.cache_stats();
-    let second = service.generate(&request).unwrap();
-    let after = service.cache_stats();
+    let first = registry.generate("demo", &request).unwrap();
+    let before = registry.cache_stats();
+    let second = registry.generate("demo", &request).unwrap();
+    let after = registry.cache_stats();
     assert_eq!(
         after.hits,
         before.hits + 1,
         "second request must be a cache hit"
     );
-    assert_eq!(first.reading_list, second.reading_list);
-    assert!(first.same_result(&second));
+    assert!(!first.cached && second.cached);
+    assert_eq!(first.output.reading_list, second.output.reading_list);
+    assert!(first.output.same_result(&second.output));
 }
 
 #[test]
 fn outputs_expose_all_five_stage_timings() {
-    let service = demo_service();
     let (query, year) = demo_requests(1).remove(0);
-    let output = service
-        .generate(&PathRequest {
-            max_year: Some(year),
-            ..PathRequest::new(&query, 30)
-        })
+    let output = demo_artifacts()
+        .generate(
+            &PathRequest {
+                max_year: Some(year),
+                ..PathRequest::new(&query, 30)
+            },
+            &mut PipelineScratch::new(),
+        )
         .unwrap();
     let timings = output.timings;
     let stages = timings.stages();

@@ -18,8 +18,9 @@ use common::{
 };
 use rpg_repager::artifacts::CorpusArtifacts;
 use rpg_repager::system::PathRequest;
+use rpg_repager::PipelineScratch;
 use rpg_server::{api, client};
-use rpg_service::{snapshot, CorpusRegistry, CorpusSpec, Manifest, PathService};
+use rpg_service::{snapshot, CorpusRegistry, CorpusSpec, Manifest};
 use serde_json::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -72,14 +73,17 @@ fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-/// The canonical result JSON this service produces for `query` — the same
+/// The canonical result JSON these artifacts produce for `query` — the same
 /// encoder the HTTP layer uses, so comparisons are byte-for-byte.
-fn result_json(service: &PathService, query: &str, year: u16) -> String {
-    let output = service
-        .generate(&PathRequest {
-            max_year: Some(year),
-            ..PathRequest::new(query, 20)
-        })
+fn result_json(artifacts: &CorpusArtifacts, query: &str, year: u16) -> String {
+    let output = artifacts
+        .generate(
+            &PathRequest {
+                max_year: Some(year),
+                ..PathRequest::new(query, 20)
+            },
+            &mut PipelineScratch::new(),
+        )
         .unwrap();
     serde_json::to_string(&api::output_result_value(&output)).unwrap()
 }
@@ -190,11 +194,10 @@ fn snapshot_export_is_admin_gated_and_decodes_to_the_live_artifacts() {
     assert_eq!(info.fingerprint, fingerprint);
     assert!(info.sections.iter().all(|s| s.crc_ok), "{info:?}");
     let decoded = snapshot::decode(&body, fingerprint).expect("export decodes");
-    let from_snapshot = PathService::with_artifacts(decoded);
-    let live = PathService::with_artifacts(server.registry().artifacts("alpha").unwrap());
+    let live = server.registry().artifacts("alpha").unwrap();
     let (query, year) = common::tenant_query(&server, "alpha");
     assert_eq!(
-        result_json(&from_snapshot, &query, year),
+        result_json(&decoded, &query, year),
         result_json(&live, &query, year),
         "decoded artifacts diverged from the live tenant"
     );
@@ -222,7 +225,6 @@ fn a_snapshot_booted_server_serves_byte_identical_responses() {
     std::fs::write(&file.0, &bytes).unwrap();
 
     let server = spawn_from_json(&alpha_manifest_json(file.path()));
-    let direct = PathService::with_artifacts(reference);
     let (query, year) = common::tenant_query(&server, "alpha");
     let response = common::post_json_with_key(
         server.addr(),
@@ -234,7 +236,7 @@ fn a_snapshot_booted_server_serves_byte_identical_responses() {
     assert_eq!(response.status, 200, "{}", response.body);
     assert_eq!(
         result_bytes(&response.body),
-        result_json(&direct, &query, year),
+        result_json(&reference, &query, year),
         "snapshot boot diverged from the spec build"
     );
 }
@@ -267,8 +269,7 @@ fn a_mismatched_snapshot_falls_back_to_an_identical_spec_build() {
         Err(snapshot::SnapshotError::FingerprintMismatch { .. })
     ));
 
-    let reference =
-        PathService::with_artifacts(CorpusArtifacts::build(spec.build_corpus().unwrap()).unwrap());
+    let reference = CorpusArtifacts::build(spec.build_corpus().unwrap()).unwrap();
     let (query, year) = common::tenant_query(&server, "alpha");
     let response = common::post_json_with_key(
         server.addr(),
