@@ -32,8 +32,8 @@
 //! The hot serving path runs this kernel once per uncached request, so the
 //! implementation is allocation-lean: all per-run state lives in a reusable
 //! [`SteinerScratch`].  Three structural decisions carry the win over the
-//! original implementation (kept in [`reference`] for differential testing
-//! and as the perf-trajectory baseline):
+//! original implementation (kept in [`reference`](mod@reference) for
+//! differential testing and as the perf-trajectory baseline):
 //!
 //! * **lazy witness paths** — step 1 used to materialise all K² terminal
 //!   pair paths as `Vec<Vec<Option<ShortestPath>>>`; now each of the K

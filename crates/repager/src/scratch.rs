@@ -2,9 +2,8 @@
 //!
 //! PR 1 gave the Steiner stage a shared Dijkstra workspace; this module
 //! widens that idea to every allocating stage of the pipeline.  A
-//! [`PipelineScratch`] bundles the KMB kernel's
-//! [`SteinerScratch`](rpg_graph::steiner::SteinerScratch) with the dense
-//! generation-stamped counters of seed reallocation, so a serving thread
+//! [`PipelineScratch`] bundles the KMB kernel's [`SteinerScratch`] with the
+//! dense generation-stamped counters of seed reallocation, so a serving thread
 //! that keeps one scratch for its lifetime runs the steiner and realloc
 //! stages without rebuilding hash tables or reallocating buffers per
 //! request.

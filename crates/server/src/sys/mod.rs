@@ -160,7 +160,7 @@ pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usi
     Ok(rc as usize)
 }
 
-/// Which readiness syscall a [`Poller`] implementation rides on.
+/// Which readiness syscall a `Poller` implementation rides on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoBackend {
     /// Portable `poll(2)`: the interest set is rebuilt and handed to the
@@ -215,7 +215,7 @@ impl IoBackendChoice {
 
     /// The concrete backend this choice resolves to on this platform.
     /// `Epoll` resolves off Linux too (so the name can round-trip through
-    /// configs); [`new_poller`] is where an unbuildable choice errors.
+    /// configs); `new_poller` is where an unbuildable choice errors.
     pub fn resolve(self) -> IoBackend {
         match self {
             IoBackendChoice::Poll => IoBackend::Poll,
