@@ -75,34 +75,39 @@ pub fn run(
     for (label, domain) in domains {
         let surveys = surveys_of_domain(ctx, domain, queries_per_domain);
         per_domain_counts.push((label.to_string(), surveys.len()));
+        // Both lists of a survey are the same for every criterion, so each is
+        // computed once and scored three times.
+        let mut compared = Vec::new();
+        for survey in surveys {
+            let exclude = [survey.paper];
+            // System A: the engine's flat top list.
+            let list_a = scholar.search(&Query {
+                text: &survey.query,
+                top_k: list_length,
+                max_year: Some(survey.year),
+                exclude: &exclude,
+            });
+            // System B: the NEWST reading list.
+            let request = PathRequest {
+                query: &survey.query,
+                top_k: list_length,
+                max_year: Some(survey.year),
+                exclude: &exclude,
+                config: RepagerConfig::default(),
+                variant: Variant::Newst,
+            };
+            let list_b = with_thread_scratch(|scratch| ctx.system.generate(&request, scratch))
+                .map(|output| output.reading_list)
+                .unwrap_or_default();
+            if !(list_a.is_empty() && list_b.is_empty()) {
+                compared.push((survey, list_a, list_b));
+            }
+        }
         for criterion in Criterion::ALL {
             let mut verdicts = Vec::new();
-            for survey in &surveys {
-                let exclude = [survey.paper];
-                // System A: the engine's flat top list.
-                let list_a = scholar.search(&Query {
-                    text: &survey.query,
-                    top_k: list_length,
-                    max_year: Some(survey.year),
-                    exclude: &exclude,
-                });
-                // System B: the NEWST reading list.
-                let request = PathRequest {
-                    query: &survey.query,
-                    top_k: list_length,
-                    max_year: Some(survey.year),
-                    exclude: &exclude,
-                    config: RepagerConfig::default(),
-                    variant: Variant::Newst,
-                };
-                let list_b = with_thread_scratch(|scratch| ctx.system.generate(&request, scratch))
-                    .map(|output| output.reading_list)
-                    .unwrap_or_default();
-                if list_a.is_empty() && list_b.is_empty() {
-                    continue;
-                }
-                let score_a = criterion_score(ctx.corpus, survey, &list_a, criterion);
-                let score_b = criterion_score(ctx.corpus, survey, &list_b, criterion);
+            for (survey, list_a, list_b) in &compared {
+                let score_a = criterion_score(ctx.corpus, survey, list_a, criterion);
+                let score_b = criterion_score(ctx.corpus, survey, list_b, criterion);
                 verdicts.extend(panel.vote(score_a, score_b));
             }
             rows.push(DomainCriterionRow {
