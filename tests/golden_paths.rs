@@ -180,77 +180,65 @@ fn result_digest(output: &RepagerOutput) -> u64 {
 #[test]
 fn every_survey_reading_path_matches_its_golden_digest() {
     let artifacts = demo_artifacts();
-    let mut scratch = PipelineScratch::new();
-    let table: Vec<(u32, u64)> = artifacts
-        .corpus()
-        .survey_bank()
-        .iter()
-        .map(|survey| {
-            let exclude = [survey.paper];
-            let request = PathRequest {
-                max_year: Some(survey.year),
-                exclude: &exclude,
-                ..PathRequest::new(&survey.query, TOP_K)
-            };
-            let output = artifacts
-                .generate(&request, &mut scratch)
-                .unwrap_or_else(|e| panic!("survey {}: {e}", survey.paper.0));
-            (survey.paper.0, result_digest(&output))
-        })
-        .collect();
-    if table != GOLDEN {
-        let moved: Vec<u32> = table
-            .iter()
-            .filter(|row| !GOLDEN.contains(row))
-            .map(|(paper, _)| *paper)
-            .collect();
-        println!("const GOLDEN: &[(u32, u64)] = &[");
-        for (paper, digest) in &table {
-            println!("    ({paper}, 0x{digest:016x}),");
-        }
-        println!("];");
-        panic!(
-            "{} of {} reading paths differ from the golden table (surveys {moved:?}); \
-             the matching table is printed above",
-            moved.len(),
-            table.len()
-        );
-    }
-}
-
-#[test]
-fn every_in_process_path_reproduces_the_golden_digests() {
-    let artifacts = demo_artifacts();
     let registry = CorpusRegistry::new();
     registry.register_artifacts("demo", artifacts.clone());
     let mut reused = PipelineScratch::new();
-    let surveys: Vec<_> = artifacts.corpus().survey_bank().iter().collect();
-    assert_eq!(surveys.len(), GOLDEN.len());
-    for (survey, &(paper, golden)) in surveys.into_iter().zip(GOLDEN) {
-        assert_eq!(survey.paper.0, paper, "survey order moved");
+    // One table per in-process way to run a request.
+    let mut tables: [(&str, Vec<(u32, u64)>); 4] = [
+        ("reused scratch", Vec::new()),
+        ("fresh scratch", Vec::new()),
+        ("registry miss", Vec::new()),
+        ("registry hit", Vec::new()),
+    ];
+    for survey in artifacts.corpus().survey_bank().iter() {
+        let paper = survey.paper.0;
         let exclude = [survey.paper];
         let request = PathRequest {
             max_year: Some(survey.year),
             exclude: &exclude,
             ..PathRequest::new(&survey.query, TOP_K)
         };
-        let fresh = artifacts.generate(&request, &mut PipelineScratch::new());
-        let warm = artifacts.generate(&request, &mut reused);
-        let miss = registry.generate("demo", &request).expect("registry miss");
-        let hit = registry.generate("demo", &request).expect("registry hit");
+        let warm = artifacts
+            .generate(&request, &mut reused)
+            .unwrap_or_else(|e| panic!("survey {paper}: {e}"));
+        let fresh = artifacts
+            .generate(&request, &mut PipelineScratch::new())
+            .unwrap_or_else(|e| panic!("survey {paper}: {e}"));
+        let miss = registry
+            .generate("demo", &request)
+            .unwrap_or_else(|e| panic!("survey {paper}: {e}"));
+        let hit = registry
+            .generate("demo", &request)
+            .unwrap_or_else(|e| panic!("survey {paper}: {e}"));
         assert!(!miss.cached && hit.cached, "survey {paper}: miss then hit");
-        for (path, output) in [
-            ("fresh scratch", &fresh.expect("fresh run")),
-            ("reused scratch", &warm.expect("warm run")),
-            ("registry miss", &*miss.output),
-            ("registry hit", &*hit.output),
-        ] {
-            assert_eq!(
-                result_digest(output),
-                golden,
-                "survey {paper}: the {path} path differs from its golden digest"
-            );
+        for ((_, table), output) in
+            tables
+                .iter_mut()
+                .zip([&warm, &fresh, &*miss.output, &*hit.output])
+        {
+            table.push((paper, result_digest(output)));
         }
+    }
+    for (path, table) in &tables {
+        if table == GOLDEN {
+            continue;
+        }
+        let moved: Vec<u32> = table
+            .iter()
+            .filter(|row| !GOLDEN.contains(row))
+            .map(|(paper, _)| *paper)
+            .collect();
+        println!("const GOLDEN: &[(u32, u64)] = &[");
+        for (paper, digest) in table {
+            println!("    ({paper}, 0x{digest:016x}),");
+        }
+        println!("];");
+        panic!(
+            "{} of {} reading paths run on the {path} path differ from the golden \
+             table (surveys {moved:?}); the matching table is printed above",
+            moved.len(),
+            table.len()
+        );
     }
 }
 

@@ -2,33 +2,19 @@
 //! corpus: the uncached `CorpusArtifacts::generate` and the cached
 //! `CorpusRegistry`. Concurrency, caching and stage timings.
 
+mod common;
+
+use common::{demo_queries, demo_registry};
 use rpg_repager::system::{PathRequest, RepagerOutput};
 use rpg_repager::PipelineScratch;
-use rpg_repro::{demo_artifacts, demo_corpus};
-use rpg_service::CorpusRegistry;
+use rpg_repro::demo_artifacts;
 use std::time::Duration;
-
-fn demo_requests(count: usize) -> Vec<(String, u16)> {
-    demo_corpus()
-        .survey_bank()
-        .iter()
-        .take(count)
-        .map(|s| (s.query.clone(), s.year))
-        .collect()
-}
-
-/// A one-tenant registry over the demo corpus.
-fn demo_registry() -> CorpusRegistry {
-    let registry = CorpusRegistry::new();
-    registry.register_artifacts("demo", demo_artifacts());
-    registry
-}
 
 #[test]
 fn shared_service_across_threads_matches_serial_runs() {
     let registry = demo_registry();
-    let artifacts = registry.artifacts("demo").unwrap();
-    let surveys = demo_requests(5);
+    let artifacts = registry.artifacts("default").unwrap();
+    let surveys = demo_queries(5);
     let mut scratch = PipelineScratch::new();
     let serial: Vec<RepagerOutput> = surveys
         .iter()
@@ -60,7 +46,7 @@ fn shared_service_across_threads_matches_serial_runs() {
                     let (query, year) = &surveys[pick];
                     let served = registry
                         .generate(
-                            "demo",
+                            "default",
                             &PathRequest {
                                 max_year: Some(*year),
                                 ..PathRequest::new(query, 25)
@@ -80,14 +66,14 @@ fn shared_service_across_threads_matches_serial_runs() {
 #[test]
 fn repeated_identical_request_hits_the_cache_with_identical_list() {
     let registry = demo_registry();
-    let (query, year) = demo_requests(1).remove(0);
+    let (query, year) = demo_queries(1).remove(0);
     let request = PathRequest {
         max_year: Some(year),
         ..PathRequest::new(&query, 30)
     };
-    let first = registry.generate("demo", &request).unwrap();
+    let first = registry.generate("default", &request).unwrap();
     let before = registry.cache_stats();
-    let second = registry.generate("demo", &request).unwrap();
+    let second = registry.generate("default", &request).unwrap();
     let after = registry.cache_stats();
     assert_eq!(
         after.hits,
@@ -101,7 +87,7 @@ fn repeated_identical_request_hits_the_cache_with_identical_list() {
 
 #[test]
 fn outputs_expose_all_five_stage_timings() {
-    let (query, year) = demo_requests(1).remove(0);
+    let (query, year) = demo_queries(1).remove(0);
     let output = demo_artifacts()
         .generate(
             &PathRequest {
