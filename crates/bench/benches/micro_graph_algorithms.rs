@@ -9,10 +9,10 @@ use rpg_eval::experiments::ExperimentContext;
 use rpg_graph::pagerank::pagerank_default;
 use rpg_graph::steiner::{reference::steiner_tree_reference, steiner_tree, SteinerScratch};
 use rpg_graph::{dijkstra, mst};
-use rpg_repager::seeds::{reallocate, TerminalSelection};
+use rpg_repager::seeds::{reallocate_with, TerminalSelection};
 use rpg_repager::subgraph::SubGraph;
 use rpg_repager::weights::NodeWeights;
-use rpg_repager::RepagerConfig;
+use rpg_repager::{PipelineScratch, RepagerConfig};
 
 fn micro(c: &mut Criterion) {
     let corpus = micro_corpus();
@@ -45,7 +45,13 @@ fn micro(c: &mut Criterion) {
         &[],
     )
     .unwrap();
-    let allocation = reallocate(&corpus, &subgraph, &seeds, &config);
+    let allocation = reallocate_with(
+        &corpus,
+        &subgraph,
+        &seeds,
+        &config,
+        &mut PipelineScratch::new(),
+    );
     let terminals = allocation.terminals(TerminalSelection::Reallocated, &config);
     let local_terminals = subgraph.to_local(&terminals);
     println!(

@@ -14,7 +14,7 @@ use rpg_corpus::{generate, Corpus, CorpusConfig};
 use std::sync::Arc;
 
 /// The corpus configuration used by all benches: the default generator scale
-/// (~5k papers, ~80k citation edges, ~80 surveys), which is large enough for
+/// (5,106 papers, 83,126 citation edges, 94 surveys), which is large enough for
 /// the trends of the paper's figures to be visible while keeping a full
 /// `cargo bench` run in the minutes range.
 pub fn bench_corpus_config() -> CorpusConfig {

@@ -44,7 +44,7 @@ use rpg_graph::steiner::reference::steiner_tree_reference;
 use rpg_graph::steiner::{steiner_tree_with, SteinerScratch};
 use rpg_graph::{mst, NodeId, WeightedGraph};
 use rpg_repager::artifacts::CorpusArtifacts;
-use rpg_repager::seeds::{reallocate, TerminalSelection};
+use rpg_repager::seeds::{reallocate_with, TerminalSelection};
 use rpg_repager::subgraph::SubGraph;
 use rpg_repager::system::PathRequest;
 use rpg_repager::weights::NodeWeights;
@@ -276,7 +276,13 @@ pub fn kernel_instance(corpus: &Corpus) -> KernelInstance {
         &[],
     )
     .expect("sub-graph builds");
-    let allocation = reallocate(corpus, &subgraph, &seeds, &config);
+    let allocation = reallocate_with(
+        corpus,
+        &subgraph,
+        &seeds,
+        &config,
+        &mut PipelineScratch::new(),
+    );
     let paper_terminals = allocation.terminals(TerminalSelection::Reallocated, &config);
     let mut terminals = Vec::new();
     subgraph.to_local_into(&paper_terminals, &mut terminals);

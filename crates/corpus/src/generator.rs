@@ -1,7 +1,8 @@
 //! Synthetic corpus generation.
 //!
 //! This is the stand-in for S2ORC plus the crawled survey collection (see
-//! DESIGN.md): a deterministic generator that produces a computer-science
+//! the README's "Stand-ins for the paper's data and services"
+//! section): a deterministic generator that produces a computer-science
 //! corpus whose *structure* matches what the paper's method relies on —
 //! power-law citation counts, temporally consistent citation edges, topical
 //! clustering, prerequisite chains, and surveys whose reference lists mix

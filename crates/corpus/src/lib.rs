@@ -4,7 +4,8 @@
 //! The paper evaluates on **SurveyBank**: 9,321 computer-science surveys plus
 //! a 6-million-paper citation graph extracted from S2ORC.  Neither resource
 //! is available offline, so this crate generates a synthetic corpus with the
-//! same structural properties (see DESIGN.md for the substitution argument):
+//! same structural properties (see the README's "Stand-ins for the paper's
+//! data and services" section for the substitution argument):
 //!
 //! * [`generator`] — deterministic corpus generation: topics with
 //!   prerequisite chains, venues with tiers, papers with titles/abstracts

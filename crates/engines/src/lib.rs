@@ -13,8 +13,9 @@
 //!   re-rank everything by global PageRank ([`pagerank_baseline`]).
 //! * **SciBERT** — expand the seeds and re-rank by semantic similarity
 //!   between the query and each paper's title/abstract; reproduced by the
-//!   hashed-embedding matcher in [`semantic`] (see DESIGN.md for the
-//!   substitution rationale).
+//!   hashed-embedding matcher in [`semantic`] (see the README's "Stand-ins
+//!   for the paper's data and services" section for the substitution
+//!   rationale).
 //!
 //! All methods implement the [`SearchEngine`] trait so the evaluation harness
 //! can treat them uniformly.

@@ -58,16 +58,16 @@ pub fn run(ctx: &ExperimentContext<'_>, ks: &[usize]) -> Fig8Report {
     let corpus = ctx.corpus;
 
     // Build every method once, sharing the lexical index.
-    let scholar = EngineMethod::new(ScholarEngine::from_index(ctx.index.clone()));
-    let msacademic = EngineMethod::new(MsAcademicEngine::from_index(ctx.index.clone()));
-    let aminer = EngineMethod::new(AminerEngine::from_index(ctx.index.clone()));
+    let scholar = EngineMethod::new(ScholarEngine::from_index(ctx.system.index().clone()));
+    let msacademic = EngineMethod::new(MsAcademicEngine::from_index(ctx.system.index().clone()));
+    let aminer = EngineMethod::new(AminerEngine::from_index(ctx.system.index().clone()));
     let pagerank = EngineMethod::new(PageRankBaseline::build(
         corpus,
-        ScholarEngine::from_index(ctx.index.clone()),
+        ScholarEngine::from_index(ctx.system.index().clone()),
     ));
     let scibert = EngineMethod::new(SemanticMatcher::build(
         corpus,
-        ScholarEngine::from_index(ctx.index.clone()),
+        ScholarEngine::from_index(ctx.system.index().clone()),
     ));
     let newst = RepagerMethod::newst(&ctx.system);
 

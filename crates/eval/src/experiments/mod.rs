@@ -26,12 +26,11 @@ pub mod table5_human;
 
 use crate::benchmark::EvaluationSet;
 use rpg_corpus::Corpus;
-use rpg_engines::EngineIndex;
 use rpg_repager::artifacts::CorpusArtifacts;
 use std::sync::Arc;
 
-/// Shared state for experiment runs: the evaluation set, the corpus
-/// artifacts, and the shared engine index, built once per corpus.
+/// Shared state for experiment runs: the evaluation set and the corpus
+/// artifacts, built once per corpus.
 pub struct ExperimentContext<'c> {
     /// The corpus under evaluation.
     pub corpus: &'c Corpus,
@@ -39,10 +38,9 @@ pub struct ExperimentContext<'c> {
     pub set: EvaluationSet,
     /// The corpus artifacts the reading paths run over (engine index,
     /// PageRank and node weights computed once, shared across the
-    /// evaluation worker threads).
+    /// evaluation worker threads). The engine baselines are built over
+    /// `system.index()`.
     pub system: Arc<CorpusArtifacts>,
-    /// Shared lexical index for building the engine baselines.
-    pub index: Arc<EngineIndex>,
     /// Number of worker threads used by the evaluation loops.
     pub threads: usize,
 }
@@ -59,12 +57,10 @@ impl<'c> ExperimentContext<'c> {
         let set = EvaluationSet::select(corpus, min_references, max_surveys);
         let system = CorpusArtifacts::build(Arc::clone(corpus))
             .expect("corpus artifacts build on a valid corpus");
-        let index = system.index().clone();
         ExperimentContext {
             corpus: corpus.as_ref(),
             set,
             system,
-            index,
             threads: threads.max(1),
         }
     }
@@ -100,7 +96,7 @@ mod tests {
         let ctx = ExperimentContext::for_tests(&corpus);
         assert!(!ctx.set.is_empty());
         assert!(ctx.threads >= 1);
-        assert_eq!(ctx.index.len(), corpus.len());
+        assert_eq!(ctx.system.index().len(), corpus.len());
         // The system is usable.
         let survey = &ctx.set.surveys[0];
         let output = ctx

@@ -4,7 +4,8 @@
 //! Intelligence and Data Mining), 8 evaluators per domain, each comparing the
 //! Google Scholar top list (system A) with the RePaGer reading path (system
 //! B) on three criteria.  The reproduction replaces the evaluators with the
-//! deterministic judge panel of [`crate::human_proxy`] (see DESIGN.md) and
+//! deterministic judge panel of [`crate::human_proxy`] (see
+//! the README's "Stand-ins for the paper's data and services" section) and
 //! keeps everything else: the same two domains, the same three criteria, and
 //! the same preference-share report.
 
@@ -68,7 +69,7 @@ pub fn run(
         ("DM", Domain::DatabaseDataMiningIr),
     ];
     let panel = JudgePanel::paper_default();
-    let scholar = ScholarEngine::from_index(ctx.index.clone());
+    let scholar = ScholarEngine::from_index(ctx.system.index().clone());
 
     let mut rows = Vec::new();
     let mut per_domain_counts = Vec::new();

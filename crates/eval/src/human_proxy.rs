@@ -4,7 +4,8 @@
 //! Google Scholar result list against the RePaGer reading path along three
 //! criteria — *prerequisite*, *relevance*, and *completeness* — and state a
 //! preference (system A, system B, or "same").  Offline, the three criteria
-//! are operationalised as measurable scores of an output (see DESIGN.md) and
+//! are operationalised as measurable scores of an output (see
+//! the README's "Stand-ins for the paper's data and services" section) and
 //! a panel of deterministic judges with different indifference thresholds
 //! votes on each query:
 //!

@@ -9,7 +9,8 @@
 //!   abstraction that unifies search engines and NEWST variants, and the
 //!   evaluation-set selection;
 //! * [`human_proxy`] — programmatic judges standing in for the 16 human
-//!   evaluators of Table V (see DESIGN.md);
+//!   evaluators of Table V (see the README's "Stand-ins for the paper's
+//!   data and services" section);
 //! * [`report`] — small helpers for printing paper-style tables and series;
 //! * [`experiments`] — one module per table/figure of the evaluation section,
 //!   each with a `run` function returning a serialisable report and a

@@ -156,35 +156,6 @@ impl WeightedGraph {
         Ok(())
     }
 
-    /// Overwrites the cost of an existing edge `{a, b}`.
-    ///
-    /// Unlike [`Self::add_edge`] (which keeps the cheaper of two parallel
-    /// edges), this sets the cost unconditionally; it is used by extensions
-    /// that re-weight an already-built graph, such as the semantic blending
-    /// of `rpg-repager`.  Returns an error if the edge does not exist or the
-    /// cost is invalid.
-    pub fn set_edge_cost(&mut self, a: NodeId, b: NodeId, cost: f64) -> Result<(), GraphError> {
-        self.check_node(a)?;
-        self.check_node(b)?;
-        if !cost.is_finite() || cost < 0.0 {
-            return Err(GraphError::InvalidWeight {
-                what: format!("edge cost {cost}"),
-            });
-        }
-        let pos_a = self.adjacency[a.index()].iter().position(|&(n, _)| n == b);
-        let pos_b = self.adjacency[b.index()].iter().position(|&(n, _)| n == a);
-        match (pos_a, pos_b) {
-            (Some(ia), Some(ib)) => {
-                self.adjacency[a.index()][ia].1 = cost;
-                self.adjacency[b.index()][ib].1 = cost;
-                Ok(())
-            }
-            _ => Err(GraphError::InvalidWeight {
-                what: format!("edge {a}-{b} does not exist"),
-            }),
-        }
-    }
-
     /// Iterates over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.node_count()).map(NodeId::from_index)
@@ -310,29 +281,6 @@ mod tests {
         let g = triangle();
         let cost = g.subgraph_cost(&[], &[NodeId(2)]);
         assert!((cost - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn set_edge_cost_overwrites_in_both_directions() {
-        let mut g = triangle();
-        g.set_edge_cost(NodeId(0), NodeId(1), 7.5).unwrap();
-        assert_eq!(g.edge_cost(NodeId(0), NodeId(1)), Some(7.5));
-        assert_eq!(g.edge_cost(NodeId(1), NodeId(0)), Some(7.5));
-        // Raising is allowed, unlike add_edge's keep-minimum behaviour.
-        g.set_edge_cost(NodeId(0), NodeId(1), 9.0).unwrap();
-        assert_eq!(g.edge_cost(NodeId(0), NodeId(1)), Some(9.0));
-    }
-
-    #[test]
-    fn set_edge_cost_rejects_missing_edges_and_bad_costs() {
-        let mut g = triangle();
-        assert!(g.set_edge_cost(NodeId(0), NodeId(0), 1.0).is_err());
-        assert!(g.set_edge_cost(NodeId(0), NodeId(1), -1.0).is_err());
-        let mut disconnected = WeightedGraph::with_zero_weights(3);
-        disconnected.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
-        assert!(disconnected
-            .set_edge_cost(NodeId(0), NodeId(2), 1.0)
-            .is_err());
     }
 
     #[test]

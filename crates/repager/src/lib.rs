@@ -37,7 +37,6 @@ pub mod path;
 pub mod render;
 pub mod scratch;
 pub mod seeds;
-pub mod semantic;
 pub mod stages;
 pub mod stats;
 pub mod subgraph;

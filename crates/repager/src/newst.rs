@@ -103,16 +103,9 @@ impl NewstForest {
 /// Terminals missing from the sub-graph are reported in
 /// [`NewstForest::dropped_terminals`]; terminals in different components each
 /// get their own tree.  An empty usable-terminal set yields an empty forest.
-/// Thin wrapper over [`solve_with`] with a fresh pipeline scratch.
-pub fn solve(subgraph: &SubGraph, terminals: &[PaperId]) -> Result<NewstForest, GraphError> {
-    let mut scratch = PipelineScratch::new();
-    solve_with(subgraph, terminals, &mut scratch)
-}
-
-/// [`solve`] with a caller-provided [`PipelineScratch`], so the
-/// per-component KMB runs (and the service layer's repeated requests) reuse
-/// one Steiner workspace — the Dijkstra buffers, the closure path store and
-/// the pruning pass's stamped vectors.
+/// The per-component KMB runs (and the caller's repeated requests) reuse the
+/// scratch's one Steiner workspace: the Dijkstra buffers, the closure path
+/// store and the pruning pass's stamped vectors.
 pub fn solve_with(
     subgraph: &SubGraph,
     terminals: &[PaperId],
@@ -174,7 +167,7 @@ pub fn solve_with(
 mod tests {
     use super::*;
     use crate::config::RepagerConfig;
-    use crate::seeds::{reallocate, TerminalSelection};
+    use crate::seeds::{reallocate_with, TerminalSelection};
     use crate::weights::NodeWeights;
     use rpg_corpus::{generate, Corpus, CorpusConfig};
     use rpg_engines::{EngineIndex, Query, ScholarEngine};
@@ -219,9 +212,10 @@ mod tests {
             &[survey.paper],
         )
         .unwrap();
-        let alloc = reallocate(&f.corpus, &sg, &seeds, &config);
+        let mut scratch = PipelineScratch::new();
+        let alloc = reallocate_with(&f.corpus, &sg, &seeds, &config, &mut scratch);
         let terminals = alloc.terminals(TerminalSelection::Reallocated, &config);
-        let forest = solve(&sg, &terminals).unwrap();
+        let forest = solve_with(&sg, &terminals, &mut scratch).unwrap();
         (forest, terminals, sg)
     }
 
@@ -286,7 +280,7 @@ mod tests {
     fn unknown_terminals_are_dropped_not_fatal() {
         let f = fixture();
         let (_, _, sg) = forest_for_first_survey(&f);
-        let forest = solve(&sg, &[PaperId(u32::MAX)]).unwrap();
+        let forest = solve_with(&sg, &[PaperId(u32::MAX)], &mut PipelineScratch::new()).unwrap();
         assert!(forest.is_empty());
         assert_eq!(forest.dropped_terminals, vec![PaperId(u32::MAX)]);
     }
@@ -295,7 +289,7 @@ mod tests {
     fn empty_terminal_set_yields_empty_forest() {
         let f = fixture();
         let (_, _, sg) = forest_for_first_survey(&f);
-        let forest = solve(&sg, &[]).unwrap();
+        let forest = solve_with(&sg, &[], &mut PipelineScratch::new()).unwrap();
         assert!(forest.is_empty());
         assert_eq!(forest.papers().len(), 0);
         assert_eq!(forest.total_cost(), 0.0);
@@ -305,7 +299,7 @@ mod tests {
     fn single_terminal_produces_single_node_tree() {
         let f = fixture();
         let (_, terminals, sg) = forest_for_first_survey(&f);
-        let forest = solve(&sg, &terminals[..1]).unwrap();
+        let forest = solve_with(&sg, &terminals[..1], &mut PipelineScratch::new()).unwrap();
         assert_eq!(forest.trees.len(), 1);
         assert_eq!(forest.trees[0].papers, vec![terminals[0]]);
         assert!(forest.trees[0].edges.is_empty());

@@ -70,20 +70,11 @@ impl SeedAllocation {
 
 /// Computes the co-occurrence count of every paper in the sub-graph: the
 /// number of *initial seeds* whose reference list contains it.
-/// Thin wrapper over [`cooccurrence_counts_with`] with a fresh scratch.
-pub fn cooccurrence_counts(
-    corpus: &Corpus,
-    subgraph: &SubGraph,
-    initial_seeds: &[PaperId],
-) -> HashMap<PaperId, usize> {
-    let mut scratch = PipelineScratch::new();
-    cooccurrence_counts_with(corpus, subgraph, initial_seeds, &mut scratch)
-}
-
-/// [`cooccurrence_counts`] counting into the scratch's generation-stamped
-/// dense counters (indexed by sub-graph local node id) instead of growing a
-/// `HashMap` entry by entry; only the final result — which the caller keeps
-/// in the [`SeedAllocation`] — is materialised as a map, sized exactly.
+///
+/// Counts go into the scratch's generation-stamped dense counters (indexed
+/// by sub-graph local node id) instead of growing a `HashMap` entry by
+/// entry; only the final result — which the caller keeps in the
+/// [`SeedAllocation`] — is materialised as a map, sized exactly.
 pub fn cooccurrence_counts_with(
     corpus: &Corpus,
     subgraph: &SubGraph,
@@ -123,22 +114,11 @@ pub fn cooccurrence_counts_with(
 /// 1 so the Steiner stage always has a non-trivial terminal set to work with
 /// (a behaviour needed for sparse queries; the initial seeds themselves are
 /// the final fallback).
-/// Thin wrapper over [`reallocate_with`] with a fresh scratch.
-pub fn reallocate(
-    corpus: &Corpus,
-    subgraph: &SubGraph,
-    initial_seeds: &[PaperId],
-    config: &RepagerConfig,
-) -> SeedAllocation {
-    let mut scratch = PipelineScratch::new();
-    reallocate_with(corpus, subgraph, initial_seeds, config, &mut scratch)
-}
-
-/// [`reallocate`] with a caller-provided [`PipelineScratch`]: co-occurrence
-/// counting reuses the scratch's dense stamped counters, and every
-/// threshold relaxation or seed fallback taken is recorded in the scratch's
-/// retry counter (surfaced as `realloc_retries` in
-/// [`crate::stages::StageCounters`]).
+///
+/// Co-occurrence counting reuses the scratch's dense stamped counters (see
+/// [`cooccurrence_counts_with`]), and every threshold relaxation or seed
+/// fallback taken is recorded in the scratch's retry counter (surfaced as
+/// `realloc_retries` in [`crate::stages::StageCounters`]).
 pub fn reallocate_with(
     corpus: &Corpus,
     subgraph: &SubGraph,
@@ -223,7 +203,8 @@ mod tests {
             &[survey.paper],
         )
         .unwrap();
-        (reallocate(corpus, &sg, &seeds, &config), sg)
+        let alloc = reallocate_with(corpus, &sg, &seeds, &config, &mut PipelineScratch::new());
+        (alloc, sg)
     }
 
     #[test]
@@ -312,6 +293,7 @@ mod tests {
         // topic (prerequisites) should be selectable as terminals.
         let (corpus, nw, scholar) = setup();
         let config = RepagerConfig::default();
+        let mut scratch = PipelineScratch::new();
         let mut found_cross_topic = false;
         for survey in corpus.survey_bank().iter().take(10) {
             let seeds = scholar.seed_papers(&Query {
@@ -332,7 +314,7 @@ mod tests {
                 &[survey.paper],
             )
             .unwrap();
-            let alloc = reallocate(&corpus, &sg, &seeds, &config);
+            let alloc = reallocate_with(&corpus, &sg, &seeds, &config, &mut scratch);
             let survey_topic = corpus.paper(survey.paper).unwrap().topic;
             if alloc.reallocated.iter().any(|&p| {
                 corpus
@@ -355,7 +337,7 @@ mod tests {
         let (corpus, nw, _scholar) = setup();
         let config = RepagerConfig::default();
         let sg = SubGraph::build(&corpus, &nw, &[], &config, None, &[]).unwrap();
-        let alloc = reallocate(&corpus, &sg, &[], &config);
+        let alloc = reallocate_with(&corpus, &sg, &[], &config, &mut PipelineScratch::new());
         assert!(alloc.initial.is_empty());
         assert!(alloc.reallocated.is_empty());
         assert!(alloc

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 /// The weighted sub-citation graph around a set of seed papers, with the
 /// mapping between corpus paper ids and the dense local node ids used by the
 /// graph algorithms.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SubGraph {
     /// The weighted undirected graph the Steiner machinery runs on.
     pub weighted: WeightedGraph,

@@ -1,7 +1,8 @@
 //! Hashed bag-of-features embeddings with cosine similarity.
 //!
 //! This is the offline stand-in for the paper's SciBERT matching baseline
-//! (see DESIGN.md).  Each document (or query) is embedded into a fixed-size
+//! (see the README's "Stand-ins for the paper's data and services"
+//! section).  Each document (or query) is embedded into a fixed-size
 //! dense vector by hashing its word unigrams, word bigrams and character
 //! trigrams into buckets, weighting word features by inverse document
 //! frequency learned from a fitting corpus.  Cosine similarity between query

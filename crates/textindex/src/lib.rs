@@ -14,7 +14,8 @@
 //! 3. **Semantic matching** — the SciBERT baseline scores query/paper
 //!    similarity.  [`embed`] provides a deterministic hashed bag-of-features
 //!    embedding with cosine similarity that plays the same role offline (see
-//!    DESIGN.md for the substitution rationale).
+//!    the README's "Stand-ins for the paper's data and services" section for
+//!    the substitution rationale).
 //!
 //! Everything here is corpus-agnostic: documents are just `(id, text fields)`
 //! pairs, so the module is reusable for any document collection.

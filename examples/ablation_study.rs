@@ -1,5 +1,6 @@
 //! The ablation and sensitivity studies (Table II and Table III) plus the
-//! runtime study (Table IV) on the demonstration corpus.
+//! runtime study (Table IV) on the default-scale benchmark corpus
+//! (`rpg_bench::bench_corpus()`).
 //!
 //! Run with:
 //!
@@ -7,14 +8,14 @@
 //! cargo run --release --example ablation_study
 //! ```
 
+use rpg_bench::bench_corpus;
 use rpg_corpus::LabelLevel;
 use rpg_eval::experiments::{
     table2_seed_count, table3_ablation, table4_runtime, ExperimentContext,
 };
-use rpg_repro::full_corpus;
 
 fn main() {
-    let corpus = full_corpus();
+    let corpus = bench_corpus();
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);

@@ -1,6 +1,6 @@
 //! Runs every experiment of the evaluation section in one go and prints the
-//! paper-style tables and series.  This is the program whose output is
-//! recorded in EXPERIMENTS.md.
+//! paper-style tables and series, on the default-scale benchmark corpus
+//! (`rpg_bench::bench_corpus()`, the corpus the serving benchmark serves).
 //!
 //! Run with:
 //!
@@ -8,16 +8,16 @@
 //! cargo run --release --example full_evaluation
 //! ```
 
+use rpg_bench::bench_corpus;
 use rpg_corpus::LabelLevel;
 use rpg_eval::experiments::{
     fig2_overlap, fig4_statistics, fig8_main, fig9_case_study, table2_seed_count, table3_ablation,
     table4_runtime, table5_human, ExperimentContext,
 };
-use rpg_repro::full_corpus;
 
 fn main() {
     let started = std::time::Instant::now();
-    let corpus = full_corpus();
+    let corpus = bench_corpus();
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);

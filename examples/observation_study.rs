@@ -13,11 +13,11 @@
 //! cargo run --release --example observation_study
 //! ```
 
+use rpg_bench::bench_corpus;
 use rpg_eval::experiments::{fig2_overlap, ExperimentContext};
-use rpg_repro::full_corpus;
 
 fn main() {
-    let corpus = full_corpus();
+    let corpus = bench_corpus();
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);

@@ -18,8 +18,9 @@ use rpg_repager::PipelineScratch;
 use rpg_repro::demo_artifacts;
 
 fn main() {
-    // 1+2. A synthetic scholarly corpus standing in for S2ORC (see
-    //    DESIGN.md), with its global PageRank and seed search engine built
+    // 1+2. A synthetic scholarly corpus standing in for S2ORC (see the
+    //    README's "Stand-ins for the paper's data and services" section),
+    //    with its global PageRank and seed search engine built
     //    once into shared artifacts.
     let system = demo_artifacts();
     let corpus = system.corpus();

@@ -1,6 +1,6 @@
 //! SurveyBank construction and statistics (Fig. 3, Fig. 4, Table I, Fig. 5).
 //!
-//! Builds the full-scale synthetic corpus, re-runs the dataset-construction
+//! Builds the default-scale benchmark corpus, re-runs the dataset-construction
 //! pipeline to show the per-stage attrition of Fig. 3, prints the Fig. 4
 //! distributions and the Table I topic distribution, and writes the Fig. 5
 //! citation-graph sample as Graphviz DOT to `target/citation_sample.dot`.
@@ -11,13 +11,13 @@
 //! cargo run --release --example surveybank_stats
 //! ```
 
+use rpg_bench::bench_corpus;
 use rpg_corpus::pipeline::{self, PipelineConfig};
 use rpg_eval::experiments::fig4_statistics;
 use rpg_repager::render::graph_sample_dot;
-use rpg_repro::full_corpus;
 
 fn main() {
-    let corpus = full_corpus();
+    let corpus = bench_corpus();
 
     // Fig. 3: the dataset-construction pipeline with its per-stage attrition.
     let output = pipeline::run(&corpus, &PipelineConfig::default());

@@ -22,8 +22,8 @@ use rpg_corpus::{generate, Corpus, CorpusConfig};
 use rpg_repager::CorpusArtifacts;
 use std::sync::Arc;
 
-/// Generates the small demonstration corpus used by the examples and the
-/// integration tests (about 1.2k papers, 50 surveys; deterministic).
+/// Generates the small demonstration corpus used by the quickstart example and the
+/// integration tests (about 1.2k papers, 48 surveys; deterministic).
 /// Returned behind an `Arc` so artifacts, registries and experiment
 /// contexts share it without copying.
 pub fn demo_corpus() -> Arc<Corpus> {
@@ -31,12 +31,6 @@ pub fn demo_corpus() -> Arc<Corpus> {
         seed: 0xDE40,
         ..CorpusConfig::small()
     }))
-}
-
-/// Generates the full-scale corpus used by the benchmark harness (about 5k
-/// papers, 80+ surveys; deterministic).
-pub fn full_corpus() -> Arc<Corpus> {
-    Arc::new(generate(&CorpusConfig::default()))
 }
 
 /// Builds the [`CorpusArtifacts`] of the demonstration corpus: the one-line
