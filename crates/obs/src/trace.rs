@@ -155,9 +155,9 @@ impl SpanRecorder {
         &self.spans
     }
 
-    /// Consumes the recorder, returning its spans.
-    pub fn into_spans(self) -> Vec<Span> {
-        self.spans
+    /// Moves the spans out, leaving the recorder empty.
+    pub fn take_spans(&mut self) -> Vec<Span> {
+        std::mem::take(&mut self.spans)
     }
 }
 
@@ -343,6 +343,9 @@ mod tests {
         assert_eq!(spans[2].name, "stage:seed");
         assert_eq!(spans[2].parent, Some(compute));
         assert!(spans[2].start >= spans[compute].start);
+        let taken = recorder.take_spans();
+        assert_eq!(taken.len(), 3);
+        assert!(recorder.spans().is_empty());
     }
 
     #[test]

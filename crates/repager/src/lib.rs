@@ -38,7 +38,6 @@ pub mod render;
 pub mod scratch;
 pub mod seeds;
 pub mod stages;
-pub mod stats;
 pub mod subgraph;
 pub mod system;
 pub mod variants;
@@ -49,6 +48,5 @@ pub use config::{ConfigError, RepagerConfig};
 pub use path::ReadingPath;
 pub use scratch::PipelineScratch;
 pub use stages::{Stage, StageContext, StageCounters, StageTimings};
-pub use stats::TimingAggregate;
 pub use system::{RepagerError, RepagerOutput};
 pub use variants::Variant;

@@ -26,6 +26,32 @@ use rpg_graph::GraphError;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
+/// How one pipeline stage is named: a row of [`STAGES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StageName {
+    /// The name in timings, diagnostics and metric labels.
+    pub name: &'static str,
+    /// The name of the stage's trace span, `stage:<name>`.
+    pub span: &'static str,
+}
+
+impl StageName {
+    const fn new(name: &'static str, span: &'static str) -> StageName {
+        StageName { name, span }
+    }
+}
+
+/// The five stages in pipeline order, and the one place their names are
+/// written: [`Stage::name`], [`StageTimings::stages`], the stage spans and
+/// the server's per-stage metric labels all read this table.
+pub const STAGES: [StageName; 5] = [
+    StageName::new("seed", "stage:seed"),
+    StageName::new("subgraph", "stage:subgraph"),
+    StageName::new("realloc", "stage:realloc"),
+    StageName::new("steiner", "stage:steiner"),
+    StageName::new("render", "stage:render"),
+];
+
 /// Work counters of one pipeline run, recorded alongside the stage
 /// durations.
 ///
@@ -54,24 +80,18 @@ impl StageCounters {
     /// Field-wise difference (`self - earlier`) between two cumulative
     /// snapshots.
     pub fn since(&self, earlier: &StageCounters) -> StageCounters {
-        StageCounters {
-            steiner_runs: self.steiner_runs - earlier.steiner_runs,
-            steiner_paths_expanded: self.steiner_paths_expanded - earlier.steiner_paths_expanded,
-            steiner_paths_skipped: self.steiner_paths_skipped - earlier.steiner_paths_skipped,
-            steiner_pruned_leaves: self.steiner_pruned_leaves - earlier.steiner_pruned_leaves,
-            scratch_allocations: self.scratch_allocations - earlier.scratch_allocations,
-            realloc_retries: self.realloc_retries - earlier.realloc_retries,
+        let mut delta = *self;
+        for (field, (_, before)) in delta.fields_mut().into_iter().zip(earlier.fields()) {
+            *field -= before;
         }
+        delta
     }
 
     /// Field-wise sum, for service-level aggregation.
     pub fn add(&mut self, other: &StageCounters) {
-        self.steiner_runs += other.steiner_runs;
-        self.steiner_paths_expanded += other.steiner_paths_expanded;
-        self.steiner_paths_skipped += other.steiner_paths_skipped;
-        self.steiner_pruned_leaves += other.steiner_pruned_leaves;
-        self.scratch_allocations += other.scratch_allocations;
-        self.realloc_retries += other.realloc_retries;
+        for (field, (_, value)) in self.fields_mut().into_iter().zip(other.fields()) {
+            *field += value;
+        }
     }
 
     /// The counters, labelled, in a stable reporting order.
@@ -83,6 +103,18 @@ impl StageCounters {
             ("steiner_pruned_leaves", self.steiner_pruned_leaves),
             ("scratch_allocations", self.scratch_allocations),
             ("realloc_retries", self.realloc_retries),
+        ]
+    }
+
+    /// The counters in [`fields`](Self::fields) order, to write field-wise.
+    pub fn fields_mut(&mut self) -> [&mut u64; 6] {
+        [
+            &mut self.steiner_runs,
+            &mut self.steiner_paths_expanded,
+            &mut self.steiner_paths_skipped,
+            &mut self.steiner_pruned_leaves,
+            &mut self.scratch_allocations,
+            &mut self.realloc_retries,
         ]
     }
 }
@@ -114,12 +146,25 @@ pub struct StageTimings {
 impl StageTimings {
     /// The five per-stage durations, labelled, in pipeline order.
     pub fn stages(&self) -> [(&'static str, Duration); 5] {
+        let durations = [
+            self.seed,
+            self.subgraph,
+            self.realloc,
+            self.steiner,
+            self.render,
+        ];
+        std::array::from_fn(|i| (STAGES[i].name, durations[i]))
+    }
+
+    /// The five per-stage durations in pipeline order, to write
+    /// stage-wise.
+    pub fn stages_mut(&mut self) -> [&mut Duration; 5] {
         [
-            ("seed", self.seed),
-            ("subgraph", self.subgraph),
-            ("realloc", self.realloc),
-            ("steiner", self.steiner),
-            ("render", self.render),
+            &mut self.seed,
+            &mut self.subgraph,
+            &mut self.realloc,
+            &mut self.steiner,
+            &mut self.render,
         ]
     }
 
@@ -154,9 +199,13 @@ pub trait Stage {
     type Input;
     /// What the stage produces.
     type Output;
+    /// The stage's row of [`STAGES`].
+    const NAME: StageName;
 
     /// The stage name as reported in timings and diagnostics.
-    fn name(&self) -> &'static str;
+    fn name(&self) -> &'static str {
+        Self::NAME.name
+    }
 
     /// Runs the stage.
     fn run(
@@ -172,10 +221,7 @@ pub struct SeedStage;
 impl Stage for SeedStage {
     type Input = ();
     type Output = Vec<PaperId>;
-
-    fn name(&self) -> &'static str {
-        "seed"
-    }
+    const NAME: StageName = STAGES[0];
 
     fn run(&self, cx: &mut StageContext<'_>, _input: ()) -> Result<Vec<PaperId>, GraphError> {
         Ok(cx.scholar.seed_papers(&Query {
@@ -201,10 +247,7 @@ pub struct SubgraphStage;
 impl Stage for SubgraphStage {
     type Input = Vec<PaperId>;
     type Output = SubgraphStageOutput;
-
-    fn name(&self) -> &'static str {
-        "subgraph"
-    }
+    const NAME: StageName = STAGES[1];
 
     fn run(
         &self,
@@ -239,10 +282,7 @@ pub struct ReallocStage;
 impl Stage for ReallocStage {
     type Input = SubgraphStageOutput;
     type Output = ReallocStageOutput;
-
-    fn name(&self) -> &'static str {
-        "realloc"
-    }
+    const NAME: StageName = STAGES[2];
 
     fn run(
         &self,
@@ -278,10 +318,7 @@ pub struct SteinerStage;
 impl Stage for SteinerStage {
     type Input = ReallocStageOutput;
     type Output = SteinerStageOutput;
-
-    fn name(&self) -> &'static str {
-        "steiner"
-    }
+    const NAME: StageName = STAGES[3];
 
     fn run(
         &self,
@@ -314,10 +351,7 @@ pub struct RenderStage;
 impl Stage for RenderStage {
     type Input = SteinerStageOutput;
     type Output = RepagerOutput;
-
-    fn name(&self) -> &'static str {
-        "render"
-    }
+    const NAME: StageName = STAGES[4];
 
     fn run(
         &self,
@@ -406,19 +440,19 @@ fn ordered_float(x: f64) -> u64 {
 }
 
 /// Runs one stage, filling its timing slot and — when the scratch has a
-/// span recorder armed — recording a `stage:<name>` span under the
-/// caller's compute span. Spans are recorded even when the stage errors,
-/// so a failed request's trace still shows where the time went.
-fn timed_stage<T, E>(
+/// span recorder armed — recording the stage's span under the caller's
+/// compute span. Spans are recorded even when the stage errors, so a
+/// failed request's trace still shows where the time went.
+fn timed_stage<S: Stage>(
     cx: &mut StageContext<'_>,
     slot: &mut Duration,
-    span: &'static str,
-    f: impl FnOnce(&mut StageContext<'_>) -> Result<T, E>,
-) -> Result<T, E> {
+    stage: S,
+    input: S::Input,
+) -> Result<S::Output, GraphError> {
     let started = Instant::now();
-    let out = f(cx);
+    let out = stage.run(cx, input);
     *slot = started.elapsed();
-    cx.scratch.record_span(span, started);
+    cx.scratch.record_span(S::NAME.span, started);
     out
 }
 
@@ -446,9 +480,7 @@ pub fn run_pipeline(cx: &mut StageContext<'_>) -> Result<RepagerOutput, RepagerE
     let mut timings = StageTimings::default();
     let counters_before = cx.scratch.counters();
 
-    let seeds = timed_stage(cx, &mut timings.seed, "stage:seed", |cx| {
-        SeedStage.run(cx, ())
-    })?;
+    let seeds = timed_stage(cx, &mut timings.seed, SeedStage, ())?;
     if seeds.is_empty() {
         // No seeds: every downstream stage would be a no-op, so short-circuit
         // with an empty output (stage timings for the skipped stages stay 0).
@@ -469,21 +501,13 @@ pub fn run_pipeline(cx: &mut StageContext<'_>) -> Result<RepagerOutput, RepagerE
     }
 
     deadline_gate(cx)?;
-    let subgraph = timed_stage(cx, &mut timings.subgraph, "stage:subgraph", |cx| {
-        SubgraphStage.run(cx, seeds)
-    })?;
+    let subgraph = timed_stage(cx, &mut timings.subgraph, SubgraphStage, seeds)?;
     deadline_gate(cx)?;
-    let realloc = timed_stage(cx, &mut timings.realloc, "stage:realloc", |cx| {
-        ReallocStage.run(cx, subgraph)
-    })?;
+    let realloc = timed_stage(cx, &mut timings.realloc, ReallocStage, subgraph)?;
     deadline_gate(cx)?;
-    let steiner = timed_stage(cx, &mut timings.steiner, "stage:steiner", |cx| {
-        SteinerStage.run(cx, realloc)
-    })?;
+    let steiner = timed_stage(cx, &mut timings.steiner, SteinerStage, realloc)?;
     deadline_gate(cx)?;
-    let mut output = timed_stage(cx, &mut timings.render, "stage:render", |cx| {
-        RenderStage.run(cx, steiner)
-    })?;
+    let mut output = timed_stage(cx, &mut timings.render, RenderStage, steiner)?;
 
     timings.counters = cx.scratch.counters().since(&counters_before);
     timings.total = started.elapsed();
@@ -505,6 +529,9 @@ mod tests {
         let timings = StageTimings::default();
         let labels: Vec<&str> = timings.stages().iter().map(|(n, _)| *n).collect();
         assert_eq!(labels, ["seed", "subgraph", "realloc", "steiner", "render"]);
+        for row in STAGES {
+            assert_eq!(row.span, format!("stage:{}", row.name));
+        }
     }
 
     #[test]

@@ -6,12 +6,10 @@
 //! functions ([`request`], [`post_json`], [`get`]) are one-shot — they send
 //! `Connection: close` and read to end-of-stream — while [`Conn`] holds a
 //! persistent keep-alive connection and frames responses by
-//! `Content-Length`, so many exchanges ride one TCP connection. [`Pool`]
-//! keeps idle `Conn`s for reuse across call sites.
+//! `Content-Length`, so many exchanges ride one TCP connection.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// A parsed HTTP response.
@@ -190,93 +188,8 @@ impl Conn {
     }
 }
 
-/// A pool of idle persistent connections to one server.
-///
-/// `request` reuses an idle connection when one exists, reconnecting
-/// transparently when the pooled one has gone stale (e.g. the server's
-/// idle timeout closed it between exchanges).
-pub struct Pool {
-    addr: SocketAddr,
-    idle: Mutex<Vec<Conn>>,
-}
-
-impl Pool {
-    /// An empty pool for the given server address.
-    pub fn new(addr: SocketAddr) -> Pool {
-        Pool {
-            addr,
-            idle: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Issues a request over a pooled connection, returning the connection
-    /// to the pool afterwards unless the server announced a close.
-    pub fn request(
-        &self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> std::io::Result<ClientResponse> {
-        let pooled = self.idle.lock().unwrap().pop();
-        let (mut conn, fresh) = match pooled {
-            Some(conn) => (conn, false),
-            None => (Conn::connect(self.addr)?, true),
-        };
-        let result = conn.request(method, path, body);
-        let result = match result {
-            Ok(response) => Ok(response),
-            // A stale pooled connection fails on reuse (the server closed
-            // it while idle); retry once on a fresh one — but only for
-            // failures where the server cannot have processed the request
-            // (closed/reset before a response byte). A timeout means the
-            // request may be executing: retrying would run it twice.
-            Err(e) if !fresh && is_stale_connection(&e) => {
-                conn = Conn::connect(self.addr)?;
-                conn.request(method, path, body)
-            }
-            Err(e) => Err(e),
-        };
-        if let Ok(response) = &result {
-            if !response.closes_connection() {
-                self.idle.lock().unwrap().push(conn);
-            }
-        }
-        result
-    }
-
-    /// Shorthand for `POST` with a JSON body.
-    pub fn post_json(&self, path: &str, body: &str) -> std::io::Result<ClientResponse> {
-        self.request("POST", path, Some(body))
-    }
-
-    /// Shorthand for a body-less `GET`.
-    pub fn get(&self, path: &str) -> std::io::Result<ClientResponse> {
-        self.request("GET", path, None)
-    }
-
-    /// Idle connections currently pooled.
-    pub fn idle_connections(&self) -> usize {
-        self.idle.lock().unwrap().len()
-    }
-}
-
 fn invalid(reason: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, reason.to_string())
-}
-
-/// The error kinds a dead-but-pooled connection produces when reused:
-/// either the write hits the closed socket, or the read sees the server's
-/// FIN/RST before any response byte. Anything else (timeouts above all)
-/// means the request may have reached the server.
-fn is_stale_connection(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::ConnectionAborted
-            | std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::BrokenPipe
-            | std::io::ErrorKind::NotConnected
-            | std::io::ErrorKind::UnexpectedEof
-    )
 }
 
 /// Finds `\r\n\r\n`, only scanning bytes past `*scanned` (minus a 3-byte
@@ -312,7 +225,7 @@ pub fn read_response<R: Read>(
             let n = reader.read(&mut chunk)?;
             if n == 0 {
                 // Zero response bytes = the peer closed before seeing the
-                // request (a stale pooled connection); a partial head means
+                // request (a stale keep-alive connection); a partial head means
                 // it died mid-response, which is a different failure.
                 return Err(if buf.is_empty() {
                     std::io::Error::new(

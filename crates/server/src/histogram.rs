@@ -62,6 +62,11 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
+    /// Sum of the samples recorded so far.
+    pub fn sum(&self) -> Duration {
+        Duration::from_nanos(self.sum_ns.load(Ordering::Relaxed))
+    }
+
     /// Mean sample, `None` while empty.
     pub fn mean(&self) -> Option<Duration> {
         let count = self.count();

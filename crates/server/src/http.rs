@@ -17,9 +17,9 @@
 //! reports how far it got ([`Parse::NeedHead`] / [`Parse::NeedBody`]) without
 //! blocking, which is what the event-driven connection loop needs — under
 //! `poll` every request arrives in arbitrary fragments. [`RequestReader`]
-//! wraps a buffer plus any [`Read`] into the blocking pull API the
-//! in-process client and the unit tests use; both paths share every byte of
-//! parsing logic.
+//! wraps a buffer plus any [`Read`] into a blocking pull API, which this
+//! module's unit tests drive; both share every byte of parsing logic with
+//! the event loop.
 
 use std::io::{self, Read, Write};
 
@@ -379,9 +379,9 @@ impl RequestBuffer {
 }
 
 /// Reads HTTP/1.1 requests off one blocking connection, retaining excess
-/// bytes — the pull-API wrapper over [`RequestBuffer`] used by unit tests
-/// and blocking callers. Each call to [`RequestReader::read_request`]
-/// consumes exactly one request's bytes from the internal buffer.
+/// bytes — the pull-API wrapper over [`RequestBuffer`] that this module's
+/// unit tests drive. Each call to [`RequestReader::read_request`] consumes
+/// exactly one request's bytes from the internal buffer.
 pub struct RequestReader<R> {
     reader: R,
     buf: RequestBuffer,

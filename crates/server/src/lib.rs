@@ -82,6 +82,7 @@ pub mod histogram;
 pub mod http;
 pub mod queue;
 mod serve;
+mod stats;
 mod sys;
 
 pub use api::{BatchRequest, GenerateRequest};

@@ -51,6 +51,7 @@ use crate::auth::{bearer_token, AuthTable, Principal, StoredKey};
 use crate::histogram::TenantMetrics;
 use crate::http::{self, Limits, Parse, Request, RequestBuffer, Response, ResponseEmitter};
 use crate::queue::{Bounded, FairQueue, Rejection};
+use crate::stats::{self, PipelineMetrics};
 use crate::sys::{
     self, Event, IoBackend, IoBackendChoice, Poller, WakePipe, POLLERR, POLLHUP, POLLIN, POLLNVAL,
     POLLOUT, POLLRDHUP,
@@ -61,7 +62,6 @@ use rpg_obs::trace::{
     unix_ms_now, SharedRecorder, Span, SpanRecorder, StageTrace, TraceId, TraceLog, TraceRecord,
 };
 use rpg_repager::system::RepagerError;
-use rpg_repager::TimingAggregate;
 use rpg_service::{
     snapshot, valid_tenant_name, CachedResult, CorpusRegistry, Manifest, ManifestDiff,
     RegistryError, Served, TenantConfig,
@@ -337,8 +337,8 @@ pub struct StatsSnapshot {
     pub client_errors: u64,
     /// `5xx` responses.
     pub server_errors: u64,
-    /// Aggregated pipeline timings over every fresh (non-cached) run.
-    pub pipeline: TimingAggregate,
+    /// Fresh (non-cached) pipeline runs recorded.
+    pub pipeline_runs: u64,
 }
 
 /// The server-wide counters, every one a handle into the shared
@@ -359,7 +359,7 @@ struct Counters {
     cache_hits: Counter,
     cache_misses: Counter,
     cache_entries: Gauge,
-    timings: Mutex<TimingAggregate>,
+    pipeline: PipelineMetrics,
 }
 
 impl Counters {
@@ -415,7 +415,7 @@ impl Counters {
                 "Results currently held by the shared LRU cache.",
                 &[],
             ),
-            timings: Mutex::new(TimingAggregate::default()),
+            pipeline: PipelineMetrics::registered(registry),
         }
     }
 }
@@ -902,7 +902,7 @@ impl Server {
             ok,
             client_errors,
             server_errors,
-            pipeline: *counters.timings.lock().unwrap(),
+            pipeline_runs: counters.pipeline.runs(),
         }
     }
 
@@ -1813,9 +1813,10 @@ fn record_response(shared: &Shared, status: u16) {
     };
 }
 
-/// Completes a request's trace once its response fully drained: stamps the
-/// `response_write` span and, when the request was slow enough for its
-/// tenant's threshold, retains it as an exemplar in the trace ring.
+/// Completes a request's trace once its response fully drained: when the
+/// request was slow enough for its tenant's threshold, stamps the
+/// `response_write` span and moves the spans into the trace ring as an
+/// exemplar.
 fn finish_trace(conn: &mut Connection, shared: &Shared, now: Instant) {
     let Some(trace) = conn.trace.take() else {
         return;
@@ -1824,13 +1825,6 @@ fn finish_trace(conn: &mut Connection, shared: &Shared, now: Instant) {
         return;
     };
     let latency = now.saturating_duration_since(trace.started);
-    let spans = match recorder.lock() {
-        Ok(mut rec) => {
-            rec.record_between(None, "response_write", trace.write_started, now);
-            rec.spans().to_vec()
-        }
-        Err(_) => return,
-    };
     let threshold_ms = trace
         .tenant
         .as_deref()
@@ -1839,6 +1833,13 @@ fn finish_trace(conn: &mut Connection, shared: &Shared, now: Instant) {
     if latency < Duration::from_millis(threshold_ms) {
         return;
     }
+    let spans = match recorder.lock() {
+        Ok(mut rec) => {
+            rec.record_between(None, "response_write", trace.write_started, now);
+            rec.take_spans()
+        }
+        Err(_) => return,
+    };
     shared.trace_log.push(TraceRecord {
         id: trace.id,
         tenant: trace.tenant,
@@ -3007,12 +3008,7 @@ fn run_resolved(
             registry_error(e)
         })?;
     if !served.cached {
-        shared
-            .counters
-            .timings
-            .lock()
-            .unwrap()
-            .record(&served.output.timings);
+        shared.counters.pipeline.record(&served.output.timings);
     }
     Ok(served)
 }
@@ -3212,7 +3208,7 @@ fn handle_healthz(shared: &Shared) -> Response {
 fn handle_stats(shared: &Shared) -> Response {
     let counters = &shared.counters;
     let cache = shared.registry.cache_stats();
-    let aggregate = *counters.timings.lock().unwrap();
+    let (runs, sums) = (counters.pipeline.runs(), counters.pipeline.sums());
     let count = |counter: &Counter| Value::Number(counter.get() as f64);
     let handled = counters.ok.get() + counters.client_errors.get() + counters.server_errors.get();
     json_200(&Value::Object(vec![
@@ -3261,12 +3257,9 @@ fn handle_stats(shared: &Shared) -> Response {
         (
             "pipeline".to_string(),
             Value::Object(vec![
-                (
-                    "requests".to_string(),
-                    Value::Number(aggregate.requests as f64),
-                ),
-                ("sum".to_string(), timings_value(&aggregate.sums)),
-                ("mean".to_string(), timings_value(&aggregate.means())),
+                ("requests".to_string(), Value::Number(runs as f64)),
+                ("sum".to_string(), timings_value(&sums)),
+                ("mean".to_string(), timings_value(&stats::mean(&sums, runs))),
             ]),
         ),
         ("tenants".to_string(), tenants_value(shared)),

@@ -114,7 +114,7 @@ impl TestServer {
             server_errors: raw
                 .server_errors
                 .saturating_sub(self.baseline.server_errors),
-            pipeline: raw.pipeline,
+            pipeline_runs: raw.pipeline_runs,
         }
     }
 }

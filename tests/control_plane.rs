@@ -740,7 +740,7 @@ fn mid_compute_hangup_cancels_queued_work() {
     }
     let stats = server.stats();
     assert_eq!(
-        stats.pipeline.requests, 1,
+        stats.pipeline_runs, 1,
         "only the plug ran the pipeline — the abandoned request was cancelled before compute"
     );
     assert_eq!(stats.server_errors, 0, "no doomed write, no 5xx");
@@ -803,7 +803,7 @@ fn mid_compute_half_close_still_gets_its_reply() {
     plug.join().unwrap();
 
     let stats = server.stats();
-    assert_eq!(stats.pipeline.requests, 2, "both requests computed");
+    assert_eq!(stats.pipeline_runs, 2, "both requests computed");
     let tenants = parse(&client::get(addr, "/v1/stats").unwrap().body);
     let row = tenants
         .get("tenants")
@@ -859,7 +859,7 @@ fn expired_deadlines_shed_queued_work_with_a_503() {
 
     let stats = server.stats();
     assert_eq!(
-        stats.pipeline.requests, 1,
+        stats.pipeline_runs, 1,
         "the shed request never reached the pipeline"
     );
     // The tenant metrics expose the shed and the plug's recorded latency
@@ -1181,10 +1181,7 @@ fn cache_hits_are_answered_past_a_full_queue_while_misses_get_429() {
     plug.join().unwrap();
     let stats = server.stats();
     assert_eq!(stats.throttled, 1);
-    assert_eq!(
-        stats.pipeline.requests, 2,
-        "only the plug and the filler ran"
-    );
+    assert_eq!(stats.pipeline_runs, 2, "only the plug and the filler ran");
 }
 
 #[test]

@@ -379,7 +379,7 @@ fn abandonment_storm_is_cancelled_not_computed() {
     }
     let stats = server.stats();
     assert_eq!(
-        stats.pipeline.requests, 1,
+        stats.pipeline_runs, 1,
         "only the plug computed; the storm was cancelled"
     );
     let row = tenant_row(addr, "default");

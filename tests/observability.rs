@@ -193,6 +193,43 @@ fn metrics_exposition_is_lint_clean_and_agrees_with_stats() {
     )
     .expect("latency histogram rendered");
     assert_eq!(latency_count, 3.0);
+
+    // The three identical generates made one pipeline run (the other two
+    // were cache hits), and `/v1/stats`'s pipeline block reads the same
+    // series `/metrics` renders.
+    let pipeline = stats.get("pipeline").expect("pipeline section");
+    let sum = pipeline.get("sum").expect("pipeline sums");
+    assert_eq!(pipeline.get("requests").and_then(Value::as_f64), Some(1.0));
+    assert_eq!(
+        sample_value(&scrape.body, "rpg_pipeline_seconds_count"),
+        Some(1.0)
+    );
+    assert_eq!(server.stats().pipeline_runs, 1);
+    for stage in ["seed", "subgraph", "realloc", "steiner", "render"] {
+        let series = format!("rpg_stage_seconds_sum{{stage=\"{stage}\"}}");
+        let metric_us = sample_value(&scrape.body, &series)
+            .unwrap_or_else(|| panic!("{series} rendered"))
+            * 1e6;
+        let stats_us = sum
+            .get(&format!("{stage}_us"))
+            .and_then(Value::as_f64)
+            .unwrap();
+        assert!(
+            (metric_us - stats_us).abs() <= 1.0,
+            "{stage}: /metrics {metric_us} µs, /v1/stats {stats_us} µs"
+        );
+    }
+    let steiner_runs = sum
+        .get("counters")
+        .and_then(|c| c.get("steiner_runs"))
+        .and_then(Value::as_f64);
+    assert_eq!(
+        sample_value(
+            &scrape.body,
+            "rpg_pipeline_work_total{counter=\"steiner_runs\"}"
+        ),
+        steiner_runs
+    );
 }
 
 #[test]

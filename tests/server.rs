@@ -88,7 +88,7 @@ fn concurrent_clients_get_byte_identical_json_to_in_process_generation() {
     let stats = server.stats();
     assert_eq!(stats.ok, 12, "3 clients x 4 queries, all served");
     assert_eq!(stats.rejected, 0);
-    assert!(stats.pipeline.requests >= 4, "fresh runs must be recorded");
+    assert!(stats.pipeline_runs >= 4, "fresh runs must be recorded");
 }
 
 /// The raw `result` text of a `/v1/generate` body, cut out without
