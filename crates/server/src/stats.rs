@@ -194,4 +194,71 @@ mod tests {
         assert!(text.contains("rpg_pipeline_work_total{counter=\"scratch_allocations\"} 5\n"));
         assert!(rpg_obs::promlint::lint(&text).is_empty());
     }
+
+    /// The whole exposition of a fresh registry, byte for byte: each `le`
+    /// is 2^(i+1) ns in seconds, counts are cumulative, trailing empty
+    /// buckets are trimmed, the overflow bucket shows only through `+Inf`,
+    /// and `_sum` is the nanosecond sum over 1e9.
+    #[test]
+    fn exposition_bytes_are_pinned() {
+        let registry = MetricsRegistry::new();
+        registry
+            .counter("rpg_a_total", "A.", &[("tenant", "t")])
+            .add(3);
+        registry.gauge("rpg_b", "B.", &[]).set(-2);
+        let c = Arc::new(Histogram::new());
+        registry.register_histogram("rpg_c_seconds", "C.", &[("tenant", "t")], c.clone());
+        registry.register_histogram("rpg_d_seconds", "D.", &[], Arc::new(Histogram::new()));
+        for ns in [0, 1, 3, 3, 1_500, 2_000_000, 123_456_789] {
+            c.record(Duration::from_nanos(ns));
+        }
+        c.record(Duration::from_secs(200_000));
+        assert_eq!(registry.render(), EXPOSITION);
+    }
+
+    const EXPOSITION: &str = "\
+# HELP rpg_a_total A.
+# TYPE rpg_a_total counter
+rpg_a_total{tenant=\"t\"} 3
+# HELP rpg_b B.
+# TYPE rpg_b gauge
+rpg_b -2
+# HELP rpg_c_seconds C.
+# TYPE rpg_c_seconds histogram
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000002\"} 2
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000004\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000008\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000016\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000032\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000064\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000128\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000256\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000512\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000001024\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000002048\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000004096\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000008192\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000016384\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000032768\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000065536\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000131072\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000262144\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000524288\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.001048576\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.002097152\"} 6
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.004194304\"} 6
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.008388608\"} 6
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.016777216\"} 6
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.033554432\"} 6
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.067108864\"} 6
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.134217728\"} 7
+rpg_c_seconds_bucket{tenant=\"t\",le=\"+Inf\"} 8
+rpg_c_seconds_sum{tenant=\"t\"} 200000.125458296
+rpg_c_seconds_count{tenant=\"t\"} 8
+# HELP rpg_d_seconds D.
+# TYPE rpg_d_seconds histogram
+rpg_d_seconds_bucket{le=\"+Inf\"} 0
+rpg_d_seconds_sum 0
+rpg_d_seconds_count 0
+";
 }
