@@ -1,17 +1,10 @@
-//! Lock-cheap latency histograms for per-tenant overload observability.
-//!
-//! [`Histogram`] is a fixed array of power-of-two latency buckets updated
-//! with relaxed atomics: recording a sample is one `leading_zeros` and one
-//! `fetch_add`, cheap enough to sit on every request's reply path without
-//! contending the compute workers. Quantiles are read by walking the bucket
-//! counts — approximate (a quantile resolves to its bucket's upper bound,
-//! at worst 2x the true value) but monotone and allocation-free, which is
-//! exactly what `/v1/stats` needs to prove "the quiet tenant's p99 stayed
-//! flat" without perturbing the workload being measured.
+//! The log₂ duration histogram: the registry's third series type, next
+//! to [`Counter`](crate::metrics::Counter) and
+//! [`Gauge`](crate::metrics::Gauge), and exported as
+//! [`crate::metrics::Histogram`].
 
-use rpg_obs::metrics::{Counter, HistogramSnapshot, HistogramSource, MetricsRegistry};
+use crate::metrics::{format_f64, sample_line};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Bucket count: bucket `i` holds samples in `[2^i, 2^(i+1))` nanoseconds,
@@ -20,6 +13,17 @@ use std::time::Duration;
 const BUCKETS: usize = 48;
 
 /// A log2-bucketed histogram of durations, safe for concurrent recording.
+///
+/// A fixed array of power-of-two buckets updated with relaxed atomics:
+/// recording a sample is one `leading_zeros` and one `fetch_add`, cheap
+/// enough to sit on every request's reply path without contending the
+/// compute workers. Quantiles are read by walking the bucket counts —
+/// approximate (a quantile resolves to its bucket's upper bound, at worst
+/// 2x the true value) but monotone and allocation-free, so `/v1/stats` can
+/// show that a quiet tenant's p99 stayed flat without perturbing the
+/// workload being measured. Get one from
+/// [`MetricsRegistry::histogram`](crate::metrics::MetricsRegistry::histogram),
+/// which renders it on every scrape.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -108,104 +112,42 @@ impl Histogram {
             (1u64 << (i + 1)) - 1
         }
     }
-}
 
-impl HistogramSource for Histogram {
-    /// The Prometheus view of this histogram: the log₂ bucket upper bounds
-    /// become `le` bounds (in seconds), counts become cumulative, and
-    /// trailing empty buckets are trimmed (their mass, if any raced in, is
-    /// still covered by the `+Inf` bucket rendered from `count`). The
-    /// all-overflowing last bucket has no honest finite bound, so it also
-    /// folds into `+Inf`.
-    fn snapshot(&self) -> HistogramSnapshot {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+    /// Appends the Prometheus view of this histogram: the log₂ bucket
+    /// upper bounds become `le` bounds (in seconds), counts become
+    /// cumulative, and trailing empty buckets are trimmed. The
+    /// all-overflowing last bucket has no honest finite bound, so its mass
+    /// shows only through `+Inf`. Copies the counts to the stack, never to
+    /// the heap.
+    pub(crate) fn render(&self, out: &mut String, name: &str, label_block: &str) {
+        let counts: [u64; BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         let highest = counts[..BUCKETS - 1]
             .iter()
             .rposition(|&c| c > 0)
             .map_or(0, |i| i + 1);
         let mut cumulative = 0u64;
-        let buckets = counts[..highest]
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                cumulative += c;
-                (2f64.powi(i as i32 + 1) / 1e9, cumulative)
-            })
-            .collect();
-        HistogramSnapshot {
-            buckets,
-            sum_seconds: self.sum_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            count: self.count(),
+        for (i, count) in counts[..highest].iter().enumerate() {
+            cumulative += count;
+            let le = format_f64(2f64.powi(i as i32 + 1) / 1e9);
+            let value = cumulative.to_string();
+            sample_line(out, name, "_bucket", label_block, &[("le", &le)], &value);
         }
-    }
-}
-
-/// Per-tenant overload counters: the latency histogram plus how often the
-/// tenant's work was shed by a deadline (blown before compute, or
-/// mid-compute between pipeline stages) or cancelled mid-flight (client
-/// gone).
-///
-/// Every field is a handle into the server's shared
-/// [`MetricsRegistry`], registered with a `tenant` label — `/v1/stats`
-/// and `/metrics` read the very same atomics the request path bumps.
-#[derive(Debug)]
-pub struct TenantMetrics {
-    /// Admission-to-reply latency of completed requests.
-    pub latency: Arc<Histogram>,
-    /// Requests dropped by a deadline check — before compute or between
-    /// pipeline stages (every mid-compute shed also counts here, so this
-    /// stays the tenant's total).
-    pub shed: Counter,
-    /// The subset of `shed` whose deadline blew *mid-compute*: the
-    /// pipeline had already started and dropped its remaining stages at an
-    /// inter-stage check.
-    pub shed_mid_compute: Counter,
-    /// Requests whose compute was cancelled by client abandonment.
-    pub cancelled: Counter,
-}
-
-impl TenantMetrics {
-    /// Creates this tenant's metric handles inside `registry`, labelled
-    /// `tenant=<name>`. Called lazily on the tenant's first request;
-    /// re-registration after a manifest reload re-binds the histogram to
-    /// the same family and returns the existing counter atomics.
-    pub fn registered(registry: &MetricsRegistry, tenant: &str) -> TenantMetrics {
-        let labels = &[("tenant", tenant)];
-        let latency = Arc::new(Histogram::new());
-        registry.register_histogram(
-            "rpg_request_latency_seconds",
-            "Admission-to-reply latency of completed requests.",
-            labels,
-            latency.clone(),
-        );
-        TenantMetrics {
-            latency,
-            shed: registry.counter(
-                "rpg_requests_shed_total",
-                "Requests dropped by a deadline check, queued or mid-compute.",
-                labels,
-            ),
-            shed_mid_compute: registry.counter(
-                "rpg_requests_shed_mid_compute_total",
-                "Deadline sheds that happened between pipeline stages.",
-                labels,
-            ),
-            cancelled: registry.counter(
-                "rpg_requests_cancelled_total",
-                "Requests whose compute was cancelled by client abandonment.",
-                labels,
-            ),
-        }
+        let sum = self.sum_ns.load(Ordering::Relaxed) as f64 / 1e9;
+        // A torn relaxed read can leave `count` behind the buckets: the
+        // larger of the two keeps `+Inf` and `_count` consistent.
+        let total = self.count().max(cumulative).to_string();
+        sample_line(out, name, "_bucket", label_block, &[("le", "+Inf")], &total);
+        sample_line(out, name, "_sum", label_block, &[], &format_f64(sum));
+        sample_line(out, name, "_count", label_block, &[], &total);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricsRegistry;
+    use std::sync::Arc;
 
     #[test]
     fn empty_histogram_has_no_quantiles() {
@@ -244,33 +186,58 @@ mod tests {
         assert!(h.mean().is_some());
     }
 
+    /// The sample lines a registry holding one histogram `h` renders.
+    fn rendered(registry: &MetricsRegistry) -> Vec<String> {
+        let text = registry.render();
+        assert_eq!(crate::promlint::lint(&text), Vec::<String>::new());
+        text.lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(str::to_string)
+            .collect()
+    }
+
     #[test]
     fn snapshot_is_cumulative_and_trimmed() {
-        use rpg_obs::metrics::HistogramSource;
-        let h = Histogram::new();
-        assert_eq!(h.snapshot().buckets, Vec::new(), "empty → no buckets");
+        let registry = MetricsRegistry::new();
+        let h = registry.histogram("h", "H.", &[]);
+        assert_eq!(
+            rendered(&registry),
+            ["h_bucket{le=\"+Inf\"} 0", "h_sum 0", "h_count 0"],
+            "empty → no finite buckets"
+        );
         h.record(Duration::from_nanos(1)); // bucket 0
         h.record(Duration::from_nanos(3)); // bucket 1
         h.record(Duration::from_nanos(3)); // bucket 1
-        let snap = h.snapshot();
+
         // Buckets are cumulative, bounds in seconds, trailing zeros trimmed.
-        assert_eq!(snap.count, 3);
-        assert_eq!(snap.buckets.len(), 2);
-        assert_eq!(snap.buckets[0], (2e-9, 1));
-        assert_eq!(snap.buckets[1], (4e-9, 3));
-        assert!((snap.sum_seconds - 7e-9).abs() < 1e-15);
+        assert_eq!(
+            rendered(&registry),
+            [
+                "h_bucket{le=\"0.000000002\"} 1",
+                "h_bucket{le=\"0.000000004\"} 3",
+                "h_bucket{le=\"+Inf\"} 3",
+                "h_sum 0.000000007",
+                "h_count 3",
+            ]
+        );
     }
 
     #[test]
     fn overflow_bucket_mass_folds_into_inf_only() {
-        use rpg_obs::metrics::HistogramSource;
-        let h = Histogram::new();
+        let registry = MetricsRegistry::new();
+        let h = registry.histogram("h", "H.", &[]);
         h.record(Duration::from_nanos(u64::MAX)); // last bucket
-        let snap = h.snapshot();
+
         // No finite bound can honestly cover the clamp bucket: it renders
         // only through +Inf (i.e. `count`).
-        assert_eq!(snap.buckets, Vec::new());
-        assert_eq!(snap.count, 1);
+        assert_eq!(
+            rendered(&registry),
+            [
+                "h_bucket{le=\"+Inf\"} 1",
+                "h_sum 18446744073.709553",
+                "h_count 1"
+            ]
+        );
     }
 
     #[test]
@@ -336,6 +303,7 @@ mod tests {
 #[cfg(all(test, feature = "proptests"))]
 mod proptests {
     use super::*;
+    use crate::metrics::MetricsRegistry;
     use proptest::prelude::*;
 
     proptest! {
@@ -369,27 +337,22 @@ mod proptests {
             prop_assert!(at_hi <= Duration::from_nanos(max.saturating_mul(2)));
         }
 
-        /// The Prometheus snapshot is internally consistent for any input:
-        /// cumulative counts are non-decreasing, bounds strictly increase,
-        /// and the final cumulative count never exceeds `count`.
+        /// The rendered histogram is internally consistent for any input:
+        /// `le` bounds strictly increase, cumulative counts never decrease,
+        /// and `+Inf` equals `_count` equals the number of samples.
         #[test]
         fn snapshots_are_monotone(
             samples in proptest::collection::vec(1u64..=1_000_000_000_000, 0..200),
         ) {
-            use rpg_obs::metrics::HistogramSource;
-            let h = Histogram::new();
+            let registry = MetricsRegistry::new();
+            let h = registry.histogram("h", "H.", &[]);
             for &ns in &samples {
                 h.record(Duration::from_nanos(ns));
             }
-            let snap = h.snapshot();
-            for pair in snap.buckets.windows(2) {
-                prop_assert!(pair[0].0 < pair[1].0);
-                prop_assert!(pair[0].1 <= pair[1].1);
-            }
-            if let Some(&(_, last)) = snap.buckets.last() {
-                prop_assert!(last <= snap.count);
-            }
-            prop_assert_eq!(snap.count, samples.len() as u64);
+            let text = registry.render();
+            prop_assert_eq!(crate::promlint::lint(&text), Vec::<String>::new());
+            let count = format!("h_count {}\n", samples.len());
+            prop_assert!(text.contains(&count), "{text}");
         }
     }
 }

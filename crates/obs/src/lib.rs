@@ -13,9 +13,9 @@
 //! * [`metrics`] — a [`metrics::MetricsRegistry`] of named counter /
 //!   gauge / histogram families with label sets, rendered as Prometheus
 //!   text exposition format 0.0.4. Callers hold cheap `Arc`-backed handles
-//!   ([`metrics::Counter`], [`metrics::Gauge`]) and bump atomics on the
-//!   hot path; the registry mutex is only taken at registration and
-//!   render time.
+//!   ([`metrics::Counter`], [`metrics::Gauge`], and the log₂ duration
+//!   [`metrics::Histogram`]) and bump atomics on the hot path; the
+//!   registry mutex is only taken at registration and render time.
 //! * [`log`] — a leveled, rate-limited JSON-lines logger with an atomic
 //!   level (safe to swap from a SIGHUP reload path) and a thread-local
 //!   trace-ID context so request-scoped events correlate with traces.
@@ -23,6 +23,7 @@
 //! [`promlint`] is the in-repo exposition-format checker CI uses instead
 //! of an external `promtool`.
 
+mod histogram;
 pub mod log;
 pub mod metrics;
 pub mod promlint;

@@ -3,18 +3,18 @@
 //! format 0.0.4.
 //!
 //! Hot-path ergonomics drive the design: callers register once and keep
-//! cheap `Arc`-backed handles ([`Counter`], [`Gauge`]) whose updates are
-//! single atomic ops — the registry mutex is taken only at registration
-//! and render time. Histograms register as [`HistogramSource`] trait
-//! objects so the server's log₂-bucketed latency histogram (or any other
-//! implementation) can expose cumulative `_bucket`/`_sum`/`_count`
-//! series without this crate dictating the bucket layout.
+//! cheap `Arc`-backed handles ([`Counter`], [`Gauge`], [`Histogram`])
+//! whose updates are single atomic ops — the registry mutex is taken only
+//! at registration and render time, and a scrape reads the very atomics
+//! the request path bumps.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json_escape_into;
+
+pub use crate::histogram::Histogram;
 
 /// A monotonically-increasing counter handle. Clones share the same
 /// underlying atomic.
@@ -73,35 +73,11 @@ impl Gauge {
     }
 }
 
-/// A cumulative-bucket snapshot of a histogram, in the shape Prometheus
-/// exposition wants. Bucket bounds are in seconds (the Prometheus base
-/// unit for time), ascending, cumulative, without the implicit `+Inf`
-/// bucket (rendered from `count`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// `(le_seconds, cumulative_count)` pairs, ascending by bound.
-    pub buckets: Vec<(f64, u64)>,
-    /// Sum of all observed values, in seconds.
-    pub sum_seconds: f64,
-    /// Total number of observations.
-    pub count: u64,
-}
-
-/// Anything that can be rendered as a Prometheus histogram. Implemented
-/// by the server's log₂ latency histogram; the registry holds the same
-/// `Arc` the request path records into, so `/metrics` and `/v1/stats`
-/// read identical data.
-pub trait HistogramSource: Send + Sync {
-    /// A consistent-enough snapshot of the current state. Implementations
-    /// using relaxed atomics may be momentarily torn between buckets and
-    /// count; renderers clamp rather than panic.
-    fn snapshot(&self) -> HistogramSnapshot;
-}
-
+#[derive(Clone)]
 enum Series {
     Counter(Counter),
     Gauge(Gauge),
-    Histogram(Arc<dyn HistogramSource>),
+    Histogram(Arc<Histogram>),
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -112,6 +88,15 @@ enum Kind {
 }
 
 impl Kind {
+    /// A fresh series of this kind.
+    fn series(self) -> Series {
+        match self {
+            Kind::Counter => Series::Counter(Counter::default()),
+            Kind::Gauge => Series::Gauge(Gauge::default()),
+            Kind::Histogram => Series::Histogram(Arc::default()),
+        }
+    }
+
     fn as_str(self) -> &'static str {
         match self {
             Kind::Counter => "counter",
@@ -148,49 +133,41 @@ impl MetricsRegistry {
     /// not valid Prometheus identifiers — both are programmer errors
     /// caught at startup, not data-dependent conditions.
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        let key = label_key(labels);
-        let mut families = self.lock();
-        let family = Self::family_entry(&mut families, name, help, Kind::Counter);
-        match family
-            .series
-            .entry(key)
-            .or_insert_with(|| Series::Counter(Counter::default()))
-        {
-            Series::Counter(counter) => counter.clone(),
-            _ => unreachable!("family kind checked above"),
+        match self.series(name, help, labels, Kind::Counter) {
+            Series::Counter(counter) => counter,
+            _ => unreachable!("family kind checked at registration"),
         }
     }
 
     /// Returns the gauge for `name` + `labels`, registering on first use.
     /// Same panics as [`counter`](Self::counter).
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        let key = label_key(labels);
-        let mut families = self.lock();
-        let family = Self::family_entry(&mut families, name, help, Kind::Gauge);
-        match family
-            .series
-            .entry(key)
-            .or_insert_with(|| Series::Gauge(Gauge::default()))
-        {
-            Series::Gauge(gauge) => gauge.clone(),
-            _ => unreachable!("family kind checked above"),
+        match self.series(name, help, labels, Kind::Gauge) {
+            Series::Gauge(gauge) => gauge,
+            _ => unreachable!("family kind checked at registration"),
         }
     }
 
-    /// Registers `source` as the histogram series for `name` + `labels`.
-    /// Re-registering the same series replaces the source (tenants can be
-    /// recreated across manifest reloads).
-    pub fn register_histogram(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        source: Arc<dyn HistogramSource>,
-    ) {
+    /// Returns the histogram for `name` + `labels`, registering on first
+    /// use. Same panics as [`counter`](Self::counter).
+    pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
+        match self.series(name, help, labels, Kind::Histogram) {
+            Series::Histogram(histogram) => histogram,
+            _ => unreachable!("family kind checked at registration"),
+        }
+    }
+
+    /// A handle to the series for `name` + `labels`, registered as a fresh
+    /// `kind` series on first use.
+    fn series(&self, name: &str, help: &str, labels: &[(&str, &str)], kind: Kind) -> Series {
         let key = label_key(labels);
         let mut families = self.lock();
-        let family = Self::family_entry(&mut families, name, help, Kind::Histogram);
-        family.series.insert(key, Series::Histogram(source));
+        let family = Self::family_entry(&mut families, name, help, kind);
+        family
+            .series
+            .entry(key)
+            .or_insert_with(|| kind.series())
+            .clone()
     }
 
     fn family_entry<'a>(
@@ -240,71 +217,15 @@ impl MetricsRegistry {
             out.push_str(family.kind.as_str());
             out.push('\n');
             for (label_block, series) in family.series.iter() {
-                match series {
-                    Series::Counter(counter) => {
-                        sample_line(
-                            &mut out,
-                            name,
-                            "",
-                            label_block,
-                            &[],
-                            &counter.get().to_string(),
-                        );
+                let value = match series {
+                    Series::Counter(counter) => counter.get().to_string(),
+                    Series::Gauge(gauge) => gauge.get().to_string(),
+                    Series::Histogram(histogram) => {
+                        histogram.render(&mut out, name, label_block);
+                        continue;
                     }
-                    Series::Gauge(gauge) => {
-                        sample_line(
-                            &mut out,
-                            name,
-                            "",
-                            label_block,
-                            &[],
-                            &gauge.get().to_string(),
-                        );
-                    }
-                    Series::Histogram(source) => {
-                        let snapshot = source.snapshot();
-                        let mut cumulative = 0u64;
-                        for (le, count) in &snapshot.buckets {
-                            // Snapshots taken from relaxed atomics can be
-                            // momentarily non-monotone; clamp so the
-                            // exposition stays valid.
-                            cumulative = cumulative.max(*count);
-                            sample_line(
-                                &mut out,
-                                name,
-                                "_bucket",
-                                label_block,
-                                &[("le", &format_f64(*le))],
-                                &cumulative.to_string(),
-                            );
-                        }
-                        let total = snapshot.count.max(cumulative);
-                        sample_line(
-                            &mut out,
-                            name,
-                            "_bucket",
-                            label_block,
-                            &[("le", "+Inf")],
-                            &total.to_string(),
-                        );
-                        sample_line(
-                            &mut out,
-                            name,
-                            "_sum",
-                            label_block,
-                            &[],
-                            &format_f64(snapshot.sum_seconds),
-                        );
-                        sample_line(
-                            &mut out,
-                            name,
-                            "_count",
-                            label_block,
-                            &[],
-                            &total.to_string(),
-                        );
-                    }
-                }
+                };
+                sample_line(&mut out, name, "", label_block, &[], &value);
             }
         }
         out
@@ -313,7 +234,7 @@ impl MetricsRegistry {
 
 /// Formats an f64 the way Prometheus parsers expect: plain decimal,
 /// never Rust's `inf`/`NaN` spellings.
-fn format_f64(value: f64) -> String {
+pub(crate) fn format_f64(value: f64) -> String {
     if value.is_infinite() {
         return if value > 0.0 { "+Inf" } else { "-Inf" }.to_string();
     }
@@ -326,7 +247,7 @@ fn format_f64(value: f64) -> String {
 /// One `name[suffix]{labels} value` line. `label_block` is the
 /// pre-rendered registration labels (may be empty); `extra` labels (the
 /// histogram `le`) are appended inside the same braces.
-fn sample_line(
+pub(crate) fn sample_line(
     out: &mut String,
     name: &str,
     suffix: &str,
@@ -430,18 +351,7 @@ pub fn json_string(value: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct FixedHistogram;
-
-    impl HistogramSource for FixedHistogram {
-        fn snapshot(&self) -> HistogramSnapshot {
-            HistogramSnapshot {
-                buckets: vec![(0.001, 2), (0.01, 5), (0.1, 5)],
-                sum_seconds: 0.025,
-                count: 6,
-            }
-        }
-    }
+    use std::time::Duration;
 
     #[test]
     fn counters_and_gauges_render_with_labels() {
@@ -467,19 +377,25 @@ mod tests {
     #[test]
     fn histograms_render_cumulative_buckets_sum_count() {
         let registry = MetricsRegistry::new();
-        registry.register_histogram(
-            "rpg_latency_seconds",
-            "Latency.",
-            &[("tenant", "alpha")],
-            Arc::new(FixedHistogram),
-        );
+        let labels = &[("tenant", "alpha")];
+        let h = registry.histogram("rpg_latency_seconds", "Latency.", labels);
+        for ms in [1, 1, 3, 3, 3] {
+            h.record(Duration::from_millis(ms));
+        }
+        // Same (name, labels) returns the same histogram.
+        let again = registry.histogram("rpg_latency_seconds", "Latency.", labels);
+        assert!(Arc::ptr_eq(&h, &again));
         let text = registry.render();
         assert!(text.contains("# TYPE rpg_latency_seconds histogram\n"));
-        assert!(text.contains("rpg_latency_seconds_bucket{tenant=\"alpha\",le=\"0.001\"} 2\n"));
-        assert!(text.contains("rpg_latency_seconds_bucket{tenant=\"alpha\",le=\"0.01\"} 5\n"));
-        assert!(text.contains("rpg_latency_seconds_bucket{tenant=\"alpha\",le=\"+Inf\"} 6\n"));
-        assert!(text.contains("rpg_latency_seconds_sum{tenant=\"alpha\"} 0.025\n"));
-        assert!(text.contains("rpg_latency_seconds_count{tenant=\"alpha\"} 6\n"));
+        let bucket = |le: &str, count: u64| {
+            format!("rpg_latency_seconds_bucket{{tenant=\"alpha\",le=\"{le}\"}} {count}\n")
+        };
+        assert!(text.contains(&bucket("0.001048576", 2)));
+        assert!(text.contains(&bucket("0.002097152", 2)));
+        assert!(text.contains(&bucket("0.004194304", 5)));
+        assert!(text.contains(&bucket("+Inf", 5)));
+        assert!(text.contains("rpg_latency_seconds_sum{tenant=\"alpha\"} 0.011\n"));
+        assert!(text.contains("rpg_latency_seconds_count{tenant=\"alpha\"} 5\n"));
     }
 
     #[test]
@@ -520,4 +436,70 @@ mod tests {
         assert!(!valid_label_name("le-gal"));
         assert!(!valid_label_name("9lives"));
     }
+
+    /// The whole exposition of a fresh registry, byte for byte: each `le`
+    /// is 2^(i+1) ns in seconds, counts are cumulative, trailing empty
+    /// buckets are trimmed, the overflow bucket shows only through `+Inf`,
+    /// and `_sum` is the nanosecond sum over 1e9.
+    #[test]
+    fn exposition_bytes_are_pinned() {
+        let registry = MetricsRegistry::new();
+        registry
+            .counter("rpg_a_total", "A.", &[("tenant", "t")])
+            .add(3);
+        registry.gauge("rpg_b", "B.", &[]).set(-2);
+        let c = registry.histogram("rpg_c_seconds", "C.", &[("tenant", "t")]);
+        registry.histogram("rpg_d_seconds", "D.", &[]);
+        for ns in [0, 1, 3, 3, 1_500, 2_000_000, 123_456_789] {
+            c.record(Duration::from_nanos(ns));
+        }
+        c.record(Duration::from_secs(200_000));
+        assert_eq!(registry.render(), EXPOSITION);
+    }
+
+    const EXPOSITION: &str = "\
+# HELP rpg_a_total A.
+# TYPE rpg_a_total counter
+rpg_a_total{tenant=\"t\"} 3
+# HELP rpg_b B.
+# TYPE rpg_b gauge
+rpg_b -2
+# HELP rpg_c_seconds C.
+# TYPE rpg_c_seconds histogram
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000002\"} 2
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000004\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000008\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000016\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000032\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000064\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000128\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000256\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000512\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000001024\"} 4
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000002048\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000004096\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000008192\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000016384\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000032768\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000065536\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000131072\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000262144\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000524288\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.001048576\"} 5
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.002097152\"} 6
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.004194304\"} 6
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.008388608\"} 6
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.016777216\"} 6
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.033554432\"} 6
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.067108864\"} 6
+rpg_c_seconds_bucket{tenant=\"t\",le=\"0.134217728\"} 7
+rpg_c_seconds_bucket{tenant=\"t\",le=\"+Inf\"} 8
+rpg_c_seconds_sum{tenant=\"t\"} 200000.125458296
+rpg_c_seconds_count{tenant=\"t\"} 8
+# HELP rpg_d_seconds D.
+# TYPE rpg_d_seconds histogram
+rpg_d_seconds_bucket{le=\"+Inf\"} 0
+rpg_d_seconds_sum 0
+rpg_d_seconds_count 0
+";
 }

@@ -431,25 +431,18 @@ h_count 6
 
     #[test]
     fn registry_render_passes_lint() {
-        use crate::metrics::{HistogramSnapshot, HistogramSource, MetricsRegistry};
-        use std::sync::Arc;
+        use crate::metrics::MetricsRegistry;
+        use std::time::Duration;
 
-        struct H;
-        impl HistogramSource for H {
-            fn snapshot(&self) -> HistogramSnapshot {
-                HistogramSnapshot {
-                    buckets: vec![(0.000001, 1), (0.0001, 3)],
-                    sum_seconds: 0.0002,
-                    count: 4,
-                }
-            }
-        }
         let registry = MetricsRegistry::new();
         registry
             .counter("rpg_a_total", "A.", &[("tenant", "x\"y\\z")])
             .inc();
         registry.gauge("rpg_b", "B.", &[]).set(-3);
-        registry.register_histogram("rpg_c_seconds", "C.", &[("tenant", "t")], Arc::new(H));
+        let h = registry.histogram("rpg_c_seconds", "C.", &[("tenant", "t")]);
+        for us in [1, 50, 50, 200] {
+            h.record(Duration::from_micros(us));
+        }
         let text = registry.render();
         assert_eq!(lint(&text), Vec::<String>::new(), "exposition:\n{text}");
     }

@@ -48,16 +48,15 @@ use crate::api::{
     BatchRequest, GenerateRequest, ResolvedRequest, TenantPatch, MAX_BATCH,
 };
 use crate::auth::{bearer_token, AuthTable, Principal, StoredKey};
-use crate::histogram::TenantMetrics;
 use crate::http::{self, Limits, Parse, Request, RequestBuffer, Response, ResponseEmitter};
 use crate::queue::{Bounded, FairQueue, Rejection};
-use crate::stats::{self, PipelineMetrics};
+use crate::stats::{self, Counters, TenantMetrics};
 use crate::sys::{
     self, Event, IoBackend, IoBackendChoice, Poller, WakePipe, POLLERR, POLLHUP, POLLIN, POLLNVAL,
     POLLOUT, POLLRDHUP,
 };
 use rpg_obs::log as obs_log;
-use rpg_obs::metrics::{Counter, Gauge, MetricsRegistry};
+use rpg_obs::metrics::{Counter, MetricsRegistry};
 use rpg_obs::trace::{
     unix_ms_now, SharedRecorder, Span, SpanRecorder, StageTrace, TraceId, TraceLog, TraceRecord,
 };
@@ -339,85 +338,6 @@ pub struct StatsSnapshot {
     pub server_errors: u64,
     /// Fresh (non-cached) pipeline runs recorded.
     pub pipeline_runs: u64,
-}
-
-/// The server-wide counters, every one a handle into the shared
-/// [`MetricsRegistry`]: the request path bumps the same atomics that
-/// `GET /metrics` and `/v1/stats` render, so the two views can never
-/// disagree. The gauges and cache counters are *sampled* at scrape time
-/// from their authoritative sources (the open-connection count, the fair
-/// queue, the result cache) rather than double-bookkept on the hot path.
-struct Counters {
-    accepted: Counter,
-    rejected: Counter,
-    throttled: Counter,
-    ok: Counter,
-    client_errors: Counter,
-    server_errors: Counter,
-    open_connections: Gauge,
-    queue_depth: Gauge,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    cache_entries: Gauge,
-    pipeline: PipelineMetrics,
-}
-
-impl Counters {
-    fn registered(registry: &MetricsRegistry) -> Counters {
-        let class = |class| {
-            registry.counter(
-                "rpg_responses_total",
-                "HTTP responses completed, by status class.",
-                &[("class", class)],
-            )
-        };
-        Counters {
-            accepted: registry.counter(
-                "rpg_connections_accepted_total",
-                "Connections accepted off the listener.",
-                &[],
-            ),
-            rejected: registry.counter(
-                "rpg_requests_rejected_total",
-                "Requests rejected with 503: connection overflow or a full global queue.",
-                &[],
-            ),
-            throttled: registry.counter(
-                "rpg_requests_throttled_total",
-                "Requests rejected with 429 because their tenant's sub-queue was full.",
-                &[],
-            ),
-            ok: class("2xx"),
-            client_errors: class("4xx"),
-            server_errors: class("5xx"),
-            open_connections: registry.gauge(
-                "rpg_connections_open",
-                "Connections currently open across all event loops.",
-                &[],
-            ),
-            queue_depth: registry.gauge(
-                "rpg_queue_depth",
-                "Pipeline requests currently queued for compute, across all tenants.",
-                &[],
-            ),
-            cache_hits: registry.counter(
-                "rpg_cache_hits_total",
-                "Requests answered from the result cache.",
-                &[],
-            ),
-            cache_misses: registry.counter(
-                "rpg_cache_misses_total",
-                "Requests that ran the pipeline because no cached result matched.",
-                &[],
-            ),
-            cache_entries: registry.gauge(
-                "rpg_cache_entries",
-                "Results currently held by the shared LRU cache.",
-                &[],
-            ),
-            pipeline: PipelineMetrics::registered(registry),
-        }
-    }
 }
 
 /// Pipeline work classified by tenant, queued for the compute pool. A

@@ -1,12 +1,145 @@
-//! Pipeline timings as lock-free series of the server's one
-//! [`MetricsRegistry`]: `GET /metrics` renders them, and `/v1/stats`'s
-//! `pipeline` block reads its run count, sums and means back from them.
+//! Every series the server exports, registered in its one
+//! [`MetricsRegistry`]: [`Counters`] holds the server-wide series,
+//! [`TenantMetrics`] one tenant's, and [`PipelineMetrics`] the timings of
+//! fresh pipeline runs. `GET /metrics` renders them all, and `/v1/stats`
+//! reads the same handles back.
 
-use crate::histogram::Histogram;
-use rpg_obs::metrics::{Counter, MetricsRegistry};
+use rpg_obs::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use rpg_repager::stages::{StageCounters, StageTimings, STAGES};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The server-wide counters, every one a handle into the shared
+/// [`MetricsRegistry`]: the request path bumps the same atomics that
+/// `GET /metrics` and `/v1/stats` render, so the two views can never
+/// disagree. The gauges and cache counters are *sampled* at scrape time
+/// from their authoritative sources (the open-connection count, the fair
+/// queue, the result cache) rather than double-bookkept on the hot path.
+pub(crate) struct Counters {
+    pub(crate) accepted: Counter,
+    pub(crate) rejected: Counter,
+    pub(crate) throttled: Counter,
+    pub(crate) ok: Counter,
+    pub(crate) client_errors: Counter,
+    pub(crate) server_errors: Counter,
+    pub(crate) open_connections: Gauge,
+    pub(crate) queue_depth: Gauge,
+    pub(crate) cache_hits: Counter,
+    pub(crate) cache_misses: Counter,
+    pub(crate) cache_entries: Gauge,
+    pub(crate) pipeline: PipelineMetrics,
+}
+
+impl Counters {
+    pub(crate) fn registered(registry: &MetricsRegistry) -> Counters {
+        let class = |class| {
+            registry.counter(
+                "rpg_responses_total",
+                "HTTP responses completed, by status class.",
+                &[("class", class)],
+            )
+        };
+        Counters {
+            accepted: registry.counter(
+                "rpg_connections_accepted_total",
+                "Connections accepted off the listener.",
+                &[],
+            ),
+            rejected: registry.counter(
+                "rpg_requests_rejected_total",
+                "Requests rejected with 503: connection overflow or a full global queue.",
+                &[],
+            ),
+            throttled: registry.counter(
+                "rpg_requests_throttled_total",
+                "Requests rejected with 429 because their tenant's sub-queue was full.",
+                &[],
+            ),
+            ok: class("2xx"),
+            client_errors: class("4xx"),
+            server_errors: class("5xx"),
+            open_connections: registry.gauge(
+                "rpg_connections_open",
+                "Connections currently open across all event loops.",
+                &[],
+            ),
+            queue_depth: registry.gauge(
+                "rpg_queue_depth",
+                "Pipeline requests currently queued for compute, across all tenants.",
+                &[],
+            ),
+            cache_hits: registry.counter(
+                "rpg_cache_hits_total",
+                "Requests answered from the result cache.",
+                &[],
+            ),
+            cache_misses: registry.counter(
+                "rpg_cache_misses_total",
+                "Requests that ran the pipeline because no cached result matched.",
+                &[],
+            ),
+            cache_entries: registry.gauge(
+                "rpg_cache_entries",
+                "Results currently held by the shared LRU cache.",
+                &[],
+            ),
+            pipeline: PipelineMetrics::registered(registry),
+        }
+    }
+}
+
+/// Per-tenant overload counters: the latency histogram plus how often the
+/// tenant's work was shed by a deadline (blown before compute, or
+/// mid-compute between pipeline stages) or cancelled mid-flight (client
+/// gone).
+///
+/// Every field is a handle into the server's shared
+/// [`MetricsRegistry`], registered with a `tenant` label — `/v1/stats`
+/// and `/metrics` read the very same atomics the request path bumps.
+pub(crate) struct TenantMetrics {
+    /// Admission-to-reply latency of completed requests.
+    pub(crate) latency: Arc<Histogram>,
+    /// Requests dropped by a deadline check — before compute or between
+    /// pipeline stages (every mid-compute shed also counts here, so this
+    /// stays the tenant's total).
+    pub(crate) shed: Counter,
+    /// The subset of `shed` whose deadline blew *mid-compute*: the
+    /// pipeline had already started and dropped its remaining stages at an
+    /// inter-stage check.
+    pub(crate) shed_mid_compute: Counter,
+    /// Requests whose compute was cancelled by client abandonment.
+    pub(crate) cancelled: Counter,
+}
+
+impl TenantMetrics {
+    /// This tenant's metric handles inside `registry`, labelled
+    /// `tenant=<name>`. Called once per tenant, on its first request.
+    pub(crate) fn registered(registry: &MetricsRegistry, tenant: &str) -> TenantMetrics {
+        let labels = &[("tenant", tenant)];
+        TenantMetrics {
+            latency: registry.histogram(
+                "rpg_request_latency_seconds",
+                "Admission-to-reply latency of completed requests.",
+                labels,
+            ),
+            shed: registry.counter(
+                "rpg_requests_shed_total",
+                "Requests dropped by a deadline check, queued or mid-compute.",
+                labels,
+            ),
+            shed_mid_compute: registry.counter(
+                "rpg_requests_shed_mid_compute_total",
+                "Deadline sheds that happened between pipeline stages.",
+                labels,
+            ),
+            cancelled: registry.counter(
+                "rpg_requests_cancelled_total",
+                "Requests whose compute was cancelled by client abandonment.",
+                labels,
+            ),
+        }
+    }
+}
 
 /// Handles to the series every fresh (non-cached) pipeline run records
 /// into, registered once at spawn.
@@ -23,20 +156,15 @@ impl PipelineMetrics {
     /// Registers the series in `registry`, labelled from [`STAGES`] and
     /// [`StageCounters::fields`].
     pub(crate) fn registered(registry: &MetricsRegistry) -> PipelineMetrics {
-        let histogram = |name, help, labels: &[(&str, &str)]| {
-            let histogram = Arc::new(Histogram::new());
-            registry.register_histogram(name, help, labels, histogram.clone());
-            histogram
-        };
         PipelineMetrics {
             stages: STAGES.map(|stage| {
-                histogram(
+                registry.histogram(
                     "rpg_stage_seconds",
                     "Wall-clock time of each pipeline stage, over fresh runs.",
                     &[("stage", stage.name)],
                 )
             }),
-            total: histogram(
+            total: registry.histogram(
                 "rpg_pipeline_seconds",
                 "Wall-clock time of fresh pipeline runs.",
                 &[],
@@ -194,71 +322,4 @@ mod tests {
         assert!(text.contains("rpg_pipeline_work_total{counter=\"scratch_allocations\"} 5\n"));
         assert!(rpg_obs::promlint::lint(&text).is_empty());
     }
-
-    /// The whole exposition of a fresh registry, byte for byte: each `le`
-    /// is 2^(i+1) ns in seconds, counts are cumulative, trailing empty
-    /// buckets are trimmed, the overflow bucket shows only through `+Inf`,
-    /// and `_sum` is the nanosecond sum over 1e9.
-    #[test]
-    fn exposition_bytes_are_pinned() {
-        let registry = MetricsRegistry::new();
-        registry
-            .counter("rpg_a_total", "A.", &[("tenant", "t")])
-            .add(3);
-        registry.gauge("rpg_b", "B.", &[]).set(-2);
-        let c = Arc::new(Histogram::new());
-        registry.register_histogram("rpg_c_seconds", "C.", &[("tenant", "t")], c.clone());
-        registry.register_histogram("rpg_d_seconds", "D.", &[], Arc::new(Histogram::new()));
-        for ns in [0, 1, 3, 3, 1_500, 2_000_000, 123_456_789] {
-            c.record(Duration::from_nanos(ns));
-        }
-        c.record(Duration::from_secs(200_000));
-        assert_eq!(registry.render(), EXPOSITION);
-    }
-
-    const EXPOSITION: &str = "\
-# HELP rpg_a_total A.
-# TYPE rpg_a_total counter
-rpg_a_total{tenant=\"t\"} 3
-# HELP rpg_b B.
-# TYPE rpg_b gauge
-rpg_b -2
-# HELP rpg_c_seconds C.
-# TYPE rpg_c_seconds histogram
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000002\"} 2
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000004\"} 4
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000008\"} 4
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000016\"} 4
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000032\"} 4
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000064\"} 4
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000128\"} 4
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000256\"} 4
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000000512\"} 4
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000001024\"} 4
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000002048\"} 5
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000004096\"} 5
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000008192\"} 5
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000016384\"} 5
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000032768\"} 5
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000065536\"} 5
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000131072\"} 5
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000262144\"} 5
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.000524288\"} 5
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.001048576\"} 5
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.002097152\"} 6
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.004194304\"} 6
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.008388608\"} 6
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.016777216\"} 6
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.033554432\"} 6
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.067108864\"} 6
-rpg_c_seconds_bucket{tenant=\"t\",le=\"0.134217728\"} 7
-rpg_c_seconds_bucket{tenant=\"t\",le=\"+Inf\"} 8
-rpg_c_seconds_sum{tenant=\"t\"} 200000.125458296
-rpg_c_seconds_count{tenant=\"t\"} 8
-# HELP rpg_d_seconds D.
-# TYPE rpg_d_seconds histogram
-rpg_d_seconds_bucket{le=\"+Inf\"} 0
-rpg_d_seconds_sum 0
-rpg_d_seconds_count 0
-";
 }
