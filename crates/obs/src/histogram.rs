@@ -117,8 +117,7 @@ impl Histogram {
     /// upper bounds become `le` bounds (in seconds), counts become
     /// cumulative, and trailing empty buckets are trimmed. The
     /// all-overflowing last bucket has no honest finite bound, so its mass
-    /// shows only through `+Inf`. Copies the counts to the stack, never to
-    /// the heap.
+    /// shows only through `+Inf`.
     pub(crate) fn render(&self, out: &mut String, name: &str, label_block: &str) {
         let counts: [u64; BUCKETS] =
             std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));

@@ -30,8 +30,8 @@ pub mod promlint;
 pub mod trace;
 
 /// Appends `text` to `out` with JSON string escaping (quotes, backslash,
-/// control characters). Shared by the logger and the trace/metrics JSON
-/// renderers; does not write the surrounding quotes.
+/// control characters) for the logger's JSON lines; does not write the
+/// surrounding quotes.
 pub fn json_escape_into(out: &mut String, text: &str) {
     for ch in text.chars() {
         match ch {

@@ -12,8 +12,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json_escape_into;
-
 pub use crate::histogram::Histogram;
 
 /// A monotonically-increasing counter handle. Clones share the same
@@ -336,16 +334,6 @@ fn escape_help_into(out: &mut String, value: &str) {
             c => out.push(c),
         }
     }
-}
-
-/// Escapes a string for embedding in a JSON document (used by callers
-/// rendering registry-adjacent JSON without pulling in a JSON crate).
-pub fn json_string(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    json_escape_into(&mut out, value);
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

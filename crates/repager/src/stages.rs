@@ -23,7 +23,6 @@ use crate::weights::NodeWeights;
 use rpg_corpus::{Corpus, PaperId};
 use rpg_engines::{Query, ScholarEngine};
 use rpg_graph::GraphError;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// How one pipeline stage is named: a row of [`STAGES`].
@@ -60,7 +59,7 @@ pub const STAGES: [StageName; 5] = [
 /// work (and the buffer growth) this request caused.  On a warmed-up
 /// worker, `scratch_allocations` is 0 for every request — the observable
 /// form of the allocation-free kernel claim.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCounters {
     /// KMB solves run by the Steiner stage (one per terminal component).
     pub steiner_runs: u64,
@@ -124,7 +123,7 @@ impl StageCounters {
 /// The stage durations sum to slightly less than `total` (the difference is
 /// pipeline bookkeeping: validation, timing itself, and the early-exit
 /// branch).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Step 1 — initial seed retrieval from the engine.
     pub seed: Duration,

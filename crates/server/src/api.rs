@@ -60,36 +60,11 @@ pub struct GenerateRequest {
     pub exclude: Option<Vec<u32>>,
 }
 
-impl GenerateRequest {
-    /// The tenant this request is admitted (and billed) under: its own
-    /// `corpus` field, or the server's default corpus.
-    pub fn tenant<'a>(&'a self, default: &'a str) -> &'a str {
-        self.corpus.as_deref().unwrap_or(default)
-    }
-}
-
 /// Body of `POST /v1/batch`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BatchRequest {
     /// The requests to serve; results come back in the same order.
     pub requests: Vec<GenerateRequest>,
-}
-
-impl BatchRequest {
-    /// The tenant a whole batch is admitted under: the corpus *all* items
-    /// agree on, or the default corpus for an empty or mixed-corpus batch.
-    /// Mixed batches must not be billable to whichever tenant happens to be
-    /// named first — that would let one client drain another tenant's
-    /// queue budget. (Tenant identity is the self-declared `corpus` field,
-    /// so attribution is advisory until requests carry authenticated
-    /// principals; the fallback at least keeps it deterministic.)
-    pub fn tenant<'a>(&'a self, default: &'a str) -> &'a str {
-        let mut tenants = self.requests.iter().map(|r| r.tenant(default));
-        match tenants.next() {
-            Some(first) if tenants.all(|t| t == first) => first,
-            _ => default,
-        }
-    }
 }
 
 /// Body of `PATCH /v1/admin/tenants/:name`: the runtime-retunable knobs of
@@ -432,30 +407,6 @@ mod tests {
         assert!(serde_json::from_str::<GenerateRequest>(r#"{"top_k": 5}"#).is_err());
         assert!(serde_json::from_str::<GenerateRequest>("[]").is_err());
         assert!(serde_json::from_str::<GenerateRequest>("not json").is_err());
-    }
-
-    #[test]
-    fn admission_tenant_falls_back_to_the_default() {
-        let dto: GenerateRequest = serde_json::from_str(r#"{"query": "q"}"#).unwrap();
-        assert_eq!(dto.tenant("default"), "default");
-        let dto: GenerateRequest =
-            serde_json::from_str(r#"{"query": "q", "corpus": "aux"}"#).unwrap();
-        assert_eq!(dto.tenant("default"), "aux");
-
-        let batch: BatchRequest = serde_json::from_str(r#"{"requests": []}"#).unwrap();
-        assert_eq!(batch.tenant("default"), "default");
-        let batch: BatchRequest = serde_json::from_str(
-            r#"{"requests": [{"query": "a", "corpus": "aux"}, {"query": "b", "corpus": "aux"}]}"#,
-        )
-        .unwrap();
-        assert_eq!(batch.tenant("default"), "aux");
-        // A mixed-corpus batch is billed to the default tenant, never to
-        // whichever tenant is named first.
-        let mixed: BatchRequest = serde_json::from_str(
-            r#"{"requests": [{"query": "a", "corpus": "aux"}, {"query": "b"}]}"#,
-        )
-        .unwrap();
-        assert_eq!(mixed.tenant("default"), "default");
     }
 
     #[test]

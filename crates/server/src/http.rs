@@ -16,10 +16,7 @@
 //! complete request from whatever bytes have arrived so far and otherwise
 //! reports how far it got ([`Parse::NeedHead`] / [`Parse::NeedBody`]) without
 //! blocking, which is what the event-driven connection loop needs — under
-//! `poll` every request arrives in arbitrary fragments. [`RequestReader`]
-//! wraps a buffer plus any [`Read`] into a blocking pull API, which this
-//! module's unit tests drive; both share every byte of parsing logic with
-//! the event loop.
+//! `poll` every request arrives in arbitrary fragments.
 
 use std::io::{self, Read, Write};
 
@@ -82,8 +79,6 @@ pub enum HttpError {
     Incomplete,
     /// The socket read timed out.
     Timeout,
-    /// Any other transport failure.
-    Io(io::ErrorKind),
 }
 
 impl HttpError {
@@ -95,7 +90,6 @@ impl HttpError {
             HttpError::Unsupported(_) => 501,
             HttpError::Incomplete => 400,
             HttpError::Timeout => 408,
-            HttpError::Io(_) => 400,
         }
     }
 
@@ -107,16 +101,7 @@ impl HttpError {
             HttpError::Unsupported(what) => format!("not implemented: {what}"),
             HttpError::Incomplete => "connection closed mid-request".to_string(),
             HttpError::Timeout => "timed out waiting for the request".to_string(),
-            HttpError::Io(kind) => format!("transport error: {kind:?}"),
         }
-    }
-}
-
-fn io_error(e: io::Error) -> HttpError {
-    match e.kind() {
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => HttpError::Timeout,
-        io::ErrorKind::UnexpectedEof => HttpError::Incomplete,
-        kind => HttpError::Io(kind),
     }
 }
 
@@ -185,11 +170,6 @@ impl RequestBuffer {
     /// Whether bytes of a (possibly partial) next request are buffered.
     pub fn has_buffered(&self) -> bool {
         !self.buf.is_empty()
-    }
-
-    /// Bytes currently buffered.
-    pub fn buffered_len(&self) -> usize {
-        self.buf.len()
     }
 
     /// Appends one transport read to the buffer. Returns the byte count
@@ -375,52 +355,6 @@ impl RequestBuffer {
             body,
             ..pending.head
         })
-    }
-}
-
-/// Reads HTTP/1.1 requests off one blocking connection, retaining excess
-/// bytes — the pull-API wrapper over [`RequestBuffer`] that this module's
-/// unit tests drive. Each call to [`RequestReader::read_request`] consumes
-/// exactly one request's bytes from the internal buffer.
-pub struct RequestReader<R> {
-    reader: R,
-    buf: RequestBuffer,
-}
-
-impl<R: Read> RequestReader<R> {
-    /// A reader with an empty buffer over a fresh connection.
-    pub fn new(reader: R) -> Self {
-        RequestReader {
-            reader,
-            buf: RequestBuffer::new(),
-        }
-    }
-
-    /// Whether bytes of a next request are already buffered.
-    pub fn has_buffered(&self) -> bool {
-        self.buf.has_buffered()
-    }
-
-    /// Reads and parses the next request on the connection, blocking until
-    /// the transport has delivered a complete one.
-    ///
-    /// `on_continue` is forwarded to [`RequestBuffer::try_parse`]. After an
-    /// error the buffer state is unspecified — request framing is lost, so
-    /// the caller must close the connection.
-    pub fn read_request(
-        &mut self,
-        limits: &Limits,
-        mut on_continue: impl FnMut(),
-    ) -> Result<Request, HttpError> {
-        loop {
-            if let Parse::Complete(request) = self.buf.try_parse(limits, &mut on_continue)? {
-                return Ok(request);
-            }
-            let n = self.buf.read_from(&mut self.reader).map_err(io_error)?;
-            if n == 0 {
-                return Err(HttpError::Incomplete);
-            }
-        }
     }
 }
 
@@ -666,6 +600,48 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The unit tests' blocking pull harness over [`RequestBuffer`]: each
+    /// [`read_request`](Self::read_request) feeds the buffer from `reader`
+    /// until one whole request parses, keeping any pipelined bytes.
+    pub(super) struct RequestReader<R> {
+        reader: R,
+        buf: RequestBuffer,
+    }
+
+    impl<R: Read> RequestReader<R> {
+        pub(super) fn new(reader: R) -> Self {
+            RequestReader {
+                reader,
+                buf: RequestBuffer::new(),
+            }
+        }
+
+        fn has_buffered(&self) -> bool {
+            self.buf.has_buffered()
+        }
+
+        /// The next request, or the parse error; end of input before a
+        /// whole request is [`HttpError::Incomplete`].
+        pub(super) fn read_request(
+            &mut self,
+            limits: &Limits,
+            mut on_continue: impl FnMut(),
+        ) -> Result<Request, HttpError> {
+            loop {
+                if let Parse::Complete(request) = self.buf.try_parse(limits, &mut on_continue)? {
+                    return Ok(request);
+                }
+                let n = self
+                    .buf
+                    .read_from(&mut self.reader)
+                    .expect("test readers do not fail");
+                if n == 0 {
+                    return Err(HttpError::Incomplete);
+                }
+            }
+        }
+    }
 
     fn parse(bytes: &[u8]) -> Result<Request, HttpError> {
         RequestReader::new(bytes).read_request(&Limits::default(), || {})
@@ -1041,6 +1017,7 @@ mod tests {
 
 #[cfg(all(test, feature = "proptests"))]
 mod proptests {
+    use super::tests::RequestReader;
     use super::*;
     use proptest::prelude::*;
 

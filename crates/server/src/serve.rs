@@ -81,6 +81,13 @@ use std::time::{Duration, Instant};
 /// reserved by tenant-name validation, so no real tenant can sit in it.
 const ADMIN_LANE: &str = "__admin";
 
+/// Value of the `Retry-After` header on `503`/`429` responses, in seconds.
+const RETRY_AFTER_SECS: u32 = 1;
+
+/// How many slow-request exemplars the trace ring retains (oldest evicted
+/// first).
+const TRACE_LOG_CAPACITY: usize = 256;
+
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -125,9 +132,6 @@ pub struct ServerConfig {
     /// zero-progress bound: a reader that accepts no bytes for this long
     /// is cut off, while a slow-but-moving one keeps its connection.
     pub read_timeout: Duration,
-    /// Value of the `Retry-After` header on `503`/`429` responses, in
-    /// seconds.
-    pub retry_after_secs: u32,
     /// Request size limits.
     pub limits: Limits,
     /// Whether requests must authenticate: `true` maps
@@ -176,10 +180,6 @@ pub struct ServerConfig {
     /// Per-tenant `trace_slow_ms` overrides (manifest `trace_slow_ms`
     /// fields); retunable later via `PATCH /v1/admin/tenants`.
     pub tenant_trace_slow: Vec<(String, u64)>,
-    /// How many slow-request exemplars the trace ring retains (oldest
-    /// evicted first). `0` disables span recording entirely — requests
-    /// still get (and echo) trace IDs, but no span trees are kept.
-    pub trace_log_capacity: usize,
 }
 
 impl Default for ServerConfig {
@@ -197,7 +197,6 @@ impl Default for ServerConfig {
             max_requests_per_connection: 100,
             idle_timeout: Duration::from_secs(5),
             read_timeout: Duration::from_secs(10),
-            retry_after_secs: 1,
             limits: Limits::default(),
             auth_enabled: false,
             auth: AuthTable::new(),
@@ -209,7 +208,6 @@ impl Default for ServerConfig {
             io_backend: IoBackendChoice::default(),
             trace_slow_ms: 0,
             tenant_trace_slow: Vec::new(),
-            trace_log_capacity: 256,
         }
     }
 }
@@ -684,7 +682,7 @@ impl Server {
         }
         let obs = Arc::new(MetricsRegistry::new());
         let counters = Counters::registered(&obs);
-        let trace_log = Arc::new(TraceLog::new(config.trace_log_capacity));
+        let trace_log = Arc::new(TraceLog::new(TRACE_LOG_CAPACITY));
         let shared = Arc::new(Shared {
             registry,
             rejects: Bounded::new((config.queue_capacity * 4).clamp(16, 256)),
@@ -930,7 +928,7 @@ fn rejector_loop(shared: &Shared) {
         // it); otherwise the response echoes a freshly minted ID.
         let trace_id = sniff_trace_id(&stream).unwrap_or_else(TraceId::mint);
         let response = Response::json(503, error_body("server is at capacity, retry shortly"))
-            .with_header("retry-after", shared.config.retry_after_secs.to_string())
+            .with_header("retry-after", RETRY_AFTER_SECS.to_string())
             .with_header("x-rpg-trace-id", trace_id.to_string());
         let _ = response.write_to(&mut &stream, false);
         // Half-close: the FIN lets the client finish reading the response
@@ -1081,9 +1079,9 @@ struct ConnTrace {
     status: u16,
     /// The billing tenant, once admission resolved one.
     tenant: Option<String>,
-    /// The span sink shared with the compute worker. `None` when the
-    /// trace ring is disabled (`trace_log_capacity == 0`) — IDs still
-    /// flow, spans are not recorded.
+    /// The span sink shared with the compute worker. `None` for an
+    /// exchange answered before a request parsed — its ID still flows,
+    /// no spans are recorded.
     recorder: Option<SharedRecorder>,
 }
 
@@ -1804,7 +1802,7 @@ fn handle_request(
             return Flow::Keep;
         }
     };
-    let mut conn_trace = ConnTrace::new(trace.id, now, shared.config.trace_log_capacity > 0);
+    let mut conn_trace = ConnTrace::new(trace.id, now, true);
     let trace = RequestTrace {
         id: trace.id,
         recorder: conn_trace.recorder.clone(),
@@ -2230,7 +2228,6 @@ fn admit_batch(
         Err(response) => return Routed::Inline(response),
     };
     let assembly = BatchAssembly::new(batch.requests.len(), Reply::new(me.clone(), token));
-    let retry_after = shared.config.retry_after_secs;
     for (index, dto) in batch.requests.iter().enumerate() {
         let ticket = assembly.ticket(index);
         let mut resolved = match ResolvedRequest::resolve(dto) {
@@ -2277,7 +2274,9 @@ fn admit_batch(
                         shared.counters.throttled.inc();
                         (
                             429,
-                            format!("tenant {tenant:?} is at capacity, retry after {retry_after}s"),
+                            format!(
+                                "tenant {tenant:?} is at capacity, retry after {RETRY_AFTER_SECS}s"
+                            ),
                         )
                     }
                     Rejection::QueueFull(_) => {
@@ -2507,7 +2506,6 @@ fn submit(
         deadline,
         trace: trace.clone(),
     };
-    let retry_after = shared.config.retry_after_secs.to_string();
     match shared.requests.try_push(tenant, job) {
         Ok(()) => Routed::Queued(Some(tenant.to_string())),
         Err(Rejection::TenantFull(job)) => {
@@ -2518,7 +2516,7 @@ fn submit(
                     429,
                     error_body(&format!("tenant {tenant:?} is at capacity, retry shortly")),
                 )
-                .with_header("retry-after", retry_after),
+                .with_header("retry-after", RETRY_AFTER_SECS.to_string()),
             )
         }
         Err(Rejection::QueueFull(job)) => {
@@ -2526,7 +2524,7 @@ fn submit(
             shared.counters.rejected.inc();
             Routed::Inline(
                 Response::json(503, error_body("server is at capacity, retry shortly"))
-                    .with_header("retry-after", retry_after),
+                    .with_header("retry-after", RETRY_AFTER_SECS.to_string()),
             )
         }
         Err(Rejection::Closed(job)) => {
@@ -2717,7 +2715,7 @@ fn run_job(job: Job, shared: &Shared) {
                         503,
                         error_body("deadline exceeded before compute, retry shortly"),
                     )
-                    .with_header("retry-after", shared.config.retry_after_secs.to_string()),
+                    .with_header("retry-after", RETRY_AFTER_SECS.to_string()),
                 );
                 return;
             }
