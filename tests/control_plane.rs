@@ -1375,10 +1375,39 @@ fn every_path_that_sets_tuning_agrees() {
     admin(addr, "POST", "/v1/admin/reload", None);
     admin(addr, "PUT", "/v1/corpora/t", Some(&untuned));
     let derived = (WORKERS / (1 + 1)) as f64;
+    let defaults = [Some(1.0), Some(QUEUE as f64), Some(derived), None, None];
     assert_eq!(
         read_tuning(addr, "t", 1),
-        [Some(1.0), Some(QUEUE as f64), Some(derived), None, None],
+        defaults,
         "defaults after a drop and a bare PUT"
     );
     let _ = std::fs::remove_file(&path);
+
+    // So does a DELETE.
+    let (server, path) = spawn_reloadable(&small_manifest(Some(&tuned)), "tuning", configure);
+    let addr = server.addr();
+    admin(addr, "DELETE", "/v1/corpora/t", None);
+    admin(addr, "PUT", "/v1/corpora/t", Some(&untuned));
+    assert_eq!(
+        read_tuning(addr, "t", 1),
+        defaults,
+        "defaults after a DELETE and a bare PUT"
+    );
+    let _ = std::fs::remove_file(&path);
+
+    // A config that names `t` in some per-tenant columns only (auth off,
+    // no manifest folded in) leaves the other fields at their defaults.
+    let registry = Arc::new(CorpusRegistry::new());
+    let manifest = Manifest::from_json(&small_manifest(Some(&untuned))).unwrap();
+    registry.apply_manifest(&manifest).unwrap();
+    let server = spawn_with(registry, |config| {
+        configure(config);
+        config.tenant_bounds = vec![("t".to_string(), 4)];
+        config.tenant_trace_slow = vec![("t".to_string(), 25)];
+    });
+    assert_eq!(
+        read_tuning(server.addr(), "t", 1),
+        [Some(1.0), Some(4.0), None, None, Some(25.0)],
+        "tuning set by two config columns"
+    );
 }
