@@ -128,11 +128,34 @@ struct SubQueue<T> {
     /// Deficit-round-robin credit: how many items this tenant may still pop
     /// in the current service round.
     deficit: u64,
+    /// The tenant's tuned weight, copied onto the lane so that a retired
+    /// lane, whose tuning is forgotten, keeps it.
     weight: u64,
     /// A retired lane drains its queued items at its current weight, then
     /// disappears — retiring never drops work, and a push under the same
     /// tenant name revives the lane.
     retired: bool,
+}
+
+/// Everything that tunes one tenant. The fair queue applies the first
+/// three; the request path reads the last two. [`FairQueue::tune`] is the
+/// one writer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tuning {
+    /// Deficit-round-robin weight: a weight-2 tenant drains twice as fast
+    /// as a weight-1 tenant when both are backlogged (minimum 1).
+    pub weight: u64,
+    /// Admission bound of the tenant's sub-queue (minimum 1).
+    pub bound: usize,
+    /// Cap on popped-but-unreleased items (minimum 1); `None` leaves the
+    /// tenant uncapped.
+    pub inflight: Option<usize>,
+    /// Deadline budget in milliseconds; `None` falls back to the
+    /// server-wide default.
+    pub deadline_ms: Option<u64>,
+    /// Slow-trace threshold in milliseconds; `None` falls back to the
+    /// server-wide threshold.
+    pub trace_slow_ms: Option<u64>,
 }
 
 struct FairState<T> {
@@ -142,36 +165,25 @@ struct FairState<T> {
     total: usize,
     closed: bool,
     waiters: usize,
-    /// Per-tenant DRR weight overrides (unlisted tenants weigh 1). Inside
-    /// the state so weights are retunable at runtime without racing pushes.
-    weights: HashMap<String, u64>,
-    /// Per-tenant bound overrides (unlisted tenants use the queue-wide
-    /// `tenant_capacity`).
-    bounds: HashMap<String, usize>,
+    /// Per-tenant tunings. Inside the state so they are retunable at
+    /// runtime without racing pushes and pops.
+    tunings: HashMap<String, Tuning>,
+    /// The tuning of a tenant absent from `tunings`: weight 1, the
+    /// queue-wide `tenant_capacity`, uncapped, no deadline or threshold.
+    default: Tuning,
     /// Items popped but not yet released, per tenant. Keyed by name (not
     /// kept on the sub-queue) because a lane is removed the moment it
     /// drains while its popped work is still running in the compute pool.
     inflight: HashMap<String, usize>,
-    /// Per-tenant in-flight concurrency caps; unlisted tenants are
-    /// unlimited. A capped tenant's lane is skipped by `pop` (its deficit
-    /// and rotation slot untouched) until `release` frees a slot.
-    inflight_caps: HashMap<String, usize>,
 }
 
 impl<T> FairState<T> {
-    fn weight_for(&self, tenant: &str) -> u64 {
-        self.weights.get(tenant).copied().unwrap_or(1).max(1)
+    fn tuning(&self, tenant: &str) -> &Tuning {
+        self.tunings.get(tenant).unwrap_or(&self.default)
     }
 
     fn inflight_for(&self, tenant: &str) -> usize {
         self.inflight.get(tenant).copied().unwrap_or(0)
-    }
-
-    fn inflight_cap_for(&self, tenant: &str) -> usize {
-        self.inflight_caps
-            .get(tenant)
-            .copied()
-            .unwrap_or(usize::MAX)
     }
 
     /// Removes sub-queue `idx` and renumbers the service rotation (every
@@ -190,34 +202,24 @@ impl<T> FairState<T> {
 /// A bounded blocking queue with per-tenant sub-queues drained in weighted
 /// deficit-round-robin order.
 ///
-/// Each tenant gets its own bound (`tenant_capacity`): overflowing it
-/// rejects with [`Rejection::TenantFull`] without touching anyone else's
-/// budget. The global bound caps the sum of all sub-queues. Consumers pop
-/// in DRR order — a tenant with weight 2 drains twice as fast as a weight-1
-/// tenant when both are backlogged, and an idle tenant's unused share costs
-/// nothing.
+/// Each tenant gets its own bound (its [`Tuning::bound`], by default
+/// `tenant_capacity`): overflowing it rejects with
+/// [`Rejection::TenantFull`] without touching anyone else's budget. The
+/// global bound caps the sum of all sub-queues. Consumers pop in DRR order
+/// — a tenant with weight 2 drains twice as fast as a weight-1 tenant when
+/// both are backlogged, and an idle tenant's unused share costs nothing.
 pub struct FairQueue<T> {
     state: Mutex<FairState<T>>,
     ready: Condvar,
     capacity: usize,
-    tenant_capacity: usize,
 }
 
 impl<T> FairQueue<T> {
     /// A queue admitting at most `capacity` items in total and
-    /// `tenant_capacity` per tenant (both minimum 1); every tenant weighs 1.
+    /// `tenant_capacity` per tenant (both minimum 1); until
+    /// [`FairQueue::tune`] says otherwise, every tenant weighs 1 and is
+    /// uncapped.
     pub fn new(capacity: usize, tenant_capacity: usize) -> Self {
-        Self::with_weights(capacity, tenant_capacity, Vec::new())
-    }
-
-    /// Like [`FairQueue::new`] with explicit per-tenant weights; tenants
-    /// not listed weigh 1. A weight of 0 is bumped to 1 — a tenant can be
-    /// de-prioritised, never starved.
-    pub fn with_weights(
-        capacity: usize,
-        tenant_capacity: usize,
-        weights: Vec<(String, u64)>,
-    ) -> Self {
         FairQueue {
             state: Mutex::new(FairState {
                 subs: Vec::new(),
@@ -225,17 +227,18 @@ impl<T> FairQueue<T> {
                 total: 0,
                 closed: false,
                 waiters: 0,
-                weights: weights
-                    .into_iter()
-                    .map(|(name, weight)| (name, weight.max(1)))
-                    .collect(),
-                bounds: HashMap::new(),
+                tunings: HashMap::new(),
+                default: Tuning {
+                    weight: 1,
+                    bound: tenant_capacity.max(1),
+                    inflight: None,
+                    deadline_ms: None,
+                    trace_slow_ms: None,
+                },
                 inflight: HashMap::new(),
-                inflight_caps: HashMap::new(),
             }),
             ready: Condvar::new(),
             capacity: capacity.max(1),
-            tenant_capacity: tenant_capacity.max(1),
         }
     }
 
@@ -252,7 +255,7 @@ impl<T> FairQueue<T> {
         let idx = match state.subs.iter().position(|sub| sub.name == tenant) {
             Some(idx) => idx,
             None => {
-                let weight = state.weight_for(tenant);
+                let weight = state.tuning(tenant).weight;
                 state.subs.push(SubQueue {
                     name: tenant.to_string(),
                     items: VecDeque::new(),
@@ -263,12 +266,7 @@ impl<T> FairQueue<T> {
                 state.subs.len() - 1
             }
         };
-        let bound = state
-            .bounds
-            .get(tenant)
-            .copied()
-            .unwrap_or(self.tenant_capacity);
-        if state.subs[idx].items.len() >= bound {
+        if state.subs[idx].items.len() >= state.tuning(tenant).bound {
             return Err(Rejection::TenantFull(item));
         }
         // A push revives a retired lane: the tenant is evidently back.
@@ -284,42 +282,53 @@ impl<T> FairQueue<T> {
         Ok(())
     }
 
-    /// Retunes a tenant's DRR weight at runtime (0 is bumped to 1). Takes
-    /// effect on the tenant's next service round — queued work is never
-    /// reordered or dropped.
-    pub fn set_weight(&self, tenant: &str, weight: u64) {
-        let weight = weight.max(1);
+    /// The one writer of a tenant's tuning: `update` edits the tuning in
+    /// force (the default for a tenant never tuned), and the result is
+    /// stored with a zero weight, bound or in-flight cap bumped to 1 — a
+    /// tenant can be de-prioritised or throttled, never starved or wedged.
+    /// Returns the tuning now in force.
+    ///
+    /// `update` runs under the queue lock, so a concurrent `pop` sees the
+    /// whole old tuning or the whole new one; it must not call back into
+    /// the queue. A new weight applies from the tenant's next service
+    /// round. A shrunk bound or cap drops nothing: queued items keep
+    /// draining and running work releases normally, and the lane admits
+    /// (or pops) nothing more until it is back under it.
+    pub fn tune(&self, tenant: &str, update: impl FnOnce(&mut Tuning)) -> Tuning {
         let mut state = self.state.lock().unwrap();
-        state.weights.insert(tenant.to_string(), weight);
+        let mut tuning = *state.tuning(tenant);
+        update(&mut tuning);
+        tuning.weight = tuning.weight.max(1);
+        tuning.bound = tuning.bound.max(1);
+        tuning.inflight = tuning.inflight.map(|cap| cap.max(1));
+        state.tunings.insert(tenant.to_string(), tuning);
         if let Some(sub) = state.subs.iter_mut().find(|sub| sub.name == tenant) {
-            sub.weight = weight;
+            sub.weight = tuning.weight;
             // A shrunk weight must not leave stale credit from the old
             // weight's service round.
-            sub.deficit = sub.deficit.min(weight);
+            sub.deficit = sub.deficit.min(tuning.weight);
         }
+        drop(state);
+        // A raised cap may make a previously skipped lane serviceable.
+        self.ready.notify_all();
+        tuning
     }
 
-    /// Resizes one tenant's admission bound at runtime (0 is bumped to 1).
-    /// Shrinking below the current depth drops nothing: queued items keep
-    /// draining, and new pushes are rejected until the lane is back under
-    /// its bound.
-    pub fn set_tenant_bound(&self, tenant: &str, bound: usize) {
-        let mut state = self.state.lock().unwrap();
-        state.bounds.insert(tenant.to_string(), bound.max(1));
+    /// The tuning in force for `tenant`.
+    pub fn tuning(&self, tenant: &str) -> Tuning {
+        *self.state.lock().unwrap().tuning(tenant)
     }
 
-    /// Retires a tenant lane: its weight/bound overrides are forgotten and
-    /// the lane disappears — immediately when empty, otherwise as soon as
-    /// its queued items have drained (work is never dropped). A later push
+    /// Retires a tenant lane: its tuning is forgotten and the lane
+    /// disappears — immediately when empty, otherwise as soon as its
+    /// queued items have drained (work is never dropped). A later push
     /// under the same name starts a fresh default-tuned lane.
     pub fn retire(&self, tenant: &str) {
         let mut state = self.state.lock().unwrap();
-        state.weights.remove(tenant);
-        state.bounds.remove(tenant);
-        // The cap override is forgotten, but in-flight *counts* persist
-        // until released — retirement must never let a tenant's running
-        // work underflow the ledger or dodge a comeback lane's new cap.
-        state.inflight_caps.remove(tenant);
+        // Only the tuning goes: the in-flight *count* persists until
+        // released — retirement must never let a tenant's running work
+        // underflow the ledger or dodge a comeback lane's new cap.
+        state.tunings.remove(tenant);
         if let Some(idx) = state.subs.iter().position(|sub| sub.name == tenant) {
             if state.subs[idx].items.is_empty() {
                 state.remove_sub(idx);
@@ -345,7 +354,9 @@ impl<T> FairQueue<T> {
                 let st = &mut *state;
                 let pos = st.active.iter().position(|&idx| {
                     let name = &st.subs[idx].name;
-                    st.inflight_for(name) < st.inflight_cap_for(name)
+                    st.tuning(name)
+                        .inflight
+                        .is_none_or(|cap| st.inflight_for(name) < cap)
                 });
                 if let Some(pos) = pos {
                     let idx = st.active[pos];
@@ -404,27 +415,6 @@ impl<T> FairQueue<T> {
         self.ready.notify_one();
     }
 
-    /// Caps how many popped-but-unreleased items `tenant` may have at once
-    /// (0 is bumped to 1 — a tenant can be throttled, never wedged).
-    /// Shrinking below the current in-flight count drops nothing: running
-    /// work finishes and releases normally, and the lane is simply skipped
-    /// until it is back under its cap.
-    pub fn set_inflight_cap(&self, tenant: &str, cap: usize) {
-        let mut state = self.state.lock().unwrap();
-        state.inflight_caps.insert(tenant.to_string(), cap.max(1));
-        drop(state);
-        // A raised cap may make a previously skipped lane serviceable.
-        self.ready.notify_all();
-    }
-
-    /// Removes a tenant's in-flight cap, returning it to unlimited.
-    pub fn clear_inflight_cap(&self, tenant: &str) {
-        let mut state = self.state.lock().unwrap();
-        state.inflight_caps.remove(tenant);
-        drop(state);
-        self.ready.notify_all();
-    }
-
     /// Closes the queue: pending items still drain, new pushes are
     /// rejected, and blocked consumers wake up.
     pub fn close(&self) {
@@ -470,40 +460,9 @@ impl<T> FairQueue<T> {
         self.capacity
     }
 
-    /// The default per-tenant admission bound (tenants without an override).
-    pub fn tenant_capacity(&self) -> usize {
-        self.tenant_capacity
-    }
-
-    /// The admission bound currently in force for one tenant.
-    pub fn tenant_bound(&self, tenant: &str) -> usize {
-        self.state
-            .lock()
-            .unwrap()
-            .bounds
-            .get(tenant)
-            .copied()
-            .unwrap_or(self.tenant_capacity)
-    }
-
-    /// The DRR weight a tenant is (or would be) served with.
-    pub fn weight(&self, tenant: &str) -> u64 {
-        self.state.lock().unwrap().weight_for(tenant)
-    }
-
     /// Items popped under `tenant` and not yet released.
     pub fn tenant_inflight(&self, tenant: &str) -> usize {
         self.state.lock().unwrap().inflight_for(tenant)
-    }
-
-    /// The in-flight cap in force for `tenant`, `None` when unlimited.
-    pub fn tenant_inflight_cap(&self, tenant: &str) -> Option<usize> {
-        self.state
-            .lock()
-            .unwrap()
-            .inflight_caps
-            .get(tenant)
-            .copied()
     }
 }
 
@@ -629,8 +588,8 @@ mod tests {
 
     #[test]
     fn fair_queue_honours_weights() {
-        let queue: FairQueue<&'static str> =
-            FairQueue::with_weights(32, 16, vec![("heavy".to_string(), 2)]);
+        let queue: FairQueue<&'static str> = FairQueue::new(32, 16);
+        queue.tune("heavy", |t| t.weight = 2);
         for i in 0..6 {
             queue
                 .try_push("heavy", ["h1", "h2", "h3", "h4", "h5", "h6"][i])
@@ -681,7 +640,8 @@ mod tests {
 
     #[test]
     fn idle_tenants_cost_nothing_and_deficit_is_not_hoarded() {
-        let queue: FairQueue<u32> = FairQueue::with_weights(16, 8, vec![("a".to_string(), 4)]);
+        let queue: FairQueue<u32> = FairQueue::new(16, 8);
+        queue.tune("a", |t| t.weight = 4);
         // "a" drains completely; its leftover credit must not let it jump
         // the queue when it comes back later.
         queue.try_push("a", 1).unwrap();
@@ -732,8 +692,8 @@ mod tests {
         assert_eq!(queue.pop(), Some("b1"));
         // ...then "a" is retuned to weight 3 mid-backlog: from its next
         // service round it drains three per turn.
-        queue.set_weight("a", 3);
-        assert_eq!(queue.weight("a"), 3);
+        queue.tune("a", |t| t.weight = 3);
+        assert_eq!(queue.tuning("a").weight, 3);
         let rest: Vec<&str> = (0..6).map(|_| queue.pop().unwrap()).collect();
         assert_eq!(rest, vec!["a2", "a3", "a4", "b2", "b3", "b4"]);
     }
@@ -741,8 +701,8 @@ mod tests {
     #[test]
     fn zero_weight_retune_is_bumped_to_one() {
         let queue: FairQueue<u32> = FairQueue::new(8, 8);
-        queue.set_weight("a", 0);
-        assert_eq!(queue.weight("a"), 1);
+        assert_eq!(queue.tune("a", |t| t.weight = 0).weight, 1);
+        assert_eq!(queue.tuning("a").weight, 1);
     }
 
     #[test]
@@ -755,8 +715,8 @@ mod tests {
             Err(Rejection::TenantFull(3))
         ));
         // Growing the bound admits more...
-        queue.set_tenant_bound("a", 4);
-        assert_eq!(queue.tenant_bound("a"), 4);
+        queue.tune("a", |t| t.bound = 4);
+        assert_eq!(queue.tuning("a").bound, 4);
         queue.try_push("a", 3).unwrap();
         queue.try_push("a", 4).unwrap();
         assert!(matches!(
@@ -765,7 +725,7 @@ mod tests {
         ));
         // ...and shrinking below the current depth keeps the queued work
         // while rejecting new arrivals until it drains.
-        queue.set_tenant_bound("a", 1);
+        queue.tune("a", |t| t.bound = 1);
         assert_eq!(queue.depth(), 4, "resize must not drop queued items");
         assert!(matches!(
             queue.try_push("a", 6),
@@ -776,12 +736,13 @@ mod tests {
         }
         queue.try_push("a", 6).unwrap();
         // Other tenants stay on the default bound.
-        assert_eq!(queue.tenant_bound("b"), 2);
+        assert_eq!(queue.tuning("b").bound, 2);
     }
 
     #[test]
     fn retired_lane_drains_then_disappears_and_can_come_back() {
-        let queue: FairQueue<u32> = FairQueue::with_weights(16, 8, vec![("a".to_string(), 4)]);
+        let queue: FairQueue<u32> = FairQueue::new(16, 8);
+        queue.tune("a", |t| t.weight = 4);
         queue.try_push("a", 1).unwrap();
         queue.try_push("a", 2).unwrap();
         queue.retire("a");
@@ -792,7 +753,7 @@ mod tests {
         assert!(queue.tenant_depths().iter().all(|(name, _)| name != "a"));
         // A comeback push starts a fresh lane with default tuning.
         queue.try_push("a", 3).unwrap();
-        assert_eq!(queue.weight("a"), 1, "retire forgets the old weight");
+        assert_eq!(queue.tuning("a").weight, 1, "retire forgets the old weight");
         assert_eq!(queue.pop(), Some(3));
 
         // Retiring an empty lane removes it immediately, and renumbers the
@@ -822,9 +783,11 @@ mod tests {
 
     #[test]
     fn inflight_cap_skips_the_capped_lane_without_spending_its_deficit() {
-        let queue: FairQueue<&'static str> =
-            FairQueue::with_weights(16, 8, vec![("a".to_string(), 2)]);
-        queue.set_inflight_cap("a", 1);
+        let queue: FairQueue<&'static str> = FairQueue::new(16, 8);
+        queue.tune("a", |t| {
+            t.weight = 2;
+            t.inflight = Some(1);
+        });
         for item in ["a1", "a2", "a3"] {
             queue.try_push("a", item).unwrap();
         }
@@ -848,7 +811,7 @@ mod tests {
     #[test]
     fn release_wakes_a_consumer_parked_on_a_capped_lane() {
         let queue: Arc<FairQueue<u32>> = Arc::new(FairQueue::new(8, 8));
-        queue.set_inflight_cap("a", 1);
+        queue.tune("a", |t| t.inflight = Some(1));
         queue.try_push("a", 1).unwrap();
         queue.try_push("a", 2).unwrap();
         assert_eq!(queue.pop(), Some(1));
@@ -870,8 +833,8 @@ mod tests {
     #[test]
     fn inflight_counts_survive_lane_drain_and_caps_are_retunable() {
         let queue: FairQueue<u32> = FairQueue::new(8, 8);
-        queue.set_inflight_cap("a", 1);
-        assert_eq!(queue.tenant_inflight_cap("a"), Some(1));
+        queue.tune("a", |t| t.inflight = Some(1));
+        assert_eq!(queue.tuning("a").inflight, Some(1));
         queue.try_push("a", 1).unwrap();
         // Popping the last item drains the lane, and the in-flight charge
         // (keyed by name, not by lane) survives until released.
@@ -888,23 +851,30 @@ mod tests {
         queue.release("a");
         assert_eq!(queue.pop(), Some(2));
         // Raising the cap and clearing it both take effect immediately.
-        queue.set_inflight_cap("a", 4);
-        assert_eq!(queue.tenant_inflight_cap("a"), Some(4));
-        queue.clear_inflight_cap("a");
-        assert_eq!(queue.tenant_inflight_cap("a"), None);
+        queue.tune("a", |t| t.inflight = Some(4));
+        assert_eq!(queue.tuning("a").inflight, Some(4));
+        queue.tune("a", |t| t.inflight = None);
+        assert_eq!(queue.tuning("a").inflight, None);
         // Zero caps are bumped: a tenant can be throttled, never wedged.
-        queue.set_inflight_cap("a", 0);
-        assert_eq!(queue.tenant_inflight_cap("a"), Some(1));
+        queue.tune("a", |t| t.inflight = Some(0));
+        assert_eq!(queue.tuning("a").inflight, Some(1));
     }
 
     #[test]
     fn retire_forgets_the_cap_but_not_the_inflight_charge() {
         let queue: FairQueue<u32> = FairQueue::new(8, 8);
-        queue.set_inflight_cap("a", 1);
+        queue.tune("a", |t| {
+            t.inflight = Some(1);
+            t.deadline_ms = Some(700);
+            t.trace_slow_ms = Some(40);
+        });
         queue.try_push("a", 1).unwrap();
         assert_eq!(queue.pop(), Some(1));
         queue.retire("a");
-        assert_eq!(queue.tenant_inflight_cap("a"), None, "cap override gone");
+        let tuning = queue.tuning("a");
+        assert_eq!(tuning.inflight, None, "cap override gone");
+        assert_eq!(tuning.deadline_ms, None, "deadline gone");
+        assert_eq!(tuning.trace_slow_ms, None, "trace threshold gone");
         assert_eq!(queue.tenant_inflight("a"), 1, "charge persists");
         queue.release("a");
         assert_eq!(queue.tenant_inflight("a"), 0);
@@ -916,7 +886,7 @@ mod tests {
     #[test]
     fn closed_queue_still_drains_capped_lanes_after_release() {
         let queue: Arc<FairQueue<u32>> = Arc::new(FairQueue::new(8, 8));
-        queue.set_inflight_cap("a", 1);
+        queue.tune("a", |t| t.inflight = Some(1));
         queue.try_push("a", 1).unwrap();
         queue.try_push("a", 2).unwrap();
         assert_eq!(queue.pop(), Some(1));
@@ -935,8 +905,8 @@ mod tests {
 }
 
 /// Property tests for `FairQueue` reconfiguration under concurrent load:
-/// arbitrary interleavings of `set_weight` / `set_tenant_bound` /
-/// `set_inflight_cap` / `retire` against concurrent pushes and pops must
+/// arbitrary interleavings of `tune` (weight, bound or in-flight cap) and
+/// `retire` against concurrent pushes and pops must
 /// never lose an admitted item, deliver one twice, or overrun a bound.
 #[cfg(all(test, feature = "proptests"))]
 mod proptests {
@@ -997,7 +967,7 @@ mod proptests {
                         match queue.try_push(&name, value) {
                             Ok(()) => {
                                 prop_assert!(
-                                    depth_before < queue.tenant_bound(&name),
+                                    depth_before < queue.tuning(&name).bound,
                                     "push admitted past the bound in force"
                                 );
                                 admitted.push(value);
@@ -1012,7 +982,7 @@ mod proptests {
                             let serviceable = queue.tenant_depths().iter().any(|(name, depth)| {
                                 *depth > 0
                                     && queue.tenant_inflight(name)
-                                        < queue.tenant_inflight_cap(name).unwrap_or(usize::MAX)
+                                        < queue.tuning(name).inflight.unwrap_or(usize::MAX)
                             });
                             if serviceable {
                                 let item = queue.pop();
@@ -1022,16 +992,16 @@ mod proptests {
                         }
                     }
                     Op::SetWeight { tenant, weight } => {
-                        queue.set_weight(&tenant_name(tenant), weight);
-                        prop_assert!(queue.weight(&tenant_name(tenant)) >= 1);
+                        queue.tune(&tenant_name(tenant), |t| t.weight = weight);
+                        prop_assert!(queue.tuning(&tenant_name(tenant)).weight >= 1);
                     }
                     Op::SetBound { tenant, bound } => {
-                        queue.set_tenant_bound(&tenant_name(tenant), bound);
-                        prop_assert!(queue.tenant_bound(&tenant_name(tenant)) >= 1);
+                        queue.tune(&tenant_name(tenant), |t| t.bound = bound);
+                        prop_assert!(queue.tuning(&tenant_name(tenant)).bound >= 1);
                     }
                     Op::SetInflightCap { tenant, cap } => {
-                        queue.set_inflight_cap(&tenant_name(tenant), cap);
-                        let cap = queue.tenant_inflight_cap(&tenant_name(tenant));
+                        queue.tune(&tenant_name(tenant), |t| t.inflight = Some(cap));
+                        let cap = queue.tuning(&tenant_name(tenant)).inflight;
                         prop_assert!(cap.unwrap_or(1) >= 1);
                     }
                     Op::Release { tenant } => {
@@ -1042,7 +1012,7 @@ mod proptests {
                     }
                 }
                 for (name, _) in queue.tenant_depths() {
-                    if let Some(cap) = queue.tenant_inflight_cap(&name) {
+                    if let Some(cap) = queue.tuning(&name).inflight {
                         prop_assert!(
                             queue.tenant_inflight(&name) <= cap.max(queue.tenant_inflight(&name)),
                             "inflight ledger must stay consistent"
@@ -1115,11 +1085,14 @@ mod proptests {
                 std::thread::spawn(move || {
                     for i in 0..40u64 {
                         let tenant = tenant_name((seed.wrapping_add(i)) as u8);
-                        match i % 4 {
-                            0 => queue.set_weight(&tenant, i % 5),
-                            1 => queue.set_tenant_bound(&tenant, (i % 6) as usize),
-                            2 => queue.set_inflight_cap(&tenant, (i % 3) as usize),
-                            _ => queue.retire(&tenant),
+                        if i % 4 == 3 {
+                            queue.retire(&tenant);
+                        } else {
+                            queue.tune(&tenant, |t| match i % 4 {
+                                0 => t.weight = i % 5,
+                                1 => t.bound = (i % 6) as usize,
+                                _ => t.inflight = Some((i % 3) as usize),
+                            });
                         }
                         std::thread::yield_now();
                     }

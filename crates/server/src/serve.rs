@@ -49,7 +49,7 @@ use crate::api::{
 };
 use crate::auth::{bearer_token, AuthTable, Principal, StoredKey};
 use crate::http::{self, Limits, Parse, Request, RequestBuffer, Response, ResponseEmitter};
-use crate::queue::{Bounded, FairQueue, Rejection};
+use crate::queue::{Bounded, FairQueue, Rejection, Tuning};
 use crate::stats::{self, Counters, TenantMetrics};
 use crate::sys::{
     self, Event, IoBackend, IoBackendChoice, Poller, WakePipe, POLLERR, POLLHUP, POLLIN, POLLNVAL,
@@ -244,36 +244,16 @@ impl ServerConfig {
         }
         let tunings = manifest_tunings(manifest, &self);
         self.tenant_weights = column(&tunings, |t| Some(t.weight));
-        self.tenant_bounds = column(&tunings, |t| Some(t.queue));
+        self.tenant_bounds = column(&tunings, |t| Some(t.bound));
         self.tenant_inflight = column(&tunings, |t| t.inflight);
-        self.tenant_deadlines = column(&tunings, |t| t.policy.deadline_ms);
-        self.tenant_trace_slow = column(&tunings, |t| t.policy.trace_slow_ms);
+        self.tenant_deadlines = column(&tunings, |t| t.deadline_ms);
+        self.tenant_trace_slow = column(&tunings, |t| t.trace_slow_ms);
         if let Some(default) = manifest.default_tenant() {
             self.default_corpus = default.to_string();
         }
         self.auth = AuthTable::from_manifest(manifest);
         self
     }
-}
-
-/// Everything that tunes one tenant: its DRR weight, queue bound and
-/// in-flight cap, which live in the fair queue, plus its [`Policy`].
-#[derive(Clone, Copy)]
-struct Tuning {
-    weight: u64,
-    queue: usize,
-    /// `None` leaves the tenant uncapped.
-    inflight: Option<usize>,
-    policy: Policy,
-}
-
-/// The per-tenant policy the request path reads: the deadline budget and
-/// the slow-trace threshold, in milliseconds. `None` falls back to the
-/// server-wide `default_deadline_ms` / `trace_slow_ms`.
-#[derive(Clone, Copy, Default)]
-struct Policy {
-    deadline_ms: Option<u64>,
-    trace_slow_ms: Option<u64>,
 }
 
 impl Tuning {
@@ -289,12 +269,10 @@ impl Tuning {
         let share = server.workers.max(1) as u64 * weight / total_weight.max(1);
         Tuning {
             weight,
-            queue: config.queue.unwrap_or(server.tenant_queue_capacity),
+            bound: config.queue.unwrap_or(server.tenant_queue_capacity),
             inflight: Some(config.inflight.unwrap_or(share.max(1) as usize)),
-            policy: Policy {
-                deadline_ms: config.deadline_ms,
-                trace_slow_ms: config.trace_slow_ms,
-            },
+            deadline_ms: config.deadline_ms,
+            trace_slow_ms: config.trace_slow_ms,
         }
     }
 }
@@ -555,10 +533,6 @@ struct Shared {
     /// requests is answered from the cache on the loop or reaches the
     /// compute pool.
     metrics: RwLock<HashMap<String, Arc<TenantMetrics>>>,
-    /// Per-tenant policy records: filled at spawn, then written only by
-    /// [`tune`], and dropped with the tenant. Tenants absent here get the
-    /// server-wide defaults.
-    policies: RwLock<HashMap<String, Policy>>,
     /// The unified metrics registry behind `GET /metrics` — every counter
     /// in [`Counters`] and every [`TenantMetrics`] handle points into it.
     obs: Arc<MetricsRegistry>,
@@ -662,23 +636,21 @@ impl Server {
             .map(|_| sys::new_poller(config.io_backend))
             .collect::<io::Result<Vec<_>>>()?;
         let io_backend = pollers[0].backend();
-        let requests = FairQueue::with_weights(
-            config.queue_capacity,
-            config.tenant_queue_capacity,
-            config.tenant_weights.clone(),
-        );
+        let requests = FairQueue::new(config.queue_capacity, config.tenant_queue_capacity);
+        for (tenant, weight) in &config.tenant_weights {
+            requests.tune(tenant, |t| t.weight = *weight);
+        }
         for (tenant, bound) in &config.tenant_bounds {
-            requests.set_tenant_bound(tenant, *bound);
+            requests.tune(tenant, |t| t.bound = *bound);
         }
         for (tenant, cap) in &config.tenant_inflight {
-            requests.set_inflight_cap(tenant, *cap);
+            requests.tune(tenant, |t| t.inflight = Some(*cap));
         }
-        let mut policies: HashMap<String, Policy> = HashMap::new();
         for (tenant, ms) in &config.tenant_deadlines {
-            policies.entry(tenant.clone()).or_default().deadline_ms = Some(*ms);
+            requests.tune(tenant, |t| t.deadline_ms = Some(*ms));
         }
         for (tenant, ms) in &config.tenant_trace_slow {
-            policies.entry(tenant.clone()).or_default().trace_slow_ms = Some(*ms);
+            requests.tune(tenant, |t| t.trace_slow_ms = Some(*ms));
         }
         let obs = Arc::new(MetricsRegistry::new());
         let counters = Counters::registered(&obs);
@@ -689,7 +661,6 @@ impl Server {
             requests,
             auth: RwLock::new(config.auth.clone()),
             metrics: RwLock::new(HashMap::new()),
-            policies: RwLock::new(policies),
             obs,
             trace_log,
             loops,
@@ -1746,7 +1717,7 @@ fn finish_trace(conn: &mut Connection, shared: &Shared, now: Instant) {
     let threshold_ms = trace
         .tenant
         .as_deref()
-        .and_then(|tenant| policy(shared, tenant).trace_slow_ms)
+        .and_then(|tenant| shared.requests.tuning(tenant).trace_slow_ms)
         .unwrap_or(shared.config.trace_slow_ms);
     if latency < Duration::from_millis(threshold_ms) {
         return;
@@ -2469,16 +2440,18 @@ fn header_deadline_ms(request: &Request) -> Result<Option<u64>, Response> {
 
 /// The absolute deadline a request admitted now must meet: the minimum of
 /// the client's validated `x-rpg-deadline-ms` budget (see
-/// [`header_deadline_ms`]) and the tenant's policy budget (manifest
+/// [`header_deadline_ms`]) and the tenant's tuned budget (manifest
 /// `deadline_ms`, falling back to the server-wide default). `None` — no
-/// header, no policy — means the work never expires queued.
+/// header, no budget — means the work never expires queued.
 fn effective_deadline(header_ms: Option<u64>, tenant: &str, shared: &Shared) -> Option<Instant> {
-    let policy_ms = policy(shared, tenant)
+    let tenant_ms = shared
+        .requests
+        .tuning(tenant)
         .deadline_ms
         .or(shared.config.default_deadline_ms);
-    let budget_ms = match (header_ms, policy_ms) {
-        (Some(header), Some(policy)) => Some(header.min(policy)),
-        (header, policy) => header.or(policy),
+    let budget_ms = match (header_ms, tenant_ms) {
+        (Some(header), Some(tenant)) => Some(header.min(tenant)),
+        (header, tenant) => header.or(tenant),
     };
     budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms))
 }
@@ -2767,11 +2740,11 @@ fn execute(
                         .tenants()
                         .iter()
                         .filter(|other| *other != name)
-                        .map(|other| shared.requests.weight(other))
+                        .map(|other| shared.requests.tuning(other).weight)
                         .sum();
                     let total_weight = others + config.weight.unwrap_or(1).max(1);
                     let tuning = Tuning::of(config, &shared.config, total_weight);
-                    tune(shared, name, |_| tuning);
+                    shared.requests.tune(name, |t| *t = tuning);
                     if shared.config.auth_enabled {
                         shared.auth.write().unwrap().grant_tenant_full(
                             name,
@@ -2808,50 +2781,17 @@ fn execute(
     }
 }
 
-/// The one writer of a tenant's tuning. `update` maps the tuning in force
-/// to the next one, which lands in the fair queue (weight, bound, in-flight
-/// cap) and the tenant's policy record; the tuning then in force is read
-/// back from those places and returned. The policy lock is held from the
-/// first read to the read-back, so concurrent retunes of one tenant (a
-/// `PATCH` racing a reload) apply whole, one after the other.
-fn tune(shared: &Shared, name: &str, update: impl FnOnce(Tuning) -> Tuning) -> Tuning {
-    let requests = &shared.requests;
-    let mut policies = shared.policies.write().unwrap();
-    let in_force = |policies: &HashMap<String, Policy>| Tuning {
-        weight: requests.weight(name),
-        queue: requests.tenant_bound(name),
-        inflight: requests.tenant_inflight_cap(name),
-        policy: policies.get(name).copied().unwrap_or_default(),
-    };
-    let next = update(in_force(&policies));
-    requests.set_weight(name, next.weight);
-    requests.set_tenant_bound(name, next.queue);
-    match next.inflight {
-        Some(cap) => requests.set_inflight_cap(name, cap),
-        None => requests.clear_inflight_cap(name),
-    }
-    policies.insert(name.to_string(), next.policy);
-    in_force(&policies)
-}
-
-/// A tenant's policy record; all-`None` (the server-wide defaults) for a
-/// tenant without one.
-fn policy(shared: &Shared, tenant: &str) -> Policy {
-    let policies = shared.policies.read().unwrap();
-    policies.get(tenant).copied().unwrap_or_default()
-}
-
 /// Applies a whole manifest to a running server: the registry's tenant set
 /// first (create/replace/remove — the CPU-heavy part), then every listed
-/// tenant's tuning (removed tenants' lanes retire once drained and their
-/// policy records go) and a key-table swap.
+/// tenant's tuning (removed tenants' tunings go, and their lanes retire
+/// once drained) and a key-table swap.
 fn apply_manifest_to(shared: &Shared, manifest: &Manifest) -> Result<ManifestDiff, String> {
     let diff = shared
         .registry
         .apply_manifest(manifest)
         .map_err(|e| e.to_string())?;
     for (name, tuning) in manifest_tunings(manifest, &shared.config) {
-        tune(shared, name, |_| tuning);
+        shared.requests.tune(name, |t| *t = tuning);
     }
     if let Some(level) = manifest.log_level.as_deref() {
         // Validated by `Manifest::validate`, so parse can only fail if the
@@ -2862,7 +2802,6 @@ fn apply_manifest_to(shared: &Shared, manifest: &Manifest) -> Result<ManifestDif
     }
     for name in &diff.removed {
         shared.requests.retire(name);
-        shared.policies.write().unwrap().remove(name);
     }
     *shared.auth.write().unwrap() = AuthTable::from_manifest(manifest);
     Ok(diff)
@@ -2946,6 +2885,7 @@ fn handle_corpora_list(shared: &Shared, principal: &Option<Principal>) -> Respon
         .into_iter()
         .filter(|row| own.is_none_or(|own| row.name == own))
         .map(|row| {
+            let tuning = shared.requests.tuning(&row.name);
             let spec = match &row.spec {
                 Some(spec) => serde::Serialize::to_value(spec),
                 None => Value::Null,
@@ -2963,14 +2903,8 @@ fn handle_corpora_list(shared: &Shared, principal: &Option<Principal>) -> Respon
                     row.cache_share
                         .map_or(Value::Null, |share| Value::Number(share as f64)),
                 ),
-                (
-                    "weight".to_string(),
-                    Value::Number(shared.requests.weight(&row.name) as f64),
-                ),
-                (
-                    "queue".to_string(),
-                    Value::Number(shared.requests.tenant_bound(&row.name) as f64),
-                ),
+                ("weight".to_string(), Value::Number(tuning.weight as f64)),
+                ("queue".to_string(), Value::Number(tuning.bound as f64)),
             ])
         })
         .collect();
@@ -3027,15 +2961,14 @@ fn handle_refresh(tenant: &str, shared: &Shared) -> Response {
 }
 
 /// `DELETE /v1/corpora/:name`: removes the tenant, evicts its cache
-/// entries, retires its queue lane (draining queued work first), drops its
-/// policy record and revokes its keys. Subsequent generates against it are
+/// entries, forgets its tuning, retires its queue lane (draining queued
+/// work first) and revokes its keys. Subsequent generates against it are
 /// `404`s.
 fn handle_corpus_delete(tenant: &str, shared: &Shared) -> Response {
     if !shared.registry.remove(tenant) {
         return Response::json(404, error_body(&format!("unknown corpus {tenant:?}")));
     }
     shared.requests.retire(tenant);
-    shared.policies.write().unwrap().remove(tenant);
     if shared.config.auth_enabled {
         shared.auth.write().unwrap().revoke_tenant(tenant);
     }
@@ -3078,30 +3011,25 @@ fn handle_tenant_patch(tenant: &str, body: &[u8], shared: &Shared) -> Response {
             ),
         );
     }
-    let tuning = tune(shared, tenant, |current| Tuning {
-        weight: patch.weight.unwrap_or(current.weight),
-        queue: patch.queue.unwrap_or(current.queue),
-        inflight: patch.inflight.or(current.inflight),
-        policy: Policy {
-            deadline_ms: patch.deadline_ms.or(current.policy.deadline_ms),
-            // 0 is legal: it means "capture an exemplar for every request".
-            trace_slow_ms: patch.trace_slow_ms.or(current.policy.trace_slow_ms),
-        },
+    let tuning = shared.requests.tune(tenant, |tuning| {
+        tuning.weight = patch.weight.unwrap_or(tuning.weight);
+        tuning.bound = patch.queue.unwrap_or(tuning.bound);
+        tuning.inflight = patch.inflight.or(tuning.inflight);
+        tuning.deadline_ms = patch.deadline_ms.or(tuning.deadline_ms);
+        // 0 is legal: it means "capture an exemplar for every request".
+        tuning.trace_slow_ms = patch.trace_slow_ms.or(tuning.trace_slow_ms);
     });
     let number = |value: Option<u64>| value.map_or(Value::Null, |v| Value::Number(v as f64));
     json_200(&Value::Object(vec![
         ("tenant".to_string(), Value::String(tenant.to_string())),
         ("weight".to_string(), number(Some(tuning.weight))),
-        ("queue".to_string(), number(Some(tuning.queue as u64))),
+        ("queue".to_string(), number(Some(tuning.bound as u64))),
         (
             "inflight".to_string(),
             number(tuning.inflight.map(|c| c as u64)),
         ),
-        ("deadline_ms".to_string(), number(tuning.policy.deadline_ms)),
-        (
-            "trace_slow_ms".to_string(),
-            number(tuning.policy.trace_slow_ms),
-        ),
+        ("deadline_ms".to_string(), number(tuning.deadline_ms)),
+        ("trace_slow_ms".to_string(), number(tuning.trace_slow_ms)),
     ]))
 }
 
@@ -3326,18 +3254,17 @@ fn queue_value(shared: &Shared) -> Value {
         .tenant_depths()
         .into_iter()
         .map(|(name, depth)| {
-            let weight = requests.weight(&name);
-            let capacity = requests.tenant_bound(&name);
+            let tuning = requests.tuning(&name);
             let in_flight = requests.tenant_inflight(&name);
-            let inflight_cap = requests
-                .tenant_inflight_cap(&name)
+            let inflight_cap = tuning
+                .inflight
                 .map_or(Value::Null, |cap| Value::Number(cap as f64));
             (
                 name,
                 Value::Object(vec![
                     ("depth".to_string(), Value::Number(depth as f64)),
-                    ("capacity".to_string(), Value::Number(capacity as f64)),
-                    ("weight".to_string(), Value::Number(weight as f64)),
+                    ("capacity".to_string(), Value::Number(tuning.bound as f64)),
+                    ("weight".to_string(), Value::Number(tuning.weight as f64)),
                     ("in_flight".to_string(), Value::Number(in_flight as f64)),
                     ("inflight".to_string(), inflight_cap),
                 ]),
