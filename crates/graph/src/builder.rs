@@ -41,11 +41,6 @@ impl GraphBuilder {
         self.node_count
     }
 
-    /// Number of edges added so far (before deduplication).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Grows the node space so that `node` becomes valid.
     pub fn ensure_node(&mut self, node: NodeId) {
         if node.index() >= self.node_count {

@@ -243,12 +243,6 @@ impl SteinerScratch {
         }
     }
 
-    /// The inner Dijkstra workspace, for callers that also run plain
-    /// shortest-path queries on the same thread.
-    pub fn dijkstra_mut(&mut self) -> &mut DijkstraScratch {
-        &mut self.dijkstra
-    }
-
     /// Cumulative work counters (never reset).
     pub fn counters(&self) -> SteinerCounters {
         SteinerCounters {

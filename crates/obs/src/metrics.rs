@@ -55,16 +55,6 @@ impl Gauge {
         self.0.store(value, Ordering::Relaxed);
     }
 
-    /// Increments by one.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Decrements by one.
-    pub fn dec(&self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-
     /// The current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)

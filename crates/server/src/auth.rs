@@ -220,11 +220,6 @@ impl AuthTable {
             .find(|(stored, _)| stored == candidate)
             .map(|(_, tenant)| Principal::Tenant(tenant.clone()))
     }
-
-    /// Number of tenant keys currently granted.
-    pub fn tenant_key_count(&self) -> usize {
-        self.tenant_keys.len()
-    }
 }
 
 /// Extracts the token of an `Authorization: Bearer <token>` header value

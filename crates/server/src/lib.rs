@@ -36,9 +36,10 @@
 //!   admin keys see every tenant, a tenant key sees only its own row),
 //!   `PUT /v1/corpora/:name` (build a corpus from a shipped spec and
 //!   atomically swap it in), `DELETE /v1/corpora/:name`,
-//!   `PATCH /v1/admin/tenants/:name` (retune a live tenant's DRR
-//!   weight/bound), and `POST /v1/admin/reload` (diff-apply the manifest
-//!   file) — every mutating endpoint admin-key-gated when auth is on,
+//!   `PATCH /v1/admin/tenants/:name` (retune a live tenant's DRR weight,
+//!   queue bound, in-flight cap, deadline budget and trace threshold),
+//!   and `POST /v1/admin/reload` (diff-apply the manifest file) — every
+//!   mutating endpoint admin-key-gated when auth is on,
 //!   with corpus builds on the compute pool so event loops never block;
 //! * **JSON endpoints** — `POST /v1/generate`, `POST /v1/batch` (items
 //!   admitted and billed per tenant, overflow becomes per-item `429`s),

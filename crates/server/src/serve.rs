@@ -112,7 +112,10 @@ pub struct ServerConfig {
     /// tenant keeps more than this many requests outstanding.
     pub tenant_queue_capacity: usize,
     /// Deficit-round-robin weights per tenant name; unlisted tenants weigh
-    /// 1. A weight-2 tenant drains twice as fast when backlogged.
+    /// 1. A weight-2 tenant drains twice as fast when backlogged. Spawn
+    /// applies this and every other per-tenant column through
+    /// [`FairQueue::tune`], the writer PATCH, PUT and reload use; a tenant
+    /// named in only some columns keeps the defaults for the rest.
     pub tenant_weights: Vec<(String, u64)>,
     /// Tenant used when a request omits its `corpus` field.
     pub default_corpus: String,
@@ -797,10 +800,11 @@ impl Server {
 
     /// Applies a validated manifest to the *running* server: the registry's
     /// tenant set is diffed (create/replace/remove with epoch bumps and
-    /// exact-tenant cache eviction), fair-queue weights and bounds are
-    /// retuned, removed tenants' queue lanes retire once drained, and the
-    /// key table is swapped — all without dropping a connection. This is
-    /// what `SIGHUP` and `POST /v1/admin/reload` ride on.
+    /// exact-tenant cache eviction), every listed tenant's tuning is
+    /// applied, removed tenants' tunings are forgotten and their queue
+    /// lanes retire once drained, and the key table is swapped — all
+    /// without dropping a connection. This is what `SIGHUP` and
+    /// `POST /v1/admin/reload` ride on.
     ///
     /// Corpus builds happen on the calling thread; call it from a worker
     /// or the CLI's supervisor loop, not from an event loop.

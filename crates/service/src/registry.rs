@@ -736,11 +736,6 @@ impl CorpusRegistry {
             .filter(|key| key.corpus == name)
             .count()
     }
-
-    /// Drops all cached results for every tenant (counters are kept).
-    pub fn clear_cache(&self) {
-        self.cache.lock().unwrap().clear();
-    }
 }
 
 impl Default for CorpusRegistry {
