@@ -140,7 +140,7 @@ struct SubQueue<T> {
 /// Everything that tunes one tenant. The fair queue applies the first
 /// three; the request path reads the last two. [`FairQueue::tune`] is the
 /// one writer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Tuning {
     /// Deficit-round-robin weight: a weight-2 tenant drains twice as fast
     /// as a weight-1 tenant when both are backlogged (minimum 1).

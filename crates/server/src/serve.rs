@@ -111,9 +111,9 @@ pub struct ServerConfig {
     /// flight), so under the event loop the throttle engages whenever a
     /// tenant keeps more than this many requests outstanding.
     pub tenant_queue_capacity: usize,
-    /// Deficit-round-robin weights per tenant name; unlisted tenants weigh
-    /// 1. A weight-2 tenant drains twice as fast when backlogged. Spawn
-    /// applies this and every other per-tenant column through
+    /// Deficit-round-robin weights per tenant name; unlisted tenants
+    /// weigh 1. A weight-2 tenant drains twice as fast when backlogged.
+    /// Spawn applies this and every other per-tenant column through
     /// [`FairQueue::tune`], the writer PATCH, PUT and reload use; a tenant
     /// named in only some columns keeps the defaults for the rest.
     pub tenant_weights: Vec<(String, u64)>,
@@ -2448,14 +2448,14 @@ fn header_deadline_ms(request: &Request) -> Result<Option<u64>, Response> {
 /// `deadline_ms`, falling back to the server-wide default). `None` — no
 /// header, no budget — means the work never expires queued.
 fn effective_deadline(header_ms: Option<u64>, tenant: &str, shared: &Shared) -> Option<Instant> {
-    let tenant_ms = shared
+    let tuned_ms = shared
         .requests
         .tuning(tenant)
         .deadline_ms
         .or(shared.config.default_deadline_ms);
-    let budget_ms = match (header_ms, tenant_ms) {
-        (Some(header), Some(tenant)) => Some(header.min(tenant)),
-        (header, tenant) => header.or(tenant),
+    let budget_ms = match (header_ms, tuned_ms) {
+        (Some(header), Some(tuned)) => Some(header.min(tuned)),
+        (header, tuned) => header.or(tuned),
     };
     budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms))
 }
