@@ -20,6 +20,10 @@
 //! rank order), digested the same way. A change that moves a single BM25
 //! score fails here even when the top seeds, and so the reading path, stay
 //! put. Changing it is the same kind of claim as changing [`GOLDEN`].
+//! [`CUT_OFF_RANKINGS`] pins the same full ranking at the cut-offs the
+//! evaluation form leaves out but `cold_generate` sends: `max_year` one and
+//! two years before the survey's, and no cut-off, the survey still
+//! excluded. Those are where the year filter drops the most candidates.
 //!
 //! [`SECTIONS`] pins everything a corpus build produces: the length and
 //! CRC-32 of each of the six snapshot sections (papers, refs, graph,
@@ -28,7 +32,7 @@
 //! corpus generator and of `CorpusArtifacts::build`. Changing it is the
 //! same kind of claim and needs the same kind of note.
 
-use rpg_corpus::{generate, Corpus};
+use rpg_corpus::{generate, Corpus, Survey};
 use rpg_engines::Query;
 use rpg_repager::artifacts::CorpusArtifacts;
 use rpg_repager::system::{PathRequest, RepagerOutput};
@@ -146,6 +150,60 @@ const SEED_RANKINGS: &[(u32, u64)] = &[
     (1225, 0xe09d37c07e32add1),
 ];
 
+/// `(survey paper id, digest at year − 1, at year − 2, with no cut-off)`,
+/// in survey order; each digest is taken as [`SEED_RANKINGS`]' is.
+#[rustfmt::skip]
+const CUT_OFF_RANKINGS: &[(u32, u64, u64, u64)] = &[
+    (676, 0x16bce2cbf8ec651e, 0xe595f56fb810d5f6, 0x23d22e17f54f40b4),
+    (680, 0xf2c06b4faa6c5f1e, 0xb4696b44a4068eaa, 0x542a7a886c953672),
+    (684, 0x352bd75d80ddbf40, 0x2873d17ab0f236f2, 0x0f9764681181fd8e),
+    (699, 0x85ad858f003ca019, 0xd633932167120342, 0x5208e73b5839d0f4),
+    (720, 0xc11fff4f702e6c2a, 0x4e0dcdb52b51cdf6, 0xb620c7ad4561adfa),
+    (722, 0xa5424da4bf53f0c4, 0xb3bf8ed1983d8c95, 0xbaf3bbb5b0f6235e),
+    (742, 0xc700b0c3700a3c26, 0x09638b6d615391d8, 0x99dbd20c5463c748),
+    (748, 0x65aeaaa6d16f1579, 0x1c56f3355ceb9e46, 0xd7189b9a3c35eddc),
+    (751, 0xd9e5f5e7808361c7, 0xd7b9ae867eea2045, 0x89b1d714455d9b1e),
+    (757, 0xb72e1d584ec7e987, 0xaa84738491c2eafd, 0x97716180a29e2772),
+    (767, 0x57579435ab0979e5, 0x1d2f8ac82adfa952, 0x11613efb9deefa92),
+    (785, 0x478bf80c4fff7859, 0xa29f508f635de636, 0xddea4aed52f484d6),
+    (792, 0x99f4ced98c93b790, 0x76878443d1c2d1bc, 0xb7c713e76863af28),
+    (884, 0x4cecb80622082d88, 0xdea4abf1f2a35181, 0x489491044af8e787),
+    (897, 0x6f3eee021a60528b, 0x22bb8aeccf10f862, 0x0bdcb0a74854e98f),
+    (940, 0x821d7986731a4776, 0x4b36c7cfc6c616c6, 0xc750117719b2e091),
+    (954, 0x566940b994417e7b, 0x05b9388d8c064d07, 0xd92c05c0a80f66ae),
+    (963, 0x325276ade55c5a21, 0x3f85ea069b34a568, 0x46849e4799b08260),
+    (968, 0x34fd46703ea1da31, 0xe0bd5cfd3cc07376, 0x84303d47d2e3d661),
+    (970, 0x77c687317e2e48d1, 0x2cd99030a2cf6c94, 0xc2684cd7b48626ac),
+    (982, 0xcc1aa12710ed0d05, 0xd49a2af2a87aa333, 0xfde0a5a51d62320a),
+    (986, 0x0b4580bd85e669fa, 0x749755a1de344b94, 0x708f50609d6dae95),
+    (993, 0x04fb3008e805281b, 0xb4477cb452908cd3, 0x4776805c863e6aca),
+    (995, 0xcb99d0272d82576f, 0x91d46a93692d259a, 0x8cefa1d69b133922),
+    (1000, 0xc262cd9aa3ca1183, 0xdd88450ff3b249ac, 0x808ac58dd4ed4b3a),
+    (1001, 0x9193fbd858221dd0, 0x9193fbd858221dd0, 0x768a333fe32ab5ea),
+    (1006, 0x1c483bf370f7d48f, 0xe6791f9d2ac78c42, 0x275e3b182e349a96),
+    (1082, 0x4585c80df7b0cffe, 0x0c1b2c846a021549, 0x5b2716906ee50f52),
+    (1084, 0x54219c7499f2ce3c, 0xf8f86568d03838b3, 0x682a7ff0b9284d22),
+    (1120, 0x580a256cfd913747, 0xc5fffb05dbe1984a, 0xc5209a0a1c1b37df),
+    (1140, 0x8327f406caf3cf53, 0x8327f406caf3cf53, 0x20b474c398d6e8e3),
+    (1177, 0x15f4e260ba5ac8f9, 0xf3cd992544d50205, 0x14937a10713c1fff),
+    (1180, 0x7fe0a687dbce0040, 0x2c139de3f3882759, 0xe812f0fa55e6d8ba),
+    (1189, 0x55210b5a90506ffd, 0xfd8fcbd62a9ba97f, 0x4f55076e71208e05),
+    (1193, 0x434ce958503db2e9, 0xa084f5b23523659e, 0x9b8da550db57078c),
+    (1196, 0x461c8149478bf55d, 0xbb307129916be393, 0x2075d5e49ed076ba),
+    (1198, 0xe149b07d285ebcb8, 0xc25e1312e8693a30, 0x22f352f35004eea8),
+    (1202, 0x6013b5c35dab446c, 0x43cf990750479121, 0x4258902fec295bec),
+    (1214, 0x6964caf9459de233, 0x41f40788f8f0778e, 0x2475a23d52bc1197),
+    (1215, 0xb816af044b355071, 0x7a1762af39ac5d0c, 0xfe1c29de0f41776b),
+    (1216, 0xc9d3e909d90ea260, 0xcadbe56dce0e15e9, 0xa45c5269543bb66b),
+    (1218, 0x3f54aee833e28dd1, 0x22291efc48a1c85b, 0x0975d6cd11c9a5e2),
+    (1219, 0x7d49a84bb16ff146, 0x7102f406dd31aa36, 0x7d49a84bb16ff146),
+    (1220, 0xd8be34fb3de9ce5d, 0x294393176efa12fe, 0xd8be34fb3de9ce5d),
+    (1221, 0x914882748675fc9d, 0x78feff38bdf65072, 0x914882748675fc9d),
+    (1222, 0x74d8de280e6a3840, 0x35ac99fa760b34b8, 0x96d3ab066053fc7d),
+    (1223, 0x8ceccebdd344aef9, 0x3ea5c52506e7df10, 0xc73108b5aded0068),
+    (1225, 0x0db7ac99bedcc353, 0x9db8db1ded8e20bc, 0xe09d37c07e32add1),
+];
+
 /// `(corpus, section, payload length in bytes, its CRC-32)`, in container
 /// order per corpus.
 const SECTIONS: &[(&str, &str, u64, u32)] = &[
@@ -242,6 +300,25 @@ fn every_survey_reading_path_matches_its_golden_digest() {
     }
 }
 
+/// The digest [`SEED_RANKINGS`] pins: every candidate's doc id and score
+/// bits, in rank order, for `survey`'s query at `max_year` with the survey
+/// excluded.
+fn seed_ranking_digest(artifacts: &CorpusArtifacts, survey: &Survey, max_year: Option<u16>) -> u64 {
+    let exclude = [survey.paper];
+    let ranking = artifacts.scholar().lexical().ranked_candidates(&Query {
+        text: &survey.query,
+        top_k: TOP_K,
+        max_year,
+        exclude: &exclude,
+    });
+    let mut bytes = Vec::with_capacity(ranking.len() * 12);
+    for scored in &ranking {
+        bytes.extend_from_slice(&scored.doc.to_le_bytes());
+        bytes.extend_from_slice(&scored.score.to_bits().to_le_bytes());
+    }
+    fnv1a64(&bytes)
+}
+
 #[test]
 fn every_survey_seed_ranking_matches_its_pin() {
     let corpus = demo_corpus();
@@ -250,19 +327,8 @@ fn every_survey_seed_ranking_matches_its_pin() {
         .survey_bank()
         .iter()
         .map(|survey| {
-            let exclude = [survey.paper];
-            let ranking = artifacts.scholar().lexical().ranked_candidates(&Query {
-                text: &survey.query,
-                top_k: TOP_K,
-                max_year: Some(survey.year),
-                exclude: &exclude,
-            });
-            let mut bytes = Vec::with_capacity(ranking.len() * 12);
-            for scored in &ranking {
-                bytes.extend_from_slice(&scored.doc.to_le_bytes());
-                bytes.extend_from_slice(&scored.score.to_bits().to_le_bytes());
-            }
-            (survey.paper.0, fnv1a64(&bytes))
+            let digest = seed_ranking_digest(&artifacts, survey, Some(survey.year));
+            (survey.paper.0, digest)
         })
         .collect();
     if table != SEED_RANKINGS {
@@ -279,6 +345,43 @@ fn every_survey_seed_ranking_matches_its_pin() {
         panic!(
             "{} of {} seed rankings differ from their pins (surveys {moved:?}); \
              the matching table is printed above",
+            moved.len(),
+            table.len()
+        );
+    }
+}
+
+#[test]
+fn every_survey_seed_ranking_matches_its_pin_at_other_cut_offs() {
+    let corpus = demo_corpus();
+    let artifacts = CorpusArtifacts::build(corpus.clone()).expect("demo artifacts build");
+    let table: Vec<(u32, u64, u64, u64)> = corpus
+        .survey_bank()
+        .iter()
+        .map(|survey| {
+            let at = |max_year| seed_ranking_digest(&artifacts, survey, max_year);
+            (
+                survey.paper.0,
+                at(Some(survey.year.saturating_sub(1))),
+                at(Some(survey.year.saturating_sub(2))),
+                at(None),
+            )
+        })
+        .collect();
+    if table != CUT_OFF_RANKINGS {
+        let moved: Vec<u32> = table
+            .iter()
+            .filter(|row| !CUT_OFF_RANKINGS.contains(row))
+            .map(|(paper, ..)| *paper)
+            .collect();
+        println!("const CUT_OFF_RANKINGS: &[(u32, u64, u64, u64)] = &[");
+        for (paper, back_one, back_two, open) in &table {
+            println!("    ({paper}, 0x{back_one:016x}, 0x{back_two:016x}, 0x{open:016x}),");
+        }
+        println!("];");
+        panic!(
+            "{} of {} surveys' cut-off seed rankings differ from their pins (surveys \
+             {moved:?}); the matching table is printed above",
             moved.len(),
             table.len()
         );
