@@ -178,9 +178,13 @@ impl LexicalEngine {
         self.config
     }
 
-    /// Scores all candidate papers for the query (before truncation), with
-    /// filters applied.  Exposed so the RePaGer seed stage can reuse it.
+    /// Ranks every candidate paper the query admits (before truncation).
+    /// The year cut-off and the exclusions ([`Query::admits`]) filter the
+    /// candidates before any of them is scored, so a paper the query cannot
+    /// return costs no scoring.  Exposed so the RePaGer seed stage can reuse
+    /// it.
     pub fn ranked_candidates(&self, query: &Query<'_>) -> Vec<ScoredDoc> {
+        let admit = |doc| query.admits(PaperId(doc), self.index.year(PaperId(doc)));
         let lexical: Vec<ScoredDoc> = match self.config.scoring {
             LexicalScoring::Bm25 => {
                 let bm25 = Bm25Index::new(
@@ -190,16 +194,15 @@ impl LexicalEngine {
                         ..Default::default()
                     },
                 );
-                bm25.search(query.text, usize::MAX)
+                bm25.search(query.text, usize::MAX, admit)
             }
             LexicalScoring::TfIdf => {
                 let tfidf = TfIdfIndex::new(self.index.inverted(), self.config.title_boost);
-                tfidf.search(query.text, usize::MAX)
+                tfidf.search(query.text, usize::MAX, admit)
             }
         };
         let mut scored: Vec<ScoredDoc> = lexical
             .into_iter()
-            .filter(|s| query.admits(PaperId(s.doc), self.index.year(PaperId(s.doc))))
             .map(|s| {
                 let paper = PaperId(s.doc);
                 let citation_prior = self.config.citation_weight

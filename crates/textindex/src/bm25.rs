@@ -4,7 +4,7 @@
 //! with BM25 over a weighted combination of the title and body fields.
 
 use crate::inverted::{Field, InvertedIndex};
-use crate::tfidf::{sort_ranking, ScoredDoc};
+use crate::tfidf::{rank_admitted, ScoredDoc};
 use crate::tokenize::tokenize;
 use crate::DocId;
 use serde::{Deserialize, Serialize};
@@ -86,21 +86,22 @@ impl<'a> Bm25Index<'a> {
         total
     }
 
-    /// Ranks every document containing at least one query term, returning the
-    /// top `limit` results.
-    pub fn search(&self, query: &str, limit: usize) -> Vec<ScoredDoc> {
-        let candidates = self.index.disjunctive_candidates(query);
-        let mut scored: Vec<ScoredDoc> = candidates
-            .into_iter()
-            .map(|doc| ScoredDoc {
-                doc,
-                score: self.score(query, doc),
-            })
-            .filter(|s| s.score > 0.0)
-            .collect();
-        sort_ranking(&mut scored);
-        scored.truncate(limit);
-        scored
+    /// Ranks the documents that contain at least one query term and that
+    /// `admit` accepts, returning the top `limit` results.
+    ///
+    /// `admit` filters the candidates before any of them is scored. An
+    /// admitted document's score does not depend on which others are
+    /// admitted, since `idf` and the average field lengths are taken over
+    /// the whole index.
+    pub fn search(
+        &self,
+        query: &str,
+        limit: usize,
+        admit: impl Fn(DocId) -> bool,
+    ) -> Vec<ScoredDoc> {
+        rank_admitted(self.index, query, limit, admit, |doc| {
+            self.score(query, doc)
+        })
     }
 }
 
@@ -137,7 +138,7 @@ mod tests {
     fn exact_topic_match_wins() {
         let idx = index();
         let bm25 = Bm25Index::new(&idx, Bm25Params::default());
-        let results = bm25.search("hate speech detection", 10);
+        let results = bm25.search("hate speech detection", 10, |_| true);
         assert_eq!(results[0].doc, 0);
     }
 
@@ -171,8 +172,8 @@ mod tests {
     fn limit_and_empty_query_behave() {
         let idx = index();
         let bm25 = Bm25Index::new(&idx, Bm25Params::default());
-        assert_eq!(bm25.search("hate", 1).len(), 1);
-        assert!(bm25.search("", 5).is_empty());
+        assert_eq!(bm25.search("hate", 1, |_| true).len(), 1);
+        assert!(bm25.search("", 5, |_| true).is_empty());
     }
 
     #[test]
@@ -204,11 +205,11 @@ mod tests {
             },
         );
         let plain_order: Vec<_> = no_boost
-            .search("transformer architectures", 2)
+            .search("transformer architectures", 2, |_| true)
             .iter()
             .map(|s| s.doc)
             .collect();
-        let boosted_results = boosted.search("transformer architectures", 2);
+        let boosted_results = boosted.search("transformer architectures", 2, |_| true);
         assert_eq!(boosted_results[0].doc, 1, "title match must win with boost");
         // Without boost both have identical field-combined tf; ranking falls
         // back to the deterministic tie-break.
@@ -234,7 +235,7 @@ mod proptests {
                 idx.add_document(i as DocId, t, t);
             }
             let bm25 = Bm25Index::new(&idx, Bm25Params::default());
-            let results = bm25.search(&query, 50);
+            let results = bm25.search(&query, 50, |_| true);
             for pair in results.windows(2) {
                 prop_assert!(pair[0].score >= pair[1].score);
             }

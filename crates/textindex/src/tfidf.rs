@@ -66,21 +66,48 @@ impl<'a> TfIdfIndex<'a> {
         total
     }
 
-    /// Ranks every document containing at least one query term.
-    pub fn search(&self, query: &str, limit: usize) -> Vec<ScoredDoc> {
-        let candidates = self.index.disjunctive_candidates(query);
-        let mut scored: Vec<ScoredDoc> = candidates
-            .into_iter()
-            .map(|doc| ScoredDoc {
-                doc,
-                score: self.score(query, doc),
-            })
-            .filter(|s| s.score > 0.0)
-            .collect();
-        sort_ranking(&mut scored);
-        scored.truncate(limit);
-        scored
+    /// Ranks the documents that contain at least one query term and that
+    /// `admit` accepts, returning the top `limit` results.
+    ///
+    /// `admit` filters the candidates before any of them is scored. An
+    /// admitted document's score does not depend on which others are
+    /// admitted, since `idf` counts document frequencies over the whole
+    /// index.
+    pub fn search(
+        &self,
+        query: &str,
+        limit: usize,
+        admit: impl Fn(DocId) -> bool,
+    ) -> Vec<ScoredDoc> {
+        rank_admitted(self.index, query, limit, admit, |doc| {
+            self.score(query, doc)
+        })
     }
+}
+
+/// The search both scorers run: scores the documents containing at least
+/// one query term that `admit` accepts, keeps those scoring above zero and
+/// returns the best `limit`, ranked by [`sort_ranking`].
+pub(crate) fn rank_admitted(
+    index: &InvertedIndex,
+    query: &str,
+    limit: usize,
+    admit: impl Fn(DocId) -> bool,
+    score: impl Fn(DocId) -> f64,
+) -> Vec<ScoredDoc> {
+    let mut scored: Vec<ScoredDoc> = index
+        .disjunctive_candidates(query)
+        .into_iter()
+        .filter(|&doc| admit(doc))
+        .map(|doc| ScoredDoc {
+            doc,
+            score: score(doc),
+        })
+        .filter(|s| s.score > 0.0)
+        .collect();
+    sort_ranking(&mut scored);
+    scored.truncate(limit);
+    scored
 }
 
 #[cfg(test)]
@@ -122,7 +149,7 @@ mod tests {
     fn relevant_documents_rank_higher() {
         let idx = index();
         let tfidf = TfIdfIndex::new(&idx, 1.0);
-        let results = tfidf.search("hate speech detection", 10);
+        let results = tfidf.search("hate speech detection", 10, |_| true);
         assert_eq!(results[0].doc, 0);
         assert!(results[0].score > results.last().unwrap().score);
     }
@@ -142,7 +169,7 @@ mod tests {
     fn limit_truncates_results() {
         let idx = index();
         let tfidf = TfIdfIndex::new(&idx, 1.0);
-        let results = tfidf.search("speech", 1);
+        let results = tfidf.search("speech", 1, |_| true);
         assert_eq!(results.len(), 1);
     }
 
@@ -150,8 +177,10 @@ mod tests {
     fn irrelevant_query_returns_nothing() {
         let idx = index();
         let tfidf = TfIdfIndex::new(&idx, 1.0);
-        assert!(tfidf.search("quantum chromodynamics", 10).is_empty());
-        assert!(tfidf.search("", 10).is_empty());
+        assert!(tfidf
+            .search("quantum chromodynamics", 10, |_| true)
+            .is_empty());
+        assert!(tfidf.search("", 10, |_| true).is_empty());
     }
 
     #[test]
@@ -160,7 +189,7 @@ mod tests {
         idx.add_document(5, "same title words", "");
         idx.add_document(3, "same title words", "");
         let tfidf = TfIdfIndex::new(&idx, 1.0);
-        let results = tfidf.search("same title", 10);
+        let results = tfidf.search("same title", 10, |_| true);
         assert_eq!(results[0].doc, 3);
         assert_eq!(results[1].doc, 5);
     }

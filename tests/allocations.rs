@@ -37,9 +37,9 @@ const TOP_K: usize = 30;
 
 /// `(layer, median ceiling, mean ceiling)`, in allocation calls per request.
 const CEILINGS: &[(&str, u64, u64)] = &[
-    ("seed", 656, 1_169),
-    ("seed at year - 2", 656, 1_169),
-    ("generate", 1_285, 1_783),
+    ("seed", 534, 984),
+    ("seed at year - 2", 409, 828),
+    ("generate", 1_156, 1_598),
     ("registry hit", 3, 3),
     ("response writer", 2, 2),
 ];
