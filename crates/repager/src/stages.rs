@@ -56,9 +56,10 @@ pub const STAGES: [StageName; 5] = [
 ///
 /// They come from the before/after difference of the worker's
 /// [`PipelineScratch::counters`] snapshot, so they attribute exactly the
-/// work (and the buffer growth) this request caused.  On a warmed-up
-/// worker, `scratch_allocations` is 0 for every request — the observable
-/// form of the allocation-free kernel claim.
+/// work (and the buffer growth) this request caused.  `scratch_allocations`
+/// counts only the growth of the scratch's own buffers: it reads 0 on a
+/// warmed-up worker while the request still makes heap allocations
+/// elsewhere, which `tests/allocations.rs` bounds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCounters {
     /// KMB solves run by the Steiner stage (one per terminal component).

@@ -43,11 +43,6 @@ impl<'a> Bm25Index<'a> {
         Bm25Index { index, params }
     }
 
-    /// The parameters in use.
-    pub fn params(&self) -> Bm25Params {
-        self.params
-    }
-
     /// BM25 inverse document frequency (with the usual +0.5 smoothing,
     /// floored at a small positive value so very common terms still count a
     /// little rather than negatively).
@@ -220,7 +215,13 @@ mod tests {
 #[cfg(all(test, feature = "proptests"))]
 mod proptests {
     use super::*;
+    use crate::tfidf::TfIdfIndex;
     use proptest::prelude::*;
+
+    /// Each result's doc id and score bits, in rank order.
+    fn bits(ranking: &[ScoredDoc]) -> Vec<(DocId, u64)> {
+        ranking.iter().map(|s| (s.doc, s.score.to_bits())).collect()
+    }
 
     proptest! {
         /// BM25 scores are finite, non-negative, and the search results are
@@ -242,6 +243,39 @@ mod proptests {
             for r in &results {
                 prop_assert!(r.score.is_finite() && r.score > 0.0);
             }
+        }
+
+        /// For both scorers, a search that admits only some documents
+        /// returns exactly the admitted documents of the unfiltered ranking,
+        /// in the same order and with bit-identical scores.
+        #[test]
+        fn admitting_before_scoring_keeps_the_admitted_ranking(
+            docs in prop::collection::vec(
+                ("[a-c]{3}( [a-c]{3}){0,4}", "[a-c]{3}( [a-c]{3}){0,9}"),
+                1..20,
+            ),
+            query in "[a-c]{3}( [a-c]{3}){0,3}",
+            mask in 0u32..(1 << 20),
+            limit in 0usize..25,
+        ) {
+            let mut idx = InvertedIndex::new();
+            for (i, (title, body)) in docs.iter().enumerate() {
+                idx.add_document(i as DocId, title, body);
+            }
+            let admit = |doc: DocId| mask >> doc & 1 == 1;
+            let admitted = |all: Vec<ScoredDoc>| -> Vec<ScoredDoc> {
+                all.into_iter().filter(|s| admit(s.doc)).take(limit).collect()
+            };
+            let bm25 = Bm25Index::new(&idx, Bm25Params::default());
+            prop_assert_eq!(
+                bits(&bm25.search(&query, limit, admit)),
+                bits(&admitted(bm25.search(&query, usize::MAX, |_| true)))
+            );
+            let tfidf = TfIdfIndex::new(&idx, 2.0);
+            prop_assert_eq!(
+                bits(&tfidf.search(&query, limit, admit)),
+                bits(&admitted(tfidf.search(&query, usize::MAX, |_| true)))
+            );
         }
     }
 }

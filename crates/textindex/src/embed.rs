@@ -77,11 +77,6 @@ impl EmbeddingModel {
         Self::new(EmbeddingParams::default())
     }
 
-    /// The parameters of the model.
-    pub fn params(&self) -> EmbeddingParams {
-        self.params
-    }
-
     /// Number of documents the model was fitted on.
     pub fn fitted_docs(&self) -> usize {
         self.fitted_docs

@@ -266,11 +266,6 @@ impl InvertedIndex {
         &lists[id as usize]
     }
 
-    /// Document frequency of `term` in `field`.
-    pub fn document_frequency(&self, field: Field, term: &str) -> usize {
-        self.postings(field, term).len()
-    }
-
     /// Document frequency of `term` across both fields (a document counts
     /// once even if the term appears in both its title and body).
     pub fn combined_document_frequency(&self, term: &str) -> usize {
@@ -290,30 +285,6 @@ impl InvertedIndex {
             .find(|p| p.doc == doc)
             .map(|p| p.term_frequency)
             .unwrap_or(0)
-    }
-
-    /// Documents whose title or body contains *every* query term (boolean AND
-    /// retrieval), useful as a candidate generator.
-    pub fn conjunctive_candidates(&self, query: &str) -> Vec<DocId> {
-        let terms: Vec<String> = tokenize(query).into_iter().map(|t| t.term).collect();
-        if terms.is_empty() {
-            return Vec::new();
-        }
-        let mut candidate_sets: Vec<std::collections::HashSet<DocId>> = Vec::new();
-        for term in &terms {
-            let mut docs: std::collections::HashSet<DocId> = std::collections::HashSet::new();
-            docs.extend(self.postings(Field::Title, term).iter().map(|p| p.doc));
-            docs.extend(self.postings(Field::Body, term).iter().map(|p| p.doc));
-            candidate_sets.push(docs);
-        }
-        let (first, rest) = candidate_sets.split_first().expect("non-empty terms");
-        let mut result: Vec<DocId> = first
-            .iter()
-            .filter(|d| rest.iter().all(|s| s.contains(d)))
-            .copied()
-            .collect();
-        result.sort_unstable();
-        result
     }
 
     /// Documents containing *any* query term (boolean OR retrieval).
@@ -370,8 +341,6 @@ mod tests {
             .map(|p| p.doc)
             .collect();
         assert_eq!(docs, vec![0, 2]);
-        assert_eq!(idx.document_frequency(Field::Title, "hate"), 2);
-        assert_eq!(idx.document_frequency(Field::Title, "quantum"), 0);
     }
 
     #[test]
@@ -387,15 +356,6 @@ mod tests {
         let idx = sample_index();
         // "speech" appears in both title and body of doc 0, and title of doc 2.
         assert_eq!(idx.combined_document_frequency("speech"), 2);
-    }
-
-    #[test]
-    fn conjunctive_retrieval_requires_all_terms() {
-        let idx = sample_index();
-        assert_eq!(idx.conjunctive_candidates("hate speech detection"), vec![0]);
-        assert_eq!(idx.conjunctive_candidates("hate speech"), vec![0, 2]);
-        assert!(idx.conjunctive_candidates("quantum computing").is_empty());
-        assert!(idx.conjunctive_candidates("").is_empty());
     }
 
     #[test]
@@ -621,23 +581,6 @@ mod proptests {
             let body: u32 = stats.iter().map(|s| s.body_len).sum();
             prop_assert_eq!(idx.average_title_len(), f64::from(title) / n);
             prop_assert_eq!(idx.average_body_len(), f64::from(body) / n);
-        }
-
-        /// Conjunctive candidates are always a subset of disjunctive ones.
-        #[test]
-        fn conjunction_subset_of_disjunction(
-            titles in prop::collection::vec("[a-z]{3,6}( [a-z]{3,6}){0,4}", 1..15),
-            query in "[a-z]{3,6}( [a-z]{3,6}){0,2}",
-        ) {
-            let mut idx = InvertedIndex::new();
-            for (i, title) in titles.iter().enumerate() {
-                idx.add_document(i as DocId, title, title);
-            }
-            let conj = idx.conjunctive_candidates(&query);
-            let disj = idx.disjunctive_candidates(&query);
-            for d in &conj {
-                prop_assert!(disj.contains(d));
-            }
         }
     }
 }
