@@ -15,6 +15,7 @@ use common::{
     wait_until, wait_worker_busy, TestServer, ADMIN_KEY, ALPHA_KEY, BETA_KEY,
 };
 use rpg_server::api::ResolvedRequest;
+use rpg_server::auth::StoredKey;
 use rpg_server::{client, GenerateRequest};
 use rpg_service::{CorpusRegistry, Manifest};
 use serde_json::Value;
@@ -1247,12 +1248,19 @@ fn put_rejects_what_the_manifest_rejects() {
     }
 }
 
-/// A light manifest: the admin key and one weight-1 tenant, `alpha`, on a
-/// cut-down corpus, plus tenant `t` when its entry is given.
+/// The stored form of `key`, as `rpg hash-key` prints it, under a fixed
+/// salt so every fixture names the same hash.
+fn hashed(key: &str) -> String {
+    StoredKey::with_salt(key, b"fixture").encode()
+}
+
+/// A light manifest: the hashed admin key and one weight-1 tenant,
+/// `alpha`, on a cut-down corpus, plus tenant `t` when its entry is given.
 fn small_manifest(t: Option<&str>) -> String {
     let t = t.map_or(String::new(), |entry| format!(r#", "t": {entry}"#));
+    let admin = hashed(ADMIN_KEY);
     format!(
-        r#"{{"admin_keys": ["root-key"], "tenants": {{
+        r#"{{"admin_key_hashes": [{admin:?}], "tenants": {{
             "alpha": {{"corpus": {{"seed": 161, "scale": "small", "papers_per_topic": 20}}}}{t}
         }}}}"#
     )
@@ -1410,4 +1418,79 @@ fn every_path_that_sets_tuning_agrees() {
         [Some(1.0), Some(4.0), None, None, Some(25.0)],
         "tuning set by two config columns"
     );
+}
+
+/// What a tenant key may do with auth on, checked over the wire: generate
+/// against its own corpus (`200`) but not reload the manifest (`403`),
+/// while the same generate without a key is a `401`.
+fn assert_key_serves(server: &TestServer, key: &str, how: &str) {
+    let addr = server.addr();
+    let (query, year) = tenant_query(server, "t");
+    let body = gen_body(&query, year, None);
+    let keyed = post_json_with_key(addr, "/v1/generate", &body, key).unwrap();
+    assert_eq!(keyed.status, 200, "{how}: {}", keyed.body);
+    let anonymous = request_with_key(addr, "POST", "/v1/generate", Some(&body), None).unwrap();
+    assert_eq!(anonymous.status, 401, "{how}: no key");
+    let reload = request_with_key(addr, "POST", "/v1/admin/reload", None, Some(key)).unwrap();
+    assert_eq!(reload.status, 403, "{how}: tenant key on reload");
+}
+
+/// A generate with `key` is a `401`: the key authenticates as no one.
+fn assert_key_revoked(server: &TestServer, key: &str, how: &str) {
+    let body = gen_body("graph neural networks", 2020, None);
+    let response = post_json_with_key(server.addr(), "/v1/generate", &body, key).unwrap();
+    assert_eq!(response.status, 401, "{how}: {}", response.body);
+}
+
+#[test]
+fn every_path_that_grants_keys_agrees() {
+    let spec = r#""corpus": {"seed": 193, "scale": "small", "papers_per_topic": 20}"#;
+    let entry = |key: &str| format!(r#"{{{spec}, "key_hashes": [{:?}]}}"#, hashed(key));
+    let admin = |addr, method, path: &str, body: Option<&str>| {
+        let response = request_with_key(addr, method, path, body, Some(ADMIN_KEY)).unwrap();
+        assert_eq!(response.status, 200, "{method} {path}: {}", response.body);
+    };
+
+    // Each way boots with `t` holding `t-key`, `t-old` or absent, then
+    // takes its step; `t-key` then serves `t`.
+    for (how, boot) in [
+        ("manifest boot", Some(entry("t-key"))),
+        ("PUT", None),
+        ("PUT replace", Some(entry("t-old"))),
+        ("reload", None),
+    ] {
+        let boot = small_manifest(boot.as_deref());
+        let (server, path) = spawn_reloadable(&boot, "keys", |_| {});
+        let addr = server.addr();
+        match how {
+            "PUT" | "PUT replace" => admin(addr, "PUT", "/v1/corpora/t", Some(&entry("t-key"))),
+            "reload" => {
+                std::fs::write(&path, small_manifest(Some(&entry("t-key")))).unwrap();
+                admin(addr, "POST", "/v1/admin/reload", None);
+            }
+            _ => {}
+        }
+        assert_key_serves(&server, "t-key", how);
+        if how == "PUT replace" {
+            assert_key_revoked(&server, "t-old", how);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    let (server, path) = spawn_reloadable(&small_manifest(Some(&entry("t-key"))), "keys", |_| {});
+    let addr = server.addr();
+    // A PUT naming a hash the admin set or another tenant already holds
+    // is a 400, and builds nothing.
+    for held in [hashed(ADMIN_KEY), hashed("t-key")] {
+        let body = format!(r#"{{{spec}, "key_hashes": [{held:?}]}}"#);
+        let put =
+            request_with_key(addr, "PUT", "/v1/corpora/u", Some(&body), Some(ADMIN_KEY)).unwrap();
+        assert_eq!(put.status, 400, "{held}: {}", put.body);
+        assert!(!server.registry().contains("u"), "{held} built a tenant");
+    }
+    assert_key_serves(&server, "t-key", "rejected PUTs");
+    // A DELETE revokes the tenant's key.
+    admin(addr, "DELETE", "/v1/corpora/t", None);
+    assert_key_revoked(&server, "t-key", "DELETE");
+    let _ = std::fs::remove_file(&path);
 }
