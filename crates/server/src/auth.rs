@@ -5,18 +5,17 @@
 //! field: admission is billed to the tenant the presented key belongs to, a
 //! request naming some *other* tenant's corpus is a `403`, and the admin
 //! endpoints (corpus lifecycle, tenant retuning, manifest reload) require a
-//! key from the manifest's `admin_keys` set — no key at all is a `401`.
-//! The table is swapped atomically on manifest reload and edited in place
-//! by `PUT`/`DELETE /v1/corpora/:name`, so key changes take effect live.
+//! key from the manifest's `admin_key_hashes` set — no key at all is a
+//! `401`. The table is swapped atomically on manifest reload and edited in
+//! place by `PUT`/`DELETE /v1/corpora/:name`, so key changes take effect
+//! live.
 //!
 //! Keys are stored **hashed at rest**: every table entry is a
 //! [`StoredKey`] — a salt plus the salted SHA-256 of the key — so neither
-//! the in-memory table nor a manifest using `key_hashes` ever holds the
-//! secret itself. Legacy plaintext `api_keys`/`admin_keys` manifests still
-//! load (the keys are hashed on the way in, with a deprecation warning on
-//! stderr); `rpg hash-key` mints the `"<salt-hex>:<digest-hex>"` strings a
-//! migrated manifest stores instead. Lookups compare digests in constant
-//! time.
+//! the in-memory table nor a manifest ever holds the secret itself.
+//! `rpg hash-key` mints the `"<salt-hex>:<digest-hex>"` strings a manifest
+//! or `PUT` body lists in `key_hashes`/`admin_key_hashes`. Lookups compare
+//! digests in constant time.
 
 use crate::digest::{ct_eq, hex_decode, hex_encode, sha256};
 use rpg_service::Manifest;
@@ -51,18 +50,6 @@ impl StoredKey {
         }
     }
 
-    /// Hashes a legacy plaintext key for in-memory storage. The salt is
-    /// derived (not random) so two loads of the same manifest build equal
-    /// tables; it still defeats precomputed single-table lookups, and
-    /// migrating to `key_hashes` (random salts via `rpg hash-key`) is the
-    /// actual fix the deprecation warning points at.
-    pub fn from_plaintext(key: &str) -> StoredKey {
-        let mut seed = b"rpg.key.v1:".to_vec();
-        seed.extend_from_slice(key.as_bytes());
-        let salt = &sha256(&seed)[..16];
-        StoredKey::with_salt(key, salt)
-    }
-
     /// Parses the stored form `"<salt-hex>:<digest-hex>"`.
     pub fn parse(text: &str) -> Option<StoredKey> {
         let (salt_hex, digest_hex) = text.split_once(':')?;
@@ -92,7 +79,7 @@ impl StoredKey {
 pub struct AuthTable {
     /// Stored key plus its owning tenant.
     tenant_keys: Vec<(StoredKey, String)>,
-    admin_keys: Vec<StoredKey>,
+    admins: Vec<StoredKey>,
 }
 
 impl AuthTable {
@@ -101,20 +88,15 @@ impl AuthTable {
         AuthTable::default()
     }
 
-    /// The table a manifest describes: each tenant's `key_hashes` and
-    /// (legacy, hashed on the way in) `api_keys`, plus the manifest's
-    /// admin sets. Manifest validation already guarantees no key is
-    /// claimed twice; a malformed `key_hashes` entry is skipped with a
-    /// warning rather than aborting the whole table.
+    /// The table a manifest describes: each tenant's `key_hashes` plus the
+    /// manifest's `admin_key_hashes`. Manifest validation already
+    /// guarantees no key is claimed twice; a malformed entry is skipped
+    /// with a warning rather than aborting the whole table.
     pub fn from_manifest(manifest: &Manifest) -> AuthTable {
         let mut table = AuthTable::new();
-        let mut plaintext = manifest.admin().len();
-        for key in manifest.admin() {
-            table.admin_keys.push(StoredKey::from_plaintext(key));
-        }
         for hash in manifest.admin_hashed() {
             match StoredKey::parse(hash) {
-                Some(stored) => table.admin_keys.push(stored),
+                Some(stored) => table.admins.push(stored),
                 None => rpg_obs::log::warn(
                     "auth",
                     "ignoring malformed admin key_hash",
@@ -126,40 +108,17 @@ impl AuthTable {
             }
         }
         for (name, config) in manifest.tenants_sorted() {
-            plaintext += config.keys().len();
-            table.grant_tenant_full(name, config.keys(), config.hashed_keys());
-        }
-        if plaintext > 0 {
-            rpg_obs::log::warn(
-                "auth",
-                "manifest stores plaintext api keys; plaintext keys are deprecated — \
-                 replace api_keys/admin_keys with key_hashes/admin_key_hashes \
-                 (mint values with `rpg hash-key`)",
-                &[("plaintext_keys", &plaintext.to_string())],
-            );
+            table.grant_tenant(name, config.hashed_keys());
         }
         table
     }
 
-    /// Replaces one tenant's key set (used by `PUT /v1/corpora/:name`).
-    /// Keys already claimed by the admin set or another tenant are skipped
-    /// rather than stolen.
-    pub fn grant_tenant(&mut self, tenant: &str, keys: &[String]) {
-        self.grant_tenant_full(tenant, keys, &[]);
-    }
-
-    /// Replaces one tenant's key set from both forms: plaintext keys
-    /// (hashed on the way in) and pre-hashed `"<salt>:<digest>"` entries.
-    pub fn grant_tenant_full(&mut self, tenant: &str, keys: &[String], hashed: &[String]) {
+    /// Replaces one tenant's key set with its `"<salt>:<digest>"` entries
+    /// (also used by `PUT /v1/corpora/:name`). A hash already held by the
+    /// admin set or another tenant is skipped rather than stolen.
+    pub fn grant_tenant(&mut self, tenant: &str, key_hashes: &[String]) {
         self.revoke_tenant(tenant);
-        for key in keys {
-            if key.is_empty() || !matches!(self.principal(Some(key)), Principal::Anonymous) {
-                continue;
-            }
-            self.tenant_keys
-                .push((StoredKey::from_plaintext(key), tenant.to_string()));
-        }
-        for hash in hashed {
+        for hash in key_hashes {
             let Some(stored) = StoredKey::parse(hash) else {
                 rpg_obs::log::warn(
                     "auth",
@@ -193,7 +152,7 @@ impl AuthTable {
             return Principal::Anonymous;
         };
         let mut resolved = Principal::Anonymous;
-        for stored in &self.admin_keys {
+        for stored in &self.admins {
             if stored.matches(key) {
                 resolved = Principal::Admin;
             }
@@ -212,7 +171,7 @@ impl AuthTable {
     /// match — used to keep `PUT` from re-claiming another tenant's
     /// published hash).
     pub fn encoded_owner(&self, candidate: &StoredKey) -> Option<Principal> {
-        if self.admin_keys.iter().any(|stored| stored == candidate) {
+        if self.admins.iter().any(|stored| stored == candidate) {
             return Some(Principal::Admin);
         }
         self.tenant_keys
@@ -239,16 +198,25 @@ pub fn bearer_token(authorization: Option<&str>) -> Option<&str> {
 mod tests {
     use super::*;
 
+    /// The stored form of `key` under a fixed salt.
+    fn hashed(key: &str) -> String {
+        StoredKey::with_salt(key, b"salt").encode()
+    }
+
     fn demo_table() -> AuthTable {
-        let manifest = Manifest::from_json(
-            r#"{
-                "admin_keys": ["root"],
-                "tenants": {
-                    "alpha": {"corpus": {"seed": 1}, "api_keys": ["ka1", "ka2"]},
-                    "beta": {"corpus": {"seed": 2}, "api_keys": ["kb"]}
-                }
-            }"#,
-        )
+        let manifest = Manifest::from_json(&format!(
+            r#"{{
+                "admin_key_hashes": [{:?}],
+                "tenants": {{
+                    "alpha": {{"corpus": {{"seed": 1}}, "key_hashes": [{:?}, {:?}]}},
+                    "beta": {{"corpus": {{"seed": 2}}, "key_hashes": [{:?}]}}
+                }}
+            }}"#,
+            hashed("root"),
+            hashed("ka1"),
+            hashed("ka2"),
+            hashed("kb"),
+        ))
         .unwrap();
         AuthTable::from_manifest(&manifest)
     }
@@ -326,7 +294,7 @@ mod tests {
     #[test]
     fn grant_and_revoke_edit_one_tenant() {
         let mut table = demo_table();
-        table.grant_tenant("alpha", &["fresh".to_string()]);
+        table.grant_tenant("alpha", &[hashed("fresh")]);
         assert_eq!(table.principal(Some("ka1")), Principal::Anonymous);
         assert_eq!(
             table.principal(Some("fresh")),
@@ -345,23 +313,14 @@ mod tests {
     #[test]
     fn grants_never_steal_claimed_keys() {
         let mut table = demo_table();
-        table.grant_tenant(
-            "thief",
-            &["root".to_string(), "kb".to_string(), String::new()],
-        );
+        let claimed = [hashed("root"), hashed("kb"), String::new(), "kb".into()];
+        table.grant_tenant("thief", &claimed);
         assert_eq!(table.principal(Some("root")), Principal::Admin);
         assert_eq!(
             table.principal(Some("kb")),
             Principal::Tenant("beta".to_string())
         );
-        // Hashed grants cannot re-claim a published hash either.
-        let kb_hash = StoredKey::from_plaintext("kb");
-        let mut sneaky = demo_table();
-        sneaky.grant_tenant_full("thief", &[], &[kb_hash.encode()]);
-        assert_eq!(
-            sneaky.principal(Some("kb")),
-            Principal::Tenant("beta".to_string())
-        );
+        assert_eq!(table, demo_table(), "nothing was granted to the thief");
     }
 
     #[test]

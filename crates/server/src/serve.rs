@@ -2291,39 +2291,20 @@ fn admit_put(
             error_body(&format!("invalid tenant name {tenant:?}")),
         ));
     }
-    let config: TenantConfig = match parse_body(&request.body) {
-        Ok(config) => config,
-        Err(response) => return Routed::Inline(response),
+    let Ok(text) = std::str::from_utf8(&request.body) else {
+        return Routed::Inline(Response::json(400, error_body("body is not UTF-8")));
     };
-    // Cheap validation on the loop, by the rules every manifest tenant
-    // meets; the build itself runs on a worker.
-    if let Err(e) = config.validate() {
-        return Routed::Inline(Response::json(400, error_body(&e.to_string())));
-    }
+    // Cheap parsing and validation on the loop, by the rules every
+    // manifest tenant meets; the build itself runs on a worker.
+    let config = match TenantConfig::from_json(text) {
+        Ok(config) => config,
+        Err(e) => return Routed::Inline(Response::json(400, error_body(&e.to_string()))),
+    };
     // The key rules that need the live key table: the wire path must not
-    // accept (and then silently drop) a key already claimed by the admin
-    // set or another tenant.
+    // accept (and then silently drop) a hash already held by the admin set
+    // or another tenant.
     if shared.config.auth_enabled {
         let table = shared.auth.read().unwrap();
-        for key in config.keys() {
-            match table.principal(Some(key)) {
-                Principal::Admin => {
-                    return Routed::Inline(Response::json(
-                        400,
-                        error_body(&format!("api key {key:?} is already an admin key")),
-                    ));
-                }
-                Principal::Tenant(owner) if owner != tenant => {
-                    return Routed::Inline(Response::json(
-                        400,
-                        error_body(&format!(
-                            "api key {key:?} is already claimed by tenant {owner:?}"
-                        )),
-                    ));
-                }
-                _ => {}
-            }
-        }
         for hash in config.hashed_keys() {
             let Some(stored) = StoredKey::parse(hash) else {
                 return Routed::Inline(Response::json(
@@ -2750,11 +2731,11 @@ fn execute(
                     let tuning = Tuning::of(config, &shared.config, total_weight);
                     shared.requests.tune(name, |t| *t = tuning);
                     if shared.config.auth_enabled {
-                        shared.auth.write().unwrap().grant_tenant_full(
-                            name,
-                            config.keys(),
-                            config.hashed_keys(),
-                        );
+                        shared
+                            .auth
+                            .write()
+                            .unwrap()
+                            .grant_tenant(name, config.hashed_keys());
                     }
                     json_200(&Value::Object(vec![
                         ("corpus".to_string(), Value::String(name.clone())),

@@ -5,30 +5,31 @@
 //! [`TenantConfig`]: the corpus recipe ([`CorpusSpec`] — seed, scale and
 //! optional size override, enough to rebuild the corpus deterministically),
 //! a default model variant, the tenant's fair-queue bound and DRR weight,
-//! an optional cache share, and the API keys that authenticate as this
-//! tenant. The server-side pieces (queue weights, auth keys) are consumed
-//! by `rpg-server`; the corpus lifecycle lives here:
-//! [`CorpusRegistry::apply_manifest`] diffs the manifest against the
-//! registry's current tenants and creates, replaces or removes exactly the
-//! tenants whose corpus spec changed — replacement bumps the tenant's epoch
-//! and evicts exactly that tenant's cache entries, and tenants whose spec
-//! is unchanged are left serving their existing artifacts.
+//! an optional cache share, and the salted digests (`rpg hash-key`) of the
+//! bearer keys that authenticate as this tenant. The server-side pieces
+//! (queue weights, auth keys) are consumed by `rpg-server`; the corpus
+//! lifecycle lives here: [`CorpusRegistry::apply_manifest`] diffs the
+//! manifest against the registry's current tenants and creates, replaces
+//! or removes exactly the tenants whose corpus spec changed — replacement
+//! bumps the tenant's epoch and evicts exactly that tenant's cache
+//! entries, and tenants whose spec is unchanged are left serving their
+//! existing artifacts.
 //!
 //! ```json
 //! {
-//!   "admin_keys": ["admin-secret"],
+//!   "admin_key_hashes": ["9f0c…:5e1a…"],
 //!   "tenants": {
 //!     "alpha": {
 //!       "corpus": {"seed": 10, "scale": "small"},
 //!       "weight": 2,
 //!       "queue": 16,
-//!       "api_keys": ["alpha-key"]
+//!       "key_hashes": ["03d2…:a4b7…"]
 //!     },
 //!     "beta": {
 //!       "corpus": {"seed": 11, "scale": "small", "papers_per_topic": 40},
 //!       "variant": "NEWST-C",
 //!       "cache_share": 32,
-//!       "api_keys": ["beta-key"]
+//!       "key_hashes": ["77e1…:0c9d…"]
 //!     }
 //!   }
 //! }
@@ -39,6 +40,7 @@
 use rpg_corpus::{generate, Corpus, CorpusConfig};
 use rpg_repager::Variant;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::collections::HashMap;
 
 /// The corpus scale a [`CorpusSpec`] starts from.
@@ -159,10 +161,6 @@ pub struct TenantConfig {
     /// Maximum result-cache entries this tenant may occupy in the shared
     /// cache; unlimited (plain LRU pressure) when omitted.
     pub cache_share: Option<usize>,
-    /// Bearer keys that authenticate as this tenant, in plaintext.
-    /// Deprecated in favour of `key_hashes`: plaintext keys still work but
-    /// the server hashes them at load and logs a warning.
-    pub api_keys: Option<Vec<String>>,
     /// Salted digests of bearer keys (`"<salt-hex>:<sha256-hex>"`, as
     /// printed by `rpg hash-key`) — the manifest never stores the secret
     /// itself.
@@ -214,14 +212,19 @@ impl TenantConfig {
         }
     }
 
-    /// The plaintext bearer keys, empty when omitted.
-    pub fn keys(&self) -> &[String] {
-        self.api_keys.as_deref().unwrap_or(&[])
-    }
-
     /// The pre-hashed bearer keys, empty when omitted.
     pub fn hashed_keys(&self) -> &[String] {
         self.key_hashes.as_deref().unwrap_or(&[])
+    }
+
+    /// Parses and validates a `PUT /v1/corpora/:name` body by the rules a
+    /// manifest entry meets.
+    pub fn from_json(text: &str) -> Result<TenantConfig, ManifestError> {
+        let value: Value = serde_json::from_str(text).map_err(ManifestError::json)?;
+        refuse_plaintext_keys(&value, "api_keys", "key_hashes")?;
+        let config = TenantConfig::from_value(&value).map_err(ManifestError::json)?;
+        config.validate()?;
+        Ok(config)
     }
 
     /// Whether this tenant is flagged as the default-corpus target.
@@ -250,13 +253,8 @@ impl TenantConfig {
         if let Some((field, _)) = zero.iter().find(|(_, zero)| *zero) {
             return Err(ManifestError::new(format!("{field} must be at least 1")));
         }
-        if self
-            .keys()
-            .iter()
-            .chain(self.hashed_keys())
-            .any(String::is_empty)
-        {
-            return Err(ManifestError::new("api keys must be non-empty"));
+        if self.hashed_keys().iter().any(String::is_empty) {
+            return Err(ManifestError::new("key hashes must be non-empty"));
         }
         Ok(())
     }
@@ -265,9 +263,6 @@ impl TenantConfig {
 /// A parsed, validated tenant manifest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct Manifest {
-    /// Bearer keys accepted for the admin endpoints (plaintext, deprecated
-    /// in favour of [`Manifest::admin_key_hashes`]).
-    pub admin_keys: Option<Vec<String>>,
     /// Salted-SHA-256 admin keys in `"<salt-hex>:<digest-hex>"` form, as
     /// minted by `rpg hash-key`; the manifest never holds the secret.
     pub admin_key_hashes: Option<Vec<String>>,
@@ -283,15 +278,17 @@ pub struct Manifest {
 impl Manifest {
     /// Parses and validates a manifest from JSON text.
     pub fn from_json(text: &str) -> Result<Manifest, ManifestError> {
-        let manifest: Manifest = serde_json::from_str(text)
-            .map_err(|e| ManifestError::new(format!("invalid manifest JSON: {e}")))?;
+        let value: Value = serde_json::from_str(text).map_err(ManifestError::json)?;
+        refuse_plaintext_keys(&value, "admin_keys", "admin_key_hashes")?;
+        if let Some(Value::Object(tenants)) = value.get("tenants") {
+            for (name, tenant) in tenants {
+                refuse_plaintext_keys(tenant, "api_keys", "key_hashes")
+                    .map_err(|e| e.for_tenant(name))?;
+            }
+        }
+        let manifest = Manifest::from_value(&value).map_err(ManifestError::json)?;
         manifest.validate()?;
         Ok(manifest)
-    }
-
-    /// The plaintext admin keys, empty when omitted.
-    pub fn admin(&self) -> &[String] {
-        self.admin_keys.as_deref().unwrap_or(&[])
     }
 
     /// The pre-hashed admin keys, empty when omitted.
@@ -342,9 +339,9 @@ impl Manifest {
                 )));
             }
         }
-        for key in self.admin().iter().chain(self.admin_hashed()) {
+        for key in self.admin_hashed() {
             if key.is_empty() {
-                return Err(ManifestError::new("admin keys must be non-empty"));
+                return Err(ManifestError::new("admin key hashes must be non-empty"));
             }
             seen_keys.insert(key, "admin".to_string());
         }
@@ -366,15 +363,28 @@ impl Manifest {
                     }
                 }
             }
-            for key in config.keys().iter().chain(config.hashed_keys()) {
+            for key in config.hashed_keys() {
                 if let Some(owner) = seen_keys.insert(key, name.to_string()) {
                     return Err(ManifestError::new(format!(
-                        "api key {key:?} is claimed by both {owner:?} and {name:?}"
+                        "key hash {key:?} is claimed by both {owner:?} and {name:?}"
                     )));
                 }
             }
         }
         Ok(())
+    }
+}
+
+/// Refuses `field`, a plaintext key list older manifests used, naming
+/// `hashed`, which replaced it: the JSON reader ignores unknown fields, so
+/// those keys would otherwise vanish and every request bearing one be a 401.
+fn refuse_plaintext_keys(object: &Value, field: &str, hashed: &str) -> Result<(), ManifestError> {
+    match object.get(field) {
+        None => Ok(()),
+        Some(_) => Err(ManifestError::new(format!(
+            "plaintext \"{field}\" is not accepted: list each key's salted digest \
+             in \"{hashed}\" instead, minted with `rpg hash-key <KEY>`"
+        ))),
     }
 }
 
@@ -429,6 +439,10 @@ impl ManifestError {
         }
     }
 
+    fn json(e: impl std::fmt::Display) -> ManifestError {
+        ManifestError::new(format!("invalid JSON: {e}"))
+    }
+
     fn for_tenant(self, name: &str) -> ManifestError {
         ManifestError::new(format!("tenant {name:?}: {}", self.message))
     }
@@ -448,19 +462,19 @@ mod tests {
 
     fn demo_json() -> String {
         r#"{
-            "admin_keys": ["root-key"],
+            "admin_key_hashes": ["0a:a0"],
             "tenants": {
                 "alpha": {
                     "corpus": {"seed": 10, "scale": "small"},
                     "weight": 2,
                     "queue": 16,
-                    "api_keys": ["alpha-key"]
+                    "key_hashes": ["0b:b0"]
                 },
                 "beta": {
                     "corpus": {"seed": 11, "papers_per_topic": 30},
                     "variant": "NEWST-C",
                     "cache_share": 4,
-                    "api_keys": ["beta-key-1", "beta-key-2"]
+                    "key_hashes": ["0c:c1", "0c:c2"]
                 }
             }
         }"#
@@ -470,7 +484,7 @@ mod tests {
     #[test]
     fn parses_and_round_trips() {
         let manifest = Manifest::from_json(&demo_json()).unwrap();
-        assert_eq!(manifest.admin(), ["root-key"]);
+        assert_eq!(manifest.admin_hashed(), ["0a:a0"]);
         let names: Vec<&str> = manifest
             .tenants_sorted()
             .iter()
@@ -487,7 +501,7 @@ mod tests {
             Some(Variant::CandidatesOnly)
         );
         assert_eq!(beta.cache_share, Some(4));
-        assert_eq!(beta.keys().len(), 2);
+        assert_eq!(beta.hashed_keys().len(), 2);
         // Serialise → parse yields the same manifest.
         let text = serde_json::to_string(&manifest).unwrap();
         assert_eq!(Manifest::from_json(&text).unwrap(), manifest);
@@ -574,16 +588,7 @@ mod tests {
                 r#"{"tenants": {"a": {"corpus": {"seed": 1}, "key_hashes": [""]}}}"#,
                 "empty key hash",
             ),
-            (
-                r#"{"tenants": {
-                    "a": {"corpus": {"seed": 1}, "key_hashes": ["ab:cd"]},
-                    "b": {"corpus": {"seed": 2}, "api_keys": ["ab:cd"]}}}"#,
-                "hash colliding with a plaintext key",
-            ),
-            (
-                r#"{"tenants": {"a": {"corpus": {"seed": 1}, "api_keys": [""]}}}"#,
-                "empty api key",
-            ),
+            (r#"{"admin_key_hashes": [""]}"#, "empty admin key hash"),
             (
                 r#"{"tenants": {"__x": {"corpus": {"seed": 1}}}}"#,
                 "reserved name",
@@ -598,14 +603,14 @@ mod tests {
             ),
             (
                 r#"{"tenants": {
-                    "a": {"corpus": {"seed": 1}, "api_keys": ["k"]},
-                    "b": {"corpus": {"seed": 2}, "api_keys": ["k"]}}}"#,
-                "duplicate key across tenants",
+                    "a": {"corpus": {"seed": 1}, "key_hashes": ["ab:cd"]},
+                    "b": {"corpus": {"seed": 2}, "key_hashes": ["ab:cd"]}}}"#,
+                "duplicate key hash across tenants",
             ),
             (
-                r#"{"admin_keys": ["k"],
-                    "tenants": {"a": {"corpus": {"seed": 1}, "api_keys": ["k"]}}}"#,
-                "key shared with admin",
+                r#"{"admin_key_hashes": ["ab:cd"],
+                    "tenants": {"a": {"corpus": {"seed": 1}, "key_hashes": ["ab:cd"]}}}"#,
+                "key hash shared with admin",
             ),
             ("not json", "syntax error"),
         ] {
@@ -617,8 +622,47 @@ mod tests {
     fn empty_manifest_is_valid() {
         let manifest = Manifest::from_json("{}").unwrap();
         assert!(manifest.tenants_sorted().is_empty());
-        assert!(manifest.admin().is_empty());
+        assert!(manifest.admin_hashed().is_empty());
         assert_eq!(manifest.default_tenant(), None);
+    }
+
+    #[test]
+    fn plaintext_key_fields_are_refused_naming_their_hashed_form() {
+        let manifests = [
+            (r#"{"admin_keys": ["k"]}"#, "admin_key_hashes"),
+            (
+                r#"{"tenants": {"a": {"corpus": {"seed": 1}, "api_keys": ["k"]}}}"#,
+                "key_hashes",
+            ),
+            (
+                r#"{"tenants": {"a": {"corpus": {"seed": 1}, "api_keys": []}}}"#,
+                "key_hashes",
+            ),
+        ];
+        for (json, hashed) in manifests {
+            let message = Manifest::from_json(json).unwrap_err().to_string();
+            assert!(
+                message.contains(&format!("\"{hashed}\"")) && message.contains("rpg hash-key"),
+                "{json}: {message}"
+            );
+        }
+        let body = r#"{"corpus": {"seed": 1}, "api_keys": ["k"]}"#;
+        let message = TenantConfig::from_json(body).unwrap_err().to_string();
+        assert!(
+            message.contains("\"key_hashes\"") && message.contains("rpg hash-key"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn a_put_body_parses_like_a_manifest_entry() {
+        let body = r#"{"corpus": {"seed": 4}, "weight": 2, "key_hashes": ["0d:d0"]}"#;
+        let config = TenantConfig::from_json(body).unwrap();
+        let manifest = Manifest::from_json(&format!(r#"{{"tenants": {{"t": {body}}}}}"#)).unwrap();
+        assert_eq!(manifest.tenant("t"), Some(&config));
+        for bad in [r#"{"corpus": {"seed": 4}, "weight": 0}"#, "{", "[]"] {
+            assert!(TenantConfig::from_json(bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]

@@ -1036,7 +1036,6 @@ mod tests {
             })
             .collect();
         Manifest {
-            admin_keys: None,
             admin_key_hashes: None,
             log_level: None,
             tenants: Some(map),

@@ -150,7 +150,7 @@ fn usage() -> String {
         "      --tenant-queue <N>            per-tenant queue bound; overflow gets 429 (default 8)",
         "      --tenant-weight <NAME=W>      DRR weight for a tenant, repeatable (default 1)",
         "      --manifest <FILE>             JSON tenant manifest (name -> corpus spec, weight,",
-        "                                    queue bound, cache share, api keys); replaces the",
+        "                                    queue bound, cache share, key hashes); replaces the",
         "                                    implicit single 'default' tenant. SIGHUP or",
         "                                    POST /v1/admin/reload re-applies it live.",
         "      --auth <on|off>               require bearer keys from the manifest (default off);",
@@ -1141,17 +1141,21 @@ mod tests {
     fn serve_starts_from_a_manifest_and_enforces_auth() {
         let path =
             std::env::temp_dir().join(format!("rpg-cli-manifest-{}.json", std::process::id()));
+        let [admin, alpha] = ["root-key", "alpha-key"]
+            .map(|key| rpg_server::auth::StoredKey::with_salt(key, b"cli").encode());
         std::fs::write(
             &path,
-            r#"{
-                "admin_keys": ["root-key"],
-                "tenants": {
-                    "alpha": {
-                        "corpus": {"seed": 21, "papers_per_topic": 20},
-                        "api_keys": ["alpha-key"]
-                    }
-                }
-            }"#,
+            format!(
+                r#"{{
+                "admin_key_hashes": [{admin:?}],
+                "tenants": {{
+                    "alpha": {{
+                        "corpus": {{"seed": 21, "papers_per_topic": 20}},
+                        "key_hashes": [{alpha:?}]
+                    }}
+                }}
+            }}"#
+            ),
         )
         .unwrap();
         let options = ServeOptions {
@@ -1183,6 +1187,15 @@ mod tests {
         .unwrap();
         assert_eq!(listing.status, 200);
         assert!(listing.body.contains("\"alpha\""));
+        // A manifest that still names a plaintext key does not boot.
+        std::fs::write(&path, r#"{"admin_keys": ["root-key"]}"#).unwrap();
+        let refused = start_server(&options)
+            .err()
+            .expect("plaintext keys refused");
+        assert!(
+            refused.contains("\"admin_key_hashes\"") && refused.contains("rpg hash-key"),
+            "{refused}"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -22,6 +22,7 @@
 #![allow(dead_code)]
 
 use rpg_repro::demo_corpus;
+use rpg_server::auth::StoredKey;
 use rpg_server::client::{self, ClientResponse};
 use rpg_server::{IoBackendChoice, Server, ServerConfig, StatsSnapshot};
 use rpg_service::{CorpusRegistry, Manifest};
@@ -209,25 +210,33 @@ pub const ALPHA_KEY: &str = "alpha-key";
 /// Tenant `beta`'s bearer key in [`demo_manifest`].
 pub const BETA_KEY: &str = "beta-key";
 
+/// The stored form of a fixture key, as `rpg hash-key` prints it, under a
+/// fixed salt so every fixture names the same hash.
+pub fn hashed_key(key: &str) -> String {
+    StoredKey::with_salt(key, b"fixture").encode()
+}
+
 /// The control-plane test fixture: two small-corpus tenants with distinct
-/// keys (weights 1 and 2) plus an admin key.
+/// keys (weights 1 and 2) plus an admin key, each named by its hash.
 pub fn demo_manifest_json() -> String {
-    r#"{
-        "admin_keys": ["root-key"],
-        "tenants": {
-            "alpha": {
-                "corpus": {"seed": 161, "scale": "small"},
+    let [admin, alpha, beta] = [ADMIN_KEY, ALPHA_KEY, BETA_KEY].map(hashed_key);
+    format!(
+        r#"{{
+        "admin_key_hashes": [{admin:?}],
+        "tenants": {{
+            "alpha": {{
+                "corpus": {{"seed": 161, "scale": "small"}},
                 "weight": 1,
-                "api_keys": ["alpha-key"]
-            },
-            "beta": {
-                "corpus": {"seed": 178, "scale": "small"},
+                "key_hashes": [{alpha:?}]
+            }},
+            "beta": {{
+                "corpus": {{"seed": 178, "scale": "small"}},
                 "weight": 2,
-                "api_keys": ["beta-key"]
-            }
-        }
-    }"#
-    .to_string()
+                "key_hashes": [{beta:?}]
+            }}
+        }}
+    }}"#
+    )
 }
 
 /// The parsed [`demo_manifest_json`].

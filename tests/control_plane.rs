@@ -10,12 +10,11 @@
 mod common;
 
 use common::{
-    demo_manifest_json, demo_registry, demo_registry_without_cache, get_with_key,
+    demo_manifest_json, demo_registry, demo_registry_without_cache, get_with_key, hashed_key,
     post_json_with_key, request_with_key, spawn_manifest_server, spawn_with, tenant_query,
     wait_until, wait_worker_busy, TestServer, ADMIN_KEY, ALPHA_KEY, BETA_KEY,
 };
 use rpg_server::api::ResolvedRequest;
-use rpg_server::auth::StoredKey;
 use rpg_server::{client, GenerateRequest};
 use rpg_service::{CorpusRegistry, Manifest};
 use serde_json::Value;
@@ -185,17 +184,20 @@ fn lifecycle_put_generate_patch_delete_without_restart() {
     let addr = server.addr();
 
     // PUT a brand-new corpus spec (with its own key) and build it.
-    let gamma_spec = r#"{
-        "corpus": {"seed": 193, "scale": "small"},
+    let gamma_spec = format!(
+        r#"{{
+        "corpus": {{"seed": 193, "scale": "small"}},
         "weight": 3,
         "queue": 16,
-        "api_keys": ["gamma-key"]
-    }"#;
+        "key_hashes": [{:?}]
+    }}"#,
+        hashed_key("gamma-key")
+    );
     let put = request_with_key(
         addr,
         "PUT",
         "/v1/corpora/gamma",
-        Some(gamma_spec),
+        Some(&gamma_spec),
         Some(ADMIN_KEY),
     )
     .unwrap();
@@ -220,12 +222,15 @@ fn lifecycle_put_generate_patch_delete_without_restart() {
         "a PUT tenant without `inflight` is capped like a manifest tenant"
     );
 
-    // A PUT that tries to claim another tenant's (or the admin) key is a
+    // A PUT that tries to claim another tenant's (or the admin) hash is a
     // 400 — the wire path enforces the same key rules as the manifest
-    // instead of silently dropping the conflicting grant.
-    for stolen in ["beta-key", "root-key", ""] {
+    // instead of silently dropping the conflicting grant — and so is an
+    // empty or malformed one.
+    let beta_hash = hashed_key(BETA_KEY);
+    let admin_hash = hashed_key(ADMIN_KEY);
+    for stolen in [beta_hash.as_str(), &admin_hash, "", BETA_KEY] {
         let body =
-            format!(r#"{{"corpus": {{"seed": 5, "scale": "small"}}, "api_keys": [{stolen:?}]}}"#);
+            format!(r#"{{"corpus": {{"seed": 5, "scale": "small"}}, "key_hashes": [{stolen:?}]}}"#);
         let conflict = request_with_key(
             addr,
             "PUT",
@@ -280,7 +285,10 @@ fn lifecycle_put_generate_patch_delete_without_restart() {
         addr,
         "PUT",
         "/v1/corpora/gamma",
-        Some(r#"{"corpus": {"seed": 194, "scale": "small"}, "api_keys": ["gamma-key"]}"#),
+        Some(&format!(
+            r#"{{"corpus": {{"seed": 194, "scale": "small"}}, "key_hashes": [{:?}]}}"#,
+            hashed_key("gamma-key")
+        )),
         Some(ADMIN_KEY),
     )
     .unwrap();
@@ -409,7 +417,10 @@ fn put_replace_evicts_exactly_the_replaced_tenants_cache() {
         addr,
         "PUT",
         "/v1/corpora/alpha",
-        Some(r#"{"corpus": {"seed": 9161, "scale": "small"}, "api_keys": ["alpha-key"]}"#),
+        Some(&format!(
+            r#"{{"corpus": {{"seed": 9161, "scale": "small"}}, "key_hashes": [{:?}]}}"#,
+            hashed_key(ALPHA_KEY)
+        )),
         Some(ADMIN_KEY),
     )
     .unwrap();
@@ -995,21 +1006,24 @@ fn reload_applies_the_manifest_live_and_atomically() {
     );
 
     // Rewrite: alpha reseeded, beta gone, gamma new.
+    let [admin, alpha, gamma] = [ADMIN_KEY, ALPHA_KEY, "gamma-key"].map(hashed_key);
     std::fs::write(
         &path,
-        r#"{
-            "admin_keys": ["root-key"],
-            "tenants": {
-                "alpha": {
-                    "corpus": {"seed": 9161, "scale": "small"},
-                    "api_keys": ["alpha-key"]
-                },
-                "gamma": {
-                    "corpus": {"seed": 193, "scale": "small"},
-                    "api_keys": ["gamma-key"]
-                }
-            }
-        }"#,
+        format!(
+            r#"{{
+            "admin_key_hashes": [{admin:?}],
+            "tenants": {{
+                "alpha": {{
+                    "corpus": {{"seed": 9161, "scale": "small"}},
+                    "key_hashes": [{alpha:?}]
+                }},
+                "gamma": {{
+                    "corpus": {{"seed": 193, "scale": "small"}},
+                    "key_hashes": [{gamma:?}]
+                }}
+            }}
+        }}"#
+        ),
     )
     .unwrap();
     let reloaded =
@@ -1067,22 +1081,53 @@ fn reload_applies_the_manifest_live_and_atomically() {
         "a removed tenant's key no longer authenticates"
     );
 
-    // A broken manifest file fails the reload and changes nothing.
-    std::fs::write(&path, "{ not json").unwrap();
-    let broken = request_with_key(addr, "POST", "/v1/admin/reload", None, Some(ADMIN_KEY)).unwrap();
-    assert_eq!(broken.status, 400);
-    assert_eq!(
-        post_json_with_key(
-            addr,
-            "/v1/generate",
-            &gen_body(&query, year, Some("gamma")),
-            "gamma-key"
-        )
-        .unwrap()
-        .status,
-        200,
-        "a failed reload leaves the tenant set serving"
-    );
+    // A broken manifest file fails the reload and changes nothing. So does
+    // one that still names plaintext keys: it is refused by name rather
+    // than loaded with those keys gone.
+    for (broken, names) in [
+        ("{ not json", None),
+        (
+            r#"{"admin_keys": ["root-key"], "tenants": {}}"#,
+            Some("admin_key_hashes"),
+        ),
+        (
+            r#"{"tenants": {"gamma": {"corpus": {"seed": 193, "scale": "small"},
+                "api_keys": ["gamma-key"]}}}"#,
+            Some("key_hashes"),
+        ),
+    ] {
+        std::fs::write(&path, broken).unwrap();
+        let reload =
+            request_with_key(addr, "POST", "/v1/admin/reload", None, Some(ADMIN_KEY)).unwrap();
+        assert_eq!(reload.status, 400, "{broken}");
+        if let Some(hashed) = names {
+            let message = parse(&reload.body);
+            let message = message.get("error").and_then(Value::as_str).unwrap();
+            assert!(
+                message.contains(&format!("\"{hashed}\"")) && message.contains("rpg hash-key"),
+                "{message}"
+            );
+        }
+        assert_eq!(
+            post_json_with_key(
+                addr,
+                "/v1/generate",
+                &gen_body(&query, year, Some("gamma")),
+                "gamma-key"
+            )
+            .unwrap()
+            .status,
+            200,
+            "a failed reload leaves the tenant set serving: {broken}"
+        );
+        assert_eq!(
+            post_json_with_key(addr, "/v1/corpora/gamma/refresh", "", ADMIN_KEY)
+                .unwrap()
+                .status,
+            200,
+            "a failed reload leaves the admin key in place: {broken}"
+        );
+    }
     let _ = std::fs::remove_file(&path);
 }
 
@@ -1218,8 +1263,8 @@ fn put_rejects_what_the_manifest_rejects() {
             "unknown variant",
         ),
         (
-            r#"{"corpus": {"seed": 1}, "api_keys": [""]}"#,
-            "empty api key",
+            r#"{"corpus": {"seed": 1}, "api_keys": ["k"]}"#,
+            "plaintext api keys",
         ),
         (
             r#"{"corpus": {"seed": 1}, "key_hashes": [""]}"#,
@@ -1248,17 +1293,11 @@ fn put_rejects_what_the_manifest_rejects() {
     }
 }
 
-/// The stored form of `key`, as `rpg hash-key` prints it, under a fixed
-/// salt so every fixture names the same hash.
-fn hashed(key: &str) -> String {
-    StoredKey::with_salt(key, b"fixture").encode()
-}
-
 /// A light manifest: the hashed admin key and one weight-1 tenant,
 /// `alpha`, on a cut-down corpus, plus tenant `t` when its entry is given.
 fn small_manifest(t: Option<&str>) -> String {
     let t = t.map_or(String::new(), |entry| format!(r#", "t": {entry}"#));
-    let admin = hashed(ADMIN_KEY);
+    let admin = hashed_key(ADMIN_KEY);
     format!(
         r#"{{"admin_key_hashes": [{admin:?}], "tenants": {{
             "alpha": {{"corpus": {{"seed": 161, "scale": "small", "papers_per_topic": 20}}}}{t}
@@ -1445,7 +1484,7 @@ fn assert_key_revoked(server: &TestServer, key: &str, how: &str) {
 #[test]
 fn every_path_that_grants_keys_agrees() {
     let spec = r#""corpus": {"seed": 193, "scale": "small", "papers_per_topic": 20}"#;
-    let entry = |key: &str| format!(r#"{{{spec}, "key_hashes": [{:?}]}}"#, hashed(key));
+    let entry = |key: &str| format!(r#"{{{spec}, "key_hashes": [{:?}]}}"#, hashed_key(key));
     let admin = |addr, method, path: &str, body: Option<&str>| {
         let response = request_with_key(addr, method, path, body, Some(ADMIN_KEY)).unwrap();
         assert_eq!(response.status, 200, "{method} {path}: {}", response.body);
@@ -1481,7 +1520,7 @@ fn every_path_that_grants_keys_agrees() {
     let addr = server.addr();
     // A PUT naming a hash the admin set or another tenant already holds
     // is a 400, and builds nothing.
-    for held in [hashed(ADMIN_KEY), hashed("t-key")] {
+    for held in [hashed_key(ADMIN_KEY), hashed_key("t-key")] {
         let body = format!(r#"{{{spec}, "key_hashes": [{held:?}]}}"#);
         let put =
             request_with_key(addr, "PUT", "/v1/corpora/u", Some(&body), Some(ADMIN_KEY)).unwrap();

@@ -14,7 +14,8 @@
 mod common;
 
 use common::{
-    get_with_key, request_with_key, spawn_manifest_server, TestServer, ADMIN_KEY, ALPHA_KEY,
+    get_with_key, hashed_key, request_with_key, spawn_manifest_server, TestServer, ADMIN_KEY,
+    ALPHA_KEY,
 };
 use rpg_repager::artifacts::CorpusArtifacts;
 use rpg_repager::system::PathRequest;
@@ -98,13 +99,14 @@ fn result_bytes(body: &str) -> String {
 /// The manifest used by the snapshot-boot tests: one tenant whose corpus
 /// spec carries `snapshot_path`.
 fn alpha_manifest_json(snapshot_path: &str) -> String {
+    let [admin, alpha] = [ADMIN_KEY, ALPHA_KEY].map(hashed_key);
     format!(
         r#"{{
-            "admin_keys": ["root-key"],
+            "admin_key_hashes": [{admin:?}],
             "tenants": {{
                 "alpha": {{
                     "corpus": {{"seed": 161, "scale": "small", "snapshot": {snapshot_path:?}}},
-                    "api_keys": ["alpha-key"]
+                    "key_hashes": [{alpha:?}]
                 }}
             }}
         }}"#
