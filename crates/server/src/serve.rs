@@ -1782,21 +1782,17 @@ fn handle_request(
         id: trace.id,
         recorder: conn_trace.recorder.clone(),
     };
-    // One cancellation flag per queued exchange, shared with every compute
-    // job the request spawns: a mid-compute hangup flips it so the work is
-    // skipped before it runs.
-    let cancel = Arc::new(AtomicBool::new(false));
     // A panic inside a handler must never take the event loop down with
     // it — compute workers guard their side; this guards the loop's inline
     // routes.
     let routed = catch_unwind(AssertUnwindSafe(|| {
-        route(request, shared, me, token, &cancel, &trace)
+        route(request, shared, me, token, &trace)
     }))
     .unwrap_or_else(|_| Routed::Inline(Response::json(500, error_body("internal error"))));
     let (tenant, response) = match routed {
         Routed::Inline(response) => (None, response),
         Routed::CacheHit(tenant, response) => (Some(tenant), response),
-        Routed::Queued(tenant) => {
+        Routed::Queued(tenant, cancel) => {
             conn_trace.tenant = tenant;
             conn.trace = Some(conn_trace);
             // Push any pending interim `100 Continue` now: the connection
@@ -1831,7 +1827,9 @@ enum Routed {
     CacheHit(String, Response),
     /// Admitted to the fair queue under the named billing tenant (`None`
     /// for mixed-tenant batches); a compute worker will post the reply.
-    Queued(Option<String>),
+    /// The flag is shared with every compute job the request spawned: a
+    /// mid-compute hangup flips it so the work is skipped before it runs.
+    Queued(Option<String>, Arc<AtomicBool>),
 }
 
 /// The worker-side slice of one request's trace, riding its [`Job`]s: the
@@ -1904,22 +1902,18 @@ fn require_key(principal: &Option<Principal>) -> Option<Response> {
 }
 
 /// Routes one request: cheap endpoints inline on the loop, pipeline work
-/// through the per-tenant fair queue. `cancel` rides along on queued work
-/// so a client hangup can void it before it runs.
+/// through the per-tenant fair queue.
 fn route(
     request: &Request,
     shared: &Shared,
     me: &Arc<LoopShared>,
     token: usize,
-    cancel: &Arc<AtomicBool>,
     trace: &RequestTrace,
 ) -> Routed {
     let principal = authenticate(request, shared);
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/generate") => {
-            admit_generate(request, &principal, shared, me, token, cancel, trace)
-        }
-        ("POST", "/v1/batch") => admit_batch(request, &principal, shared, me, token, cancel, trace),
+        ("POST", "/v1/generate") => admit_generate(request, &principal, shared, me, token, trace),
+        ("POST", "/v1/batch") => admit_batch(request, &principal, shared, me, token, trace),
         ("GET", "/v1/healthz") => Routed::Inline(handle_healthz(shared)),
         ("GET", "/v1/stats") => Routed::Inline(handle_stats(shared)),
         ("GET", "/metrics") => Routed::Inline(handle_metrics(shared)),
@@ -1931,7 +1925,7 @@ fn route(
         ),
         ("POST", "/v1/admin/reload") => match require_admin(&principal) {
             Some(rejection) => Routed::Inline(rejection),
-            None => admit_reload(request, shared, me, token, cancel, trace),
+            None => admit_reload(request, shared, me, token, trace),
         },
         (method, path) => {
             if let Some(tenant) = admin_tenant_target(path) {
@@ -1963,7 +1957,7 @@ fn route(
                 return match method {
                     "PUT" => match require_admin(&principal) {
                         Some(rejection) => Routed::Inline(rejection),
-                        None => admit_put(tenant, request, shared, me, token, cancel, trace),
+                        None => admit_put(tenant, request, shared, me, token, trace),
                     },
                     "DELETE" => Routed::Inline(
                         require_admin(&principal)
@@ -2069,7 +2063,6 @@ fn admit_generate(
     shared: &Shared,
     me: &Arc<LoopShared>,
     token: usize,
-    cancel: &Arc<AtomicBool>,
     trace: &RequestTrace,
 ) -> Routed {
     let dto: GenerateRequest = match parse_body(&request.body) {
@@ -2113,7 +2106,7 @@ fn admit_generate(
     }
     let deadline = effective_deadline(header_ms, &tenant, shared);
     let work = Work::Generate(tenant.clone(), resolved);
-    submit(shared, &tenant, work, me, token, cancel, deadline, trace)
+    submit(shared, &tenant, work, me, token, deadline, trace)
 }
 
 /// Answers a `/v1/generate` cache hit on the event loop: probes the
@@ -2173,7 +2166,6 @@ fn admit_batch(
     shared: &Shared,
     me: &Arc<LoopShared>,
     token: usize,
-    cancel: &Arc<AtomicBool>,
     trace: &RequestTrace,
 ) -> Routed {
     let batch: BatchRequest = match parse_body(&request.body) {
@@ -2203,6 +2195,7 @@ fn admit_batch(
         Err(response) => return Routed::Inline(response),
     };
     let assembly = BatchAssembly::new(batch.requests.len(), Reply::new(me.clone(), token));
+    let cancel = Arc::new(AtomicBool::new(false));
     for (index, dto) in batch.requests.iter().enumerate() {
         let ticket = assembly.ticket(index);
         let mut resolved = match ResolvedRequest::resolve(dto) {
@@ -2271,7 +2264,7 @@ fn admit_batch(
     // may already have happened, if everything was rejected inline) the
     // assembled response travels the normal reply path. A mixed-corpus
     // batch has no single billing tenant for the exemplar record.
-    Routed::Queued(None)
+    Routed::Queued(None, cancel)
 }
 
 /// Queues a corpus-spec build-and-swap for one tenant (`PUT`), billed to
@@ -2282,7 +2275,6 @@ fn admit_put(
     shared: &Shared,
     me: &Arc<LoopShared>,
     token: usize,
-    cancel: &Arc<AtomicBool>,
     trace: &RequestTrace,
 ) -> Routed {
     if !valid_tenant_name(tenant) {
@@ -2343,7 +2335,7 @@ fn admit_put(
         name: tenant.to_string(),
         config: Box::new(config),
     };
-    submit(shared, tenant, work, me, token, cancel, deadline, trace)
+    submit(shared, tenant, work, me, token, deadline, trace)
 }
 
 /// Queues a manifest re-read-and-apply, billed to the reserved admin lane.
@@ -2352,7 +2344,6 @@ fn admit_reload(
     shared: &Shared,
     me: &Arc<LoopShared>,
     token: usize,
-    cancel: &Arc<AtomicBool>,
     trace: &RequestTrace,
 ) -> Routed {
     if shared.config.manifest_path.is_none() {
@@ -2366,16 +2357,7 @@ fn admit_reload(
         Err(response) => return Routed::Inline(response),
     };
     let deadline = effective_deadline(header_ms, ADMIN_LANE, shared);
-    submit(
-        shared,
-        ADMIN_LANE,
-        Work::Reload,
-        me,
-        token,
-        cancel,
-        deadline,
-        trace,
-    )
+    submit(shared, ADMIN_LANE, Work::Reload, me, token, deadline, trace)
 }
 
 /// The tenant's metrics cell, created (and registered into the shared
@@ -2444,17 +2426,16 @@ fn effective_deadline(header_ms: Option<u64>, tenant: &str, shared: &Shared) -> 
 /// Offers work to the fair queue; turns per-tenant overflow into `429` and
 /// global overflow into `503`, both answered inline without a reply ever
 /// being owed.
-#[allow(clippy::too_many_arguments)]
 fn submit(
     shared: &Shared,
     tenant: &str,
     work: Work,
     me: &Arc<LoopShared>,
     token: usize,
-    cancel: &Arc<AtomicBool>,
     deadline: Option<Instant>,
     trace: &RequestTrace,
 ) -> Routed {
+    let cancel = Arc::new(AtomicBool::new(false));
     let job = Job {
         work,
         reply: Some(Reply::new(me.clone(), token)),
@@ -2465,7 +2446,7 @@ fn submit(
         trace: trace.clone(),
     };
     match shared.requests.try_push(tenant, job) {
-        Ok(()) => Routed::Queued(Some(tenant.to_string())),
+        Ok(()) => Routed::Queued(Some(tenant.to_string()), cancel),
         Err(Rejection::TenantFull(job)) => {
             cancel_reply(job);
             shared.counters.throttled.inc();
