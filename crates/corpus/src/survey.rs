@@ -138,21 +138,6 @@ impl SurveyBank {
         self.surveys.iter().find(|s| s.paper == paper)
     }
 
-    /// The subset of surveys with the highest selection score (Section II-A
-    /// uses such a subset for the observation study); returns up to `count`
-    /// surveys sorted by descending score.
-    pub fn top_by_score(&self, count: usize, reference_year: u16) -> Vec<&Survey> {
-        let mut sorted: Vec<&Survey> = self.surveys.iter().collect();
-        sorted.sort_by(|a, b| {
-            b.selection_score(reference_year)
-                .partial_cmp(&a.selection_score(reference_year))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.paper.cmp(&b.paper))
-        });
-        sorted.truncate(count);
-        sorted
-    }
-
     /// Average number of references per survey.
     pub fn average_reference_count(&self) -> f64 {
         if self.surveys.is_empty() {
@@ -249,8 +234,6 @@ mod tests {
         assert_eq!(bank.len(), 2);
         assert!(bank.by_paper(PaperId(200)).is_some());
         assert!(bank.by_paper(PaperId(42)).is_none());
-        let top = bank.top_by_score(1, 2020);
-        assert_eq!(top[0].paper, PaperId(100));
         assert!((bank.average_reference_count() - 4.0).abs() < 1e-12);
     }
 
@@ -259,6 +242,5 @@ mod tests {
         let bank = SurveyBank::default();
         assert!(bank.is_empty());
         assert_eq!(bank.average_reference_count(), 0.0);
-        assert!(bank.top_by_score(5, 2020).is_empty());
     }
 }

@@ -41,13 +41,6 @@ impl GraphBuilder {
         self.node_count
     }
 
-    /// Grows the node space so that `node` becomes valid.
-    pub fn ensure_node(&mut self, node: NodeId) {
-        if node.index() >= self.node_count {
-            self.node_count = node.index() + 1;
-        }
-    }
-
     /// Records the citation "`citing` cites `cited`".
     ///
     /// Returns an error if either endpoint is out of bounds or if the edge is
@@ -66,18 +59,6 @@ impl GraphBuilder {
         }
         self.edges.push((citing, cited));
         Ok(())
-    }
-
-    /// Records a citation, growing the node space as needed.  Convenient for
-    /// loading edge lists whose node universe is not known up front.
-    pub fn add_citation_growing(
-        &mut self,
-        citing: NodeId,
-        cited: NodeId,
-    ) -> Result<(), GraphError> {
-        self.ensure_node(citing);
-        self.ensure_node(cited);
-        self.add_citation(citing, cited)
     }
 
     /// Finalises the builder into an immutable CSR graph.
@@ -158,15 +139,6 @@ mod tests {
         let mut b = GraphBuilder::new(2);
         let err = b.add_citation(NodeId(0), NodeId(5)).unwrap_err();
         assert!(matches!(err, GraphError::NodeOutOfBounds { .. }));
-    }
-
-    #[test]
-    fn growing_insertion_extends_node_space() {
-        let mut b = GraphBuilder::new(0);
-        b.add_citation_growing(NodeId(3), NodeId(7)).unwrap();
-        let g = b.build();
-        assert_eq!(g.node_count(), 8);
-        assert!(g.has_edge(NodeId(3), NodeId(7)));
     }
 
     #[test]

@@ -215,14 +215,6 @@ impl CitationGraph {
         self.cited_by(node).len()
     }
 
-    /// Degree of `node` in the undirected view (references + citers, counting
-    /// a mutual citation twice — mutual citations cannot occur in a
-    /// temporally consistent corpus).
-    #[inline]
-    pub fn undirected_degree(&self, node: NodeId) -> usize {
-        self.out_degree(node) + self.in_degree(node)
-    }
-
     /// Returns `true` if the directed edge `from -> to` ("from cites to")
     /// exists.  O(out-degree of `from`).
     pub fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
@@ -297,8 +289,6 @@ mod tests {
         let g = fixture();
         assert_eq!(g.out_degree(NodeId(0)), 2);
         assert_eq!(g.in_degree(NodeId(2)), 3);
-        assert_eq!(g.undirected_degree(NodeId(1)), 2);
-        assert_eq!(g.undirected_degree(NodeId(4)), 0);
     }
 
     #[test]

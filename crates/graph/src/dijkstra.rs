@@ -35,11 +35,6 @@ impl ShortestPath {
     pub fn edges(&self) -> Vec<(NodeId, NodeId)> {
         self.nodes.windows(2).map(|w| (w[0], w[1])).collect()
     }
-
-    /// Number of edges on the path.
-    pub fn hop_count(&self) -> usize {
-        self.nodes.len().saturating_sub(1)
-    }
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -487,7 +482,6 @@ mod tests {
         let p = shortest_path(&g, NodeId(2), NodeId(2)).unwrap().unwrap();
         assert_eq!(p.nodes, vec![NodeId(2)]);
         assert_eq!(p.cost, 0.0);
-        assert_eq!(p.hop_count(), 0);
     }
 
     #[test]

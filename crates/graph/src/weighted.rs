@@ -86,18 +86,6 @@ impl WeightedGraph {
         self.node_weights[node.index()]
     }
 
-    /// Overwrites the weight of a vertex.
-    pub fn set_node_weight(&mut self, node: NodeId, weight: f64) -> Result<(), GraphError> {
-        self.check_node(node)?;
-        if !weight.is_finite() || weight < 0.0 {
-            return Err(GraphError::InvalidWeight {
-                what: format!("node weight {weight}"),
-            });
-        }
-        self.node_weights[node.index()] = weight;
-        Ok(())
-    }
-
     /// The neighbours of `node` together with the cost of the connecting edge.
     #[inline]
     pub fn neighbors(&self, node: NodeId) -> &[(NodeId, f64)] {
@@ -169,11 +157,6 @@ impl WeightedGraph {
                 .filter(move |&&(b, _)| a < b)
                 .map(move |&(b, c)| (a, b, c))
         })
-    }
-
-    /// Sum of all node weights.
-    pub fn total_node_weight(&self) -> f64 {
-        self.node_weights.iter().sum()
     }
 
     /// Sum of all edge costs.
@@ -264,7 +247,6 @@ mod tests {
     #[test]
     fn totals_sum_weights_and_costs() {
         let g = triangle();
-        assert!((g.total_node_weight() - 6.0).abs() < 1e-12);
         assert!((g.total_edge_cost() - 13.0).abs() < 1e-12);
     }
 
@@ -281,14 +263,5 @@ mod tests {
         let g = triangle();
         let cost = g.subgraph_cost(&[], &[NodeId(2)]);
         assert!((cost - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn set_node_weight_updates_value() {
-        let mut g = triangle();
-        g.set_node_weight(NodeId(0), 5.5).unwrap();
-        assert_eq!(g.node_weight(NodeId(0)), 5.5);
-        assert!(g.set_node_weight(NodeId(0), -1.0).is_err());
-        assert!(g.set_node_weight(NodeId(99), 1.0).is_err());
     }
 }

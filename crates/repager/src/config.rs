@@ -100,11 +100,6 @@ impl Default for RepagerConfig {
 }
 
 impl RepagerConfig {
-    /// The paper's published parameter set (identical to `Default`).
-    pub fn paper_defaults() -> Self {
-        Self::default()
-    }
-
     /// A copy with a different number of initial seeds (Table II sweeps 10–50).
     pub fn with_seed_count(self, seed_count: usize) -> Self {
         RepagerConfig { seed_count, ..self }
@@ -182,7 +177,6 @@ mod tests {
         assert_eq!(c.b, 0.3);
         assert_eq!(c.seed_count, 30);
         assert_eq!(c.expansion_hops, 2);
-        assert_eq!(c, RepagerConfig::paper_defaults());
     }
 
     #[test]

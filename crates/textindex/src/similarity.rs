@@ -32,29 +32,6 @@ pub fn jaccard<T: Eq + std::hash::Hash + Copy>(a: &[T], b: &[T]) -> f64 {
     intersection / union
 }
 
-/// Dice coefficient between two sets given as slices.
-pub fn dice<T: Eq + std::hash::Hash + Copy>(a: &[T], b: &[T]) -> f64 {
-    let sa: std::collections::HashSet<T> = a.iter().copied().collect();
-    let sb: std::collections::HashSet<T> = b.iter().copied().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let intersection = sa.intersection(&sb).count() as f64;
-    2.0 * intersection / (sa.len() + sb.len()) as f64
-}
-
-/// Overlap coefficient (Szymkiewicz–Simpson): |A ∩ B| / min(|A|, |B|).
-pub fn overlap_coefficient<T: Eq + std::hash::Hash + Copy>(a: &[T], b: &[T]) -> f64 {
-    let sa: std::collections::HashSet<T> = a.iter().copied().collect();
-    let sb: std::collections::HashSet<T> = b.iter().copied().collect();
-    let min = sa.len().min(sb.len());
-    if min == 0 {
-        return 0.0;
-    }
-    let intersection = sa.intersection(&sb).count() as f64;
-    intersection / min as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,20 +62,6 @@ mod tests {
         // Duplicates do not change the result.
         assert_eq!(jaccard(&[1, 1, 2], &[1, 2, 2]), 1.0);
     }
-
-    #[test]
-    fn dice_and_jaccard_agree_on_extremes() {
-        assert_eq!(dice(&[1, 2], &[1, 2]), 1.0);
-        assert_eq!(dice(&[1], &[2]), 0.0);
-        assert_eq!(dice::<u32>(&[], &[]), 1.0);
-    }
-
-    #[test]
-    fn overlap_coefficient_uses_smaller_set() {
-        assert_eq!(overlap_coefficient(&[1, 2], &[1, 2, 3, 4]), 1.0);
-        assert_eq!(overlap_coefficient(&[1], &[2, 3]), 0.0);
-        assert_eq!(overlap_coefficient::<u32>(&[], &[1]), 0.0);
-    }
 }
 
 #[cfg(all(test, feature = "proptests"))]
@@ -120,19 +83,15 @@ mod proptests {
             prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&ab));
         }
 
-        /// Jaccard, Dice and overlap are all within [0, 1] and Dice >= Jaccard.
+        /// Jaccard is within [0, 1] and symmetric.
         #[test]
         fn set_similarities_bounded(
             a in prop::collection::vec(0u32..30, 0..25),
             b in prop::collection::vec(0u32..30, 0..25),
         ) {
             let j = jaccard(&a, &b);
-            let d = dice(&a, &b);
-            let o = overlap_coefficient(&a, &b);
-            for s in [j, d, o] {
-                prop_assert!((0.0..=1.0 + 1e-12).contains(&s));
-            }
-            prop_assert!(d + 1e-12 >= j);
+            prop_assert!((0.0..=1.0 + 1e-12).contains(&j));
+            prop_assert_eq!(j, jaccard(&b, &a));
         }
     }
 }

@@ -176,18 +176,6 @@ pub(crate) fn walk_terms(
     }
 }
 
-/// Convenience: the distinct normalised terms of `text`, in first-seen order.
-pub fn distinct_terms(text: &str) -> Vec<String> {
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for token in tokenize(text) {
-        if seen.insert(token.term.clone()) {
-            out.push(token.term);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,10 +333,9 @@ mod tests {
 
     #[test]
     fn stop_words_are_removed_by_default() {
-        let terms = distinct_terms("a survey of the state of the art");
-        assert!(!terms.contains(&"the".to_string()));
-        assert!(!terms.contains(&"of".to_string()));
-        assert!(terms.contains(&"art".to_string()));
+        let tokens = tokenize("a survey of the state of the art");
+        let terms: Vec<_> = tokens.iter().map(|t| t.term.as_str()).collect();
+        assert_eq!(terms, vec!["survey", "state", "art"]);
     }
 
     #[test]
@@ -372,23 +359,16 @@ mod tests {
 
     #[test]
     fn short_numbers_are_dropped_but_years_kept() {
-        let terms = distinct_terms("volume 7 of 2019 proceedings");
-        assert!(!terms.contains(&"7".to_string()));
-        assert!(terms.contains(&"2019".to_string()));
+        let tokens = tokenize("volume 7 of 2019 proceedings");
+        let terms: Vec<_> = tokens.iter().map(|t| t.term.as_str()).collect();
+        assert!(!terms.contains(&"7"));
+        assert!(terms.contains(&"2019"));
     }
 
     #[test]
     fn empty_and_symbol_only_input() {
         assert!(tokenize("").is_empty());
         assert!(tokenize("!!! --- ###").is_empty());
-    }
-
-    #[test]
-    fn distinct_terms_preserve_first_seen_order() {
-        let terms = distinct_terms("learning to learn: learning transfer");
-        assert_eq!(terms[0], "learn");
-        assert_eq!(terms.iter().filter(|t| t.as_str() == "learn").count(), 1);
-        assert!(terms.contains(&"transfer".to_string()));
     }
 
     #[test]
