@@ -541,25 +541,6 @@ impl CorpusRegistry {
             .and_then(|t| t.default_variant)
     }
 
-    /// Sets (or clears) a tenant's cache share. Returns whether the share
-    /// was applied: the tenant must exist and a set share must be at least
-    /// 1 — a zero share would make the eviction loop self-evict the
-    /// tenant's entry on every insert, so it is rejected like the other
-    /// zero-valued tuning knobs. Shrinking a share does not evict until
-    /// the tenant's next cache insert.
-    pub fn set_cache_share(&self, name: &str, share: Option<usize>) -> bool {
-        if share == Some(0) {
-            return false;
-        }
-        match self.tenants.write().unwrap().get_mut(name) {
-            Some(tenant) => {
-                tenant.cache_share = share;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// The control-plane view of every tenant, sorted by name — what
     /// `GET /v1/corpora` serves.
     pub fn overview(&self) -> Vec<TenantOverview> {
@@ -1157,10 +1138,12 @@ mod tests {
     #[test]
     fn cache_share_caps_one_tenants_entries_only() {
         let registry = CorpusRegistry::new();
-        registry.register("alpha", corpus(0xA)).unwrap();
+        let alpha = TenantConfig {
+            cache_share: Some(1),
+            ..TenantConfig::for_spec(CorpusSpec::small(0xA))
+        };
+        registry.register_spec("alpha", &alpha).unwrap();
         registry.register("beta", corpus(0xB)).unwrap();
-        assert!(registry.set_cache_share("alpha", Some(1)));
-        assert!(!registry.set_cache_share("ghost", Some(1)));
         let artifacts = registry.artifacts("alpha").unwrap();
         let queries: Vec<(String, u16)> = artifacts
             .corpus()
@@ -1284,9 +1267,11 @@ mod tests {
     #[test]
     fn zero_cache_shares_are_rejected() {
         let registry = registry_with_two_tenants();
-        assert!(!registry.set_cache_share("alpha", Some(0)));
-        assert!(registry.set_cache_share("alpha", Some(1)));
-        assert!(registry.set_cache_share("alpha", None));
+        let mut manifest = spec_manifest(&[("alpha", 0xA)]);
+        let alpha = manifest.tenants.as_mut().unwrap().get_mut("alpha");
+        alpha.unwrap().cache_share = Some(0);
+        assert!(registry.apply_manifest(&manifest).is_err());
+        assert_eq!(registry.tenants(), ["alpha", "beta"], "nothing applied");
     }
 
     #[test]
