@@ -646,6 +646,16 @@ fn batch_items_bill_their_own_tenants_with_partial_429s() {
     wait_until("the batch was never admitted", || {
         server.request_depth() == 1 && server.stats().throttled == 3
     });
+    // A single generate refused by the same full lane is a request-level
+    // 429 that says when to come back.
+    let (query, year) = queries[0].clone();
+    let single = client::post_json(addr, "/v1/generate", &gen_body(&query, year, None)).unwrap();
+    assert_eq!(single.status, 429, "{}", single.body);
+    assert_eq!(single.header("retry-after"), Some("1"));
+    assert_eq!(
+        single.body,
+        r#"{"error":"tenant \"default\" is at capacity, retry shortly"}"#
+    );
     drop(hold);
     let response = batch.join().unwrap();
     assert_eq!(
@@ -676,9 +686,20 @@ fn batch_items_bill_their_own_tenants_with_partial_429s() {
             .contains("capacity"),
         "throttled items say why"
     );
+    let throttled_item =
+        r#"{"error":"tenant \"default\" is at capacity, retry after 1s","status":429}"#;
+    assert_eq!(
+        response.body.matches(throttled_item).count(),
+        3,
+        "{}",
+        response.body
+    );
     plug.join().unwrap();
     let stats = server.stats();
-    assert_eq!(stats.throttled, 3, "per-item 429s are counted per item");
+    assert_eq!(
+        stats.throttled, 4,
+        "per-item 429s are counted per item, beside the single request's"
+    );
 }
 
 #[test]
@@ -845,12 +866,13 @@ fn expired_deadlines_shed_queued_work_with_a_503() {
     // 503 plus retry-after — instead of computing a result the client has
     // already given up on.
     let (query, year) = queries[1].clone();
+    let item = gen_body(&query, year, None);
     let shed = std::thread::spawn(move || {
         client::request_with(
             addr,
             "POST",
             "/v1/generate",
-            Some(&gen_body(&query, year, None)),
+            Some(&item),
             &[("x-rpg-deadline-ms", "1")],
         )
         .unwrap()
@@ -858,24 +880,53 @@ fn expired_deadlines_shed_queued_work_with_a_503() {
     wait_until("the 1 ms request never queued", || {
         server.request_depth() == 1
     });
-    // Its budget runs out while the plug is still held.
+    // A two-item batch under the same 1 ms budget queues behind it: each
+    // item is shed on its own, inside a batch that still answers 200.
+    let item = gen_body(&query, year, None);
+    let batch = std::thread::spawn(move || {
+        client::request_with(
+            addr,
+            "POST",
+            "/v1/batch",
+            Some(&format!(r#"{{"requests": [{item}, {item}]}}"#)),
+            &[("x-rpg-deadline-ms", "1")],
+        )
+        .unwrap()
+    });
+    wait_until("the 1 ms batch never queued", || {
+        server.request_depth() == 3
+    });
+    // Their budgets run out while the plug is still held.
     std::thread::sleep(Duration::from_millis(5));
     drop(hold);
     let response = shed.join().unwrap();
     assert_eq!(response.status, 503, "{}", response.body);
-    assert!(
-        response.header("retry-after").is_some(),
+    assert_eq!(
+        response.body,
+        r#"{"error":"deadline exceeded before compute, retry shortly"}"#
+    );
+    assert_eq!(
+        response.header("retry-after"),
+        Some("1"),
         "sheds tell the client when to come back"
+    );
+    let response = batch.join().unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    let shed_item = r#"{"error":"deadline exceeded before compute, retry shortly","status":503}"#;
+    assert_eq!(
+        response.body,
+        format!(r#"{{"results":[{shed_item},{shed_item}]}}"#)
     );
     plug.join().unwrap();
 
     let stats = server.stats();
     assert_eq!(
         stats.pipeline_runs, 1,
-        "the shed request never reached the pipeline"
+        "the shed requests never reached the pipeline"
     );
-    // The tenant metrics expose the shed and the plug's recorded latency
-    // (the record lands just after the reply is queued, hence the poll).
+    // The tenant metrics expose the three sheds and the plug's recorded
+    // latency, its only sample: a shed records none (the plug's sample
+    // lands just before its reply is queued; the poll tolerates either).
     let deadline = Instant::now() + Duration::from_secs(5);
     let row = loop {
         let tenants = parse(&client::get(addr, "/v1/stats").unwrap().body);
@@ -888,15 +939,16 @@ fn expired_deadlines_shed_queued_work_with_a_503() {
             .get("latency")
             .and_then(|l| l.get("count"))
             .and_then(Value::as_f64);
-        if count == Some(1.0) {
+        if count.is_some_and(|count| count >= 1.0) {
             break row;
         }
         assert!(Instant::now() < deadline, "latency sample never recorded");
         std::thread::sleep(Duration::from_millis(5));
     };
-    assert_eq!(row.get("shed").and_then(Value::as_f64), Some(1.0));
+    assert_eq!(row.get("shed").and_then(Value::as_f64), Some(3.0));
     assert_eq!(row.get("cancelled").and_then(Value::as_f64), Some(0.0));
     let latency = row.get("latency").expect("latency object");
+    assert_eq!(latency.get("count").and_then(Value::as_f64), Some(1.0));
     for quantile in ["p50", "p99", "p999"] {
         let value = latency
             .get(quantile)
