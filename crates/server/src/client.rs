@@ -8,6 +8,7 @@
 //! persistent keep-alive connection and frames responses by
 //! `Content-Length`, so many exchanges ride one TCP connection.
 
+use crate::http::find_head_end;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -190,20 +191,6 @@ impl Conn {
 
 fn invalid(reason: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, reason.to_string())
-}
-
-/// Finds `\r\n\r\n`, only scanning bytes past `*scanned` (minus a 3-byte
-/// overlap for terminators split across reads) — same incremental pattern
-/// as the server-side parser, so a trickled head costs O(n), not O(n²).
-fn find_head_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
-    let from = scanned.saturating_sub(3);
-    match buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
-        Some(pos) => Some(from + pos),
-        None => {
-            *scanned = buf.len();
-            None
-        }
-    }
 }
 
 /// Reads exactly one HTTP response off `reader`, carrying excess bytes in

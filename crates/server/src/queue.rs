@@ -1,10 +1,4 @@
-//! The admission-control queues of the server, built on `Mutex` + `Condvar`.
-//!
-//! [`Bounded`] is a plain bounded multi-producer/multi-consumer handoff:
-//! `try_push` never blocks and never grows the queue past its bound — when
-//! the queue is full the item comes straight back to the caller, which is
-//! what lets the acceptor turn connection overload into an immediate `503`
-//! instead of unbounded buffering.
+//! The server's request-admission queue, built on `Mutex` + `Condvar`.
 //!
 //! [`FairQueue`] is the request-level admission heart: one bounded sub-queue
 //! per tenant, drained in deficit-round-robin order so that a stampede from
@@ -15,90 +9,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
-
-struct State<T> {
-    items: VecDeque<T>,
-    closed: bool,
-    waiters: usize,
-}
-
-/// A bounded blocking queue that rejects instead of buffering past its
-/// capacity.
-pub struct Bounded<T> {
-    state: Mutex<State<T>>,
-    ready: Condvar,
-    capacity: usize,
-}
-
-impl<T> Bounded<T> {
-    /// A queue admitting at most `capacity` queued items (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Bounded {
-            state: Mutex::new(State {
-                items: VecDeque::with_capacity(capacity.min(1024)),
-                closed: false,
-                waiters: 0,
-            }),
-            ready: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Enqueues without blocking. Returns the item when the queue is full
-    /// or closed, so the caller can reject it explicitly.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().unwrap();
-        if state.closed || state.items.len() >= self.capacity {
-            return Err(item);
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until an item is available; `None` once the queue is closed
-    /// and drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state.waiters += 1;
-            state = self.ready.wait(state).unwrap();
-            state.waiters -= 1;
-        }
-    }
-
-    /// Closes the queue: pending items still drain, new pushes are
-    /// rejected, and blocked consumers wake up.
-    pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Items currently waiting.
-    pub fn depth(&self) -> usize {
-        self.state.lock().unwrap().items.len()
-    }
-
-    /// Consumers currently blocked in [`Bounded::pop`]. Lets tests (and
-    /// shutdown diagnostics) observe "everyone is parked" deterministically
-    /// instead of sleeping and hoping.
-    pub fn waiting_consumers(&self) -> usize {
-        self.state.lock().unwrap().waiters
-    }
-
-    /// The admission bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
 
 /// Why [`FairQueue::try_push`] handed the item back.
 #[derive(Debug, PartialEq, Eq)]
@@ -470,104 +380,6 @@ impl<T> FairQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn push_pop_round_trips_in_order() {
-        let queue: Bounded<u32> = Bounded::new(4);
-        queue.try_push(1).unwrap();
-        queue.try_push(2).unwrap();
-        assert_eq!(queue.depth(), 2);
-        assert_eq!(queue.pop(), Some(1));
-        assert_eq!(queue.pop(), Some(2));
-        assert_eq!(queue.depth(), 0);
-    }
-
-    #[test]
-    fn full_queue_returns_the_item_instead_of_buffering() {
-        let queue: Bounded<u32> = Bounded::new(2);
-        queue.try_push(1).unwrap();
-        queue.try_push(2).unwrap();
-        assert_eq!(queue.try_push(3), Err(3));
-        assert_eq!(queue.depth(), 2, "rejected pushes must not grow the queue");
-        assert_eq!(queue.pop(), Some(1));
-        queue.try_push(3).unwrap();
-        assert_eq!(queue.depth(), 2);
-    }
-
-    #[test]
-    fn capacity_is_at_least_one() {
-        let queue: Bounded<u32> = Bounded::new(0);
-        assert_eq!(queue.capacity(), 1);
-        queue.try_push(7).unwrap();
-        assert_eq!(queue.try_push(8), Err(8));
-    }
-
-    #[test]
-    fn close_drains_then_stops_consumers() {
-        let queue: Bounded<u32> = Bounded::new(4);
-        queue.try_push(1).unwrap();
-        queue.close();
-        assert_eq!(queue.try_push(2), Err(2));
-        assert_eq!(queue.pop(), Some(1));
-        assert_eq!(queue.pop(), None);
-    }
-
-    #[test]
-    fn close_wakes_blocked_consumers() {
-        let queue: Arc<Bounded<u32>> = Arc::new(Bounded::new(4));
-        let handles: Vec<_> = (0..3)
-            .map(|_| {
-                let queue = queue.clone();
-                std::thread::spawn(move || queue.pop())
-            })
-            .collect();
-        // Deterministic hand-off: wait until every consumer is provably
-        // parked inside `pop` before closing, instead of sleeping and
-        // racing the scheduler.
-        while queue.waiting_consumers() < 3 {
-            std::thread::yield_now();
-        }
-        queue.close();
-        for handle in handles {
-            assert_eq!(handle.join().unwrap(), None);
-        }
-    }
-
-    #[test]
-    fn concurrent_producers_and_consumers_hand_off_everything() {
-        let queue: Arc<Bounded<usize>> = Arc::new(Bounded::new(8));
-        let consumer = {
-            let queue = queue.clone();
-            std::thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(item) = queue.pop() {
-                    got.push(item);
-                }
-                got
-            })
-        };
-        let mut pushed = 0usize;
-        for i in 0..1000 {
-            // Spin until admitted: producers back off instead of buffering.
-            let mut item = i;
-            loop {
-                match queue.try_push(item) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        item = back;
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            pushed += 1;
-        }
-        queue.close();
-        let got = consumer.join().unwrap();
-        assert_eq!(got.len(), pushed);
-        let mut sorted = got.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..1000).collect::<Vec<_>>());
-    }
 
     #[test]
     fn fair_queue_alternates_between_backlogged_tenants() {

@@ -49,7 +49,7 @@ use crate::api::{
 };
 use crate::auth::{bearer_token, AuthTable, Principal, StoredKey};
 use crate::http::{self, Limits, Parse, Request, RequestBuffer, Response, ResponseEmitter};
-use crate::queue::{Bounded, FairQueue, Rejection, Tuning};
+use crate::queue::{FairQueue, Rejection, Tuning};
 use crate::stats::{self, Counters, TenantMetrics};
 use crate::sys::{
     self, Event, IoBackend, IoBackendChoice, Poller, WakePipe, POLLERR, POLLHUP, POLLIN, POLLNVAL,
@@ -73,6 +73,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -320,20 +321,11 @@ pub struct StatsSnapshot {
 }
 
 /// Pipeline work classified by tenant, queued for the compute pool. A
-/// generate request travels in resolved form (corpus name + validated
-/// parameters) so the driver-side validation is not repeated on the worker.
+/// generate request (a `/v1/generate` miss or one `/v1/batch` item)
+/// travels in resolved form (corpus name + validated parameters) so the
+/// driver-side validation is not repeated on the worker.
 enum Work {
     Generate(String, ResolvedRequest),
-    /// One item of a `/v1/batch` request: each item is admitted (and
-    /// billed) under its own tenant, so a mixed-corpus batch consumes each
-    /// tenant's budget separately and overflow turns into *per-item* `429`s
-    /// inside the batch response instead of rejecting the whole batch. The
-    /// ticket routes the item's result slot back to the shared assembly.
-    BatchItem {
-        ticket: BatchTicket,
-        corpus: String,
-        resolved: ResolvedRequest,
-    },
     /// Build a corpus from a wire-shipped spec and atomically swap it in
     /// under `name` (the `PUT /v1/corpora/:name` endpoint), billed to that
     /// tenant's lane.
@@ -386,11 +378,41 @@ impl Drop for Reply {
     }
 }
 
+/// Where a job's outcome goes.
+enum Deliver {
+    /// A single request's connection: the outcome is its whole response.
+    Reply(Reply),
+    /// One `/v1/batch` item's slot: the outcome is an item of the batch's
+    /// `200`, whose shared [`BatchAssembly`] owns the batch's one reply.
+    Item(BatchTicket),
+}
+
+impl Deliver {
+    /// Delivers a job's outcome, the body of a `200` or an error. `retry`
+    /// adds `retry-after` to a single request's error; an item's error is
+    /// its slot's `{"error", "status"}` object.
+    fn send(self, outcome: Result<Vec<u8>, ApiError>, retry: bool) {
+        match (self, outcome) {
+            (Deliver::Reply(reply), outcome) => reply.send(outcome_response(outcome, retry)),
+            (Deliver::Item(ticket), Ok(item)) => ticket.fill(item),
+            (Deliver::Item(ticket), Err(e)) => ticket.fail(e.status, &e.message),
+        }
+    }
+}
+
+/// A single request's response to a job outcome.
+fn outcome_response(outcome: Result<Vec<u8>, ApiError>, retry: bool) -> Response {
+    match outcome {
+        Ok(body) => Response::json(200, body),
+        Err(e) if retry => Response::json(e.status, e.body())
+            .with_header("retry-after", RETRY_AFTER_SECS.to_string()),
+        Err(e) => Response::json(e.status, e.body()),
+    }
+}
+
 struct Job {
     work: Work,
-    /// Where the response goes. Batch-item jobs carry `None`: their shared
-    /// [`BatchAssembly`] owns the one reply for the whole batch.
-    reply: Option<Reply>,
+    to: Deliver,
     /// Set by the owning event loop when the client hangs up while this
     /// work is queued or running (a reset observed in `ComputeInFlight`):
     /// the compute worker skips the pipeline run because nobody can
@@ -521,11 +543,6 @@ impl LoopShared {
 struct Shared {
     registry: Arc<CorpusRegistry>,
     config: ServerConfig,
-    /// Overflow connections waiting for their `503`. Writing the rejection
-    /// happens off the acceptor thread so a slow overflow client cannot
-    /// stall admission; this queue is bounded too — when even it is full,
-    /// the connection is dropped outright.
-    rejects: Bounded<TcpStream>,
     /// Parsed pipeline requests, per-tenant bounded, drained in DRR order.
     requests: FairQueue<Job>,
     /// The live key table; swapped by manifest reloads, edited by
@@ -660,7 +677,6 @@ impl Server {
         let trace_log = Arc::new(TraceLog::new(TRACE_LOG_CAPACITY));
         let shared = Arc::new(Shared {
             registry,
-            rejects: Bounded::new((config.queue_capacity * 4).clamp(16, 256)),
             requests,
             auth: RwLock::new(config.auth.clone()),
             metrics: RwLock::new(HashMap::new()),
@@ -674,18 +690,21 @@ impl Server {
             counters,
             reply_gate: ReplyGate::default(),
         });
+        // Overflow connections waiting for their `503`. Writing the
+        // rejection happens off the acceptor thread so a slow overflow
+        // client cannot stall admission; the handoff is bounded too (when
+        // even it is full, the connection is dropped outright), and it
+        // closes when the acceptor exits and drops its sender.
+        let (rejects, rejected) = sync_channel((shared.config.queue_capacity * 4).clamp(16, 256));
         let acceptor = {
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name("rpg-accept".to_string())
-                .spawn(move || accept_loop(listener, &shared))?
+                .spawn(move || accept_loop(listener, &shared, &rejects))?
         };
-        let rejector = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("rpg-reject".to_string())
-                .spawn(move || rejector_loop(&shared))?
-        };
+        let rejector = std::thread::Builder::new()
+            .name("rpg-reject".to_string())
+            .spawn(move || rejector_loop(rejected))?;
         let drivers = pollers
             .into_iter()
             .enumerate()
@@ -836,7 +855,6 @@ impl Server {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        self.shared.rejects.close();
         if let Some(rejector) = self.rejector.take() {
             let _ = rejector.join();
         }
@@ -849,7 +867,7 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: &Shared) {
+fn accept_loop(listener: TcpListener, shared: &Shared, rejects: &SyncSender<TcpStream>) {
     // Round-robin target; the acceptor is single-threaded, so a local
     // counter suffices.
     let mut next = 0usize;
@@ -865,7 +883,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                     // Hand the 503 to the rejector thread; if even the
                     // reject queue is full, drop the connection — admission
                     // never blocks and never buffers unboundedly.
-                    let _ = shared.rejects.try_push(stream);
+                    let _ = rejects.try_send(stream);
                     continue;
                 }
                 shared.open_connections.fetch_add(1, Ordering::SeqCst);
@@ -893,8 +911,8 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
 /// buffer — on close that triggers a TCP RST, which can destroy the `503`
 /// before the client reads it. Hence the bounded drain after the write,
 /// done here on a dedicated thread so the acceptor never blocks.
-fn rejector_loop(shared: &Shared) {
-    while let Some(stream) = shared.rejects.pop() {
+fn rejector_loop(rejected: Receiver<TcpStream>) {
+    for stream in rejected {
         let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
         // Even an overflow 503 carries a trace ID the client can quote: a
         // short bounded read of whatever request bytes have already arrived
@@ -2022,36 +2040,57 @@ fn parse_body<T: Deserialize>(body: &[u8]) -> Result<T, Response> {
         .map_err(|e| Response::json(400, error_body(&format!("invalid request body: {e}"))))
 }
 
-/// How one request (or batch item) resolves to the tenant it is billed to.
-enum Billing {
-    /// Admit under this tenant.
-    Tenant(String),
-    /// Reject with this status/message (cross-tenant `403`, anonymous
-    /// `401`).
-    Reject(u16, String),
-}
-
 /// The tenant a request naming `corpus` is billed to, under the given
 /// principal. With auth off the self-declared field stays authoritative;
 /// with auth on a tenant key bills itself (its own corpus name is the only
-/// one it may also spell out), and an admin key may target any corpus.
-fn billing_tenant(corpus: Option<&str>, principal: &Option<Principal>, shared: &Shared) -> Billing {
+/// one it may also spell out), and an admin key may target any corpus. A
+/// cross-tenant request is a `403`, an anonymous one a `401`.
+fn billing_tenant(
+    corpus: Option<&str>,
+    principal: &Option<Principal>,
+    shared: &Shared,
+) -> Result<String, ApiError> {
     match principal {
-        None => Billing::Tenant(corpus.unwrap_or(&shared.config.default_corpus).to_string()),
-        Some(Principal::Admin) => {
-            Billing::Tenant(corpus.unwrap_or(&shared.config.default_corpus).to_string())
+        None | Some(Principal::Admin) => {
+            Ok(corpus.unwrap_or(&shared.config.default_corpus).to_string())
         }
         Some(Principal::Tenant(own)) => match corpus {
-            Some(named) if named != own => Billing::Reject(
-                403,
-                format!("key for tenant {own:?} cannot access corpus {named:?}"),
-            ),
-            _ => Billing::Tenant(own.clone()),
+            Some(named) if named != own => Err(ApiError {
+                status: 403,
+                message: format!("key for tenant {own:?} cannot access corpus {named:?}"),
+            }),
+            _ => Ok(own.clone()),
         },
-        Some(Principal::Anonymous) => {
-            Billing::Reject(401, "missing or invalid bearer key".to_string())
+        Some(Principal::Anonymous) => Err(ApiError {
+            status: 401,
+            message: "missing or invalid bearer key".to_string(),
+        }),
+    }
+}
+
+/// Resolves one generate request, a `/v1/generate` body or a batch item,
+/// to its billing tenant and validated parameters. Parameters resolve
+/// before the corpus check, so a bad variant is a 400 even for an unknown
+/// corpus; the resolved form rides the job to the compute worker, so
+/// validation happens exactly once. A tenant may declare a default variant
+/// (manifest `variant` field); it applies only when the request does not
+/// choose one itself.
+fn resolve_generate(
+    dto: &GenerateRequest,
+    principal: &Option<Principal>,
+    shared: &Shared,
+) -> Result<(String, ResolvedRequest), ApiError> {
+    let mut resolved = ResolvedRequest::resolve(dto)?;
+    let tenant = billing_tenant(dto.corpus.as_deref(), principal, shared)?;
+    if !shared.registry.contains(&tenant) {
+        return Err(registry_error(RegistryError::UnknownCorpus(tenant)));
+    }
+    if dto.variant.is_none() {
+        if let Some(variant) = shared.registry.default_variant(&tenant) {
+            resolved.variant = variant;
         }
     }
+    Ok((tenant, resolved))
 }
 
 /// Validates a generate request on the loop (cheap), answers it inline when
@@ -2069,31 +2108,11 @@ fn admit_generate(
         Ok(dto) => dto,
         Err(response) => return Routed::Inline(response),
     };
-    // Resolve before the corpus check so a bad variant is a 400 even for
-    // an unknown corpus; the resolved form rides the job to the compute
-    // worker so validation happens exactly once.
-    let mut resolved = match ResolvedRequest::resolve(&dto) {
+    let (tenant, resolved) = match resolve_generate(&dto, principal, shared) {
         Ok(resolved) => resolved,
+        Err(e) if e.status == 401 => return Routed::Inline(unauthorized()),
         Err(e) => return Routed::Inline(Response::json(e.status, e.body())),
     };
-    let tenant = match billing_tenant(dto.corpus.as_deref(), principal, shared) {
-        Billing::Tenant(tenant) => tenant,
-        Billing::Reject(401, _) => return Routed::Inline(unauthorized()),
-        Billing::Reject(status, message) => {
-            return Routed::Inline(Response::json(status, error_body(&message)))
-        }
-    };
-    if !shared.registry.contains(&tenant) {
-        let e = registry_error(RegistryError::UnknownCorpus(tenant));
-        return Routed::Inline(Response::json(e.status, e.body()));
-    }
-    // A tenant may declare a default variant (manifest `variant` field);
-    // it applies only when the request does not choose one itself.
-    if dto.variant.is_none() {
-        if let Some(variant) = shared.registry.default_variant(&tenant) {
-            resolved.variant = variant;
-        }
-    }
     let header_ms = match header_deadline_ms(request) {
         Ok(header_ms) => header_ms,
         Err(response) => return Routed::Inline(response),
@@ -2106,7 +2125,7 @@ fn admit_generate(
     }
     let deadline = effective_deadline(header_ms, &tenant, shared);
     let work = Work::Generate(tenant.clone(), resolved);
-    submit(shared, &tenant, work, me, token, deadline, trace)
+    submit_single(shared, &tenant, work, me, token, deadline, trace)
 }
 
 /// Answers a `/v1/generate` cache hit on the event loop: probes the
@@ -2198,67 +2217,25 @@ fn admit_batch(
     let cancel = Arc::new(AtomicBool::new(false));
     for (index, dto) in batch.requests.iter().enumerate() {
         let ticket = assembly.ticket(index);
-        let mut resolved = match ResolvedRequest::resolve(dto) {
+        let (tenant, resolved) = match resolve_generate(dto, principal, shared) {
             Ok(resolved) => resolved,
             Err(e) => {
                 ticket.fail(e.status, &e.message);
                 continue;
             }
         };
-        let tenant = match billing_tenant(dto.corpus.as_deref(), principal, shared) {
-            Billing::Tenant(tenant) => tenant,
-            Billing::Reject(status, message) => {
-                ticket.fail(status, &message);
-                continue;
-            }
-        };
-        if !shared.registry.contains(&tenant) {
-            ticket.fail(404, &format!("unknown corpus {tenant:?}"));
-            continue;
-        }
-        if dto.variant.is_none() {
-            if let Some(variant) = shared.registry.default_variant(&tenant) {
-                resolved.variant = variant;
-            }
-        }
-        let job = Job {
-            work: Work::BatchItem {
-                ticket,
-                corpus: tenant.clone(),
-                resolved,
-            },
-            reply: None,
-            cancelled: cancel.clone(),
-            lane: tenant.clone(),
-            admitted_at: Instant::now(),
-            deadline: effective_deadline(header_ms, &tenant, shared),
-            trace: trace.clone(),
-        };
-        match shared.requests.try_push(&tenant, job) {
-            Ok(()) => {}
-            Err(rejection) => {
-                let (status, message) = match &rejection {
-                    Rejection::TenantFull(_) => {
-                        shared.counters.throttled.inc();
-                        (
-                            429,
-                            format!(
-                                "tenant {tenant:?} is at capacity, retry after {RETRY_AFTER_SECS}s"
-                            ),
-                        )
-                    }
-                    Rejection::QueueFull(_) => {
-                        shared.counters.rejected.inc();
-                        (503, "server is at capacity, retry shortly".to_string())
-                    }
-                    Rejection::Closed(_) => (503, "server is shutting down".to_string()),
-                };
-                let job = rejection.into_inner();
-                if let Work::BatchItem { ticket, .. } = job.work {
-                    ticket.fail(status, &message);
-                }
-            }
-        }
+        let deadline = effective_deadline(header_ms, &tenant, shared);
+        let work = Work::Generate(tenant.clone(), resolved);
+        // A refused item fills its own slot; nothing is answered inline.
+        submit(
+            shared,
+            &tenant,
+            work,
+            Deliver::Item(ticket),
+            &cancel,
+            deadline,
+            trace,
+        );
     }
     // The assembly owns the batch's reply; once the last item fills (which
     // may already have happened, if everything was rejected inline) the
@@ -2335,7 +2312,7 @@ fn admit_put(
         name: tenant.to_string(),
         config: Box::new(config),
     };
-    submit(shared, tenant, work, me, token, deadline, trace)
+    submit_single(shared, tenant, work, me, token, deadline, trace)
 }
 
 /// Queues a manifest re-read-and-apply, billed to the reserved admin lane.
@@ -2357,7 +2334,7 @@ fn admit_reload(
         Err(response) => return Routed::Inline(response),
     };
     let deadline = effective_deadline(header_ms, ADMIN_LANE, shared);
-    submit(shared, ADMIN_LANE, Work::Reload, me, token, deadline, trace)
+    submit_single(shared, ADMIN_LANE, Work::Reload, me, token, deadline, trace)
 }
 
 /// The tenant's metrics cell, created (and registered into the shared
@@ -2423,10 +2400,9 @@ fn effective_deadline(header_ms: Option<u64>, tenant: &str, shared: &Shared) -> 
     budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms))
 }
 
-/// Offers work to the fair queue; turns per-tenant overflow into `429` and
-/// global overflow into `503`, both answered inline without a reply ever
-/// being owed.
-fn submit(
+/// Queues a single request's work with its reply addressed back to the
+/// connection; a refusal is answered inline.
+fn submit_single(
     shared: &Shared,
     tenant: &str,
     work: Work,
@@ -2436,48 +2412,73 @@ fn submit(
     trace: &RequestTrace,
 ) -> Routed {
     let cancel = Arc::new(AtomicBool::new(false));
+    let reply = Deliver::Reply(Reply::new(me.clone(), token));
+    match submit(shared, tenant, work, reply, &cancel, deadline, trace) {
+        Some(refusal) => Routed::Inline(refusal),
+        None => Routed::Queued(Some(tenant.to_string()), cancel),
+    }
+}
+
+/// Offers one job to the fair queue under `tenant`'s lane, the only way
+/// work reaches the compute pool. Per-tenant overflow is a `429` and global
+/// overflow a `503`, both saying when to retry. A refused single request
+/// gets its refusal back to answer inline, its reply disarmed so nothing
+/// is posted later; a refused batch item fills its slot, and a batch item
+/// has no header of its own, so its `429` says when in its message.
+fn submit(
+    shared: &Shared,
+    tenant: &str,
+    work: Work,
+    to: Deliver,
+    cancelled: &Arc<AtomicBool>,
+    deadline: Option<Instant>,
+    trace: &RequestTrace,
+) -> Option<Response> {
     let job = Job {
         work,
-        reply: Some(Reply::new(me.clone(), token)),
-        cancelled: cancel.clone(),
+        to,
+        cancelled: cancelled.clone(),
         lane: tenant.to_string(),
         admitted_at: Instant::now(),
         deadline,
         trace: trace.clone(),
     };
-    match shared.requests.try_push(tenant, job) {
-        Ok(()) => Routed::Queued(Some(tenant.to_string()), cancel),
-        Err(Rejection::TenantFull(job)) => {
-            cancel_reply(job);
+    let Err(rejection) = shared.requests.try_push(tenant, job) else {
+        return None;
+    };
+    let (status, message, retry) = match &rejection {
+        Rejection::TenantFull(job) => {
             shared.counters.throttled.inc();
-            Routed::Inline(
-                Response::json(
-                    429,
-                    error_body(&format!("tenant {tenant:?} is at capacity, retry shortly")),
-                )
-                .with_header("retry-after", RETRY_AFTER_SECS.to_string()),
+            let when = match job.to {
+                Deliver::Reply(_) => "retry shortly".to_string(),
+                Deliver::Item(_) => format!("retry after {RETRY_AFTER_SECS}s"),
+            };
+            (
+                429,
+                format!("tenant {tenant:?} is at capacity, {when}"),
+                true,
             )
         }
-        Err(Rejection::QueueFull(job)) => {
-            cancel_reply(job);
+        Rejection::QueueFull(_) => {
             shared.counters.rejected.inc();
-            Routed::Inline(
-                Response::json(503, error_body("server is at capacity, retry shortly"))
-                    .with_header("retry-after", RETRY_AFTER_SECS.to_string()),
+            (
+                503,
+                "server is at capacity, retry shortly".to_string(),
+                true,
             )
         }
-        Err(Rejection::Closed(job)) => {
-            cancel_reply(job);
-            Routed::Inline(Response::json(503, error_body("server is shutting down")))
+        Rejection::Closed(_) => (503, "server is shutting down".to_string(), false),
+    };
+    let refusal = Err(ApiError { status, message });
+    match rejection.into_inner().to {
+        Deliver::Reply(reply) => {
+            reply.cancel();
+            Some(outcome_response(refusal, retry))
         }
-    }
-}
-
-/// Disarms the reply of a job the queue handed back: its rejection is
-/// answered inline, so nothing may be posted later.
-fn cancel_reply(job: Job) {
-    if let Some(reply) = job.reply {
-        reply.cancel();
+        item => {
+            item.send(refusal, retry);
+            None
+        }
     }
 }
 
@@ -2572,7 +2573,7 @@ pub mod test_hooks {
 fn run_job(job: Job, shared: &Shared) {
     let Job {
         work,
-        reply,
+        to,
         cancelled,
         lane,
         admitted_at,
@@ -2590,142 +2591,97 @@ fn run_job(job: Job, shared: &Shared) {
         }
     }
     let metrics = tenant_metrics(shared, &lane);
-    let abandoned = cancelled.load(Ordering::SeqCst);
-    let expired = !abandoned && deadline.is_some_and(|deadline| Instant::now() >= deadline);
-    if expired {
-        metrics.shed.inc();
+    let refuse = |status, message: &str| {
+        Err(ApiError {
+            status,
+            message: message.to_string(),
+        })
+    };
+    if cancelled.load(Ordering::SeqCst) {
+        // Nobody can read the result; skip the pipeline run. A single
+        // request's reply is still delivered so the owning loop can free
+        // the connection's slot; the bytes are never written because the
+        // slot is marked abandoned.
+        metrics.cancelled.inc();
+        to.send(refuse(500, "client disconnected"), false);
+        return;
     }
-    match work {
-        Work::BatchItem {
-            ticket,
-            corpus,
-            resolved,
-        } => {
-            if abandoned {
-                // Nobody can read the result; skip the pipeline run.
-                metrics.cancelled.inc();
-                ticket.fail(500, "client disconnected");
-                return;
-            }
-            if expired {
-                ticket.fail(503, "deadline exceeded before compute, retry shortly");
-                return;
-            }
-            // A panic inside the pipeline must never take the worker
-            // thread down with it — the item gets an error slot and the
-            // worker lives on.
-            let compute = open_span(&trace, "compute");
-            let stage = stage_trace(&trace, &compute);
-            // The item is encoded here, as soon as its run ends; the slot
-            // holds only its bytes until the batch is assembled.
-            let item = catch_unwind(AssertUnwindSafe(|| {
-                run_resolved(&corpus, &resolved, shared, deadline, &metrics, stage)
-                    .map(|served| served_body(&corpus, &served))
-            }))
-            .unwrap_or_else(|_| {
-                Err(ApiError {
-                    status: 500,
-                    message: "internal error".to_string(),
-                })
-            });
-            close_span(&compute);
-            // The sample lands before the ticket is filled so a client that
-            // observes the response is guaranteed to observe the sample too
-            // (/v1/stats and /metrics stay consistent with what was served).
-            metrics.latency.record(admitted_at.elapsed());
-            match item {
-                Ok(item) => ticket.fill(item),
-                Err(e) => ticket.fail(e.status, &e.message),
-            }
-        }
-        work => {
-            let reply = reply.expect("non-batch work carries a reply");
-            if abandoned {
-                // The reply is still delivered so the owning loop can
-                // free the connection's slot; the bytes are never
-                // written because the slot is marked abandoned.
-                metrics.cancelled.inc();
-                reply.send(Response::json(500, error_body("client disconnected")));
-                return;
-            }
-            if expired {
-                reply.send(
-                    Response::json(
-                        503,
-                        error_body("deadline exceeded before compute, retry shortly"),
-                    )
-                    .with_header("retry-after", RETRY_AFTER_SECS.to_string()),
-                );
-                return;
-            }
-            let compute = open_span(&trace, "compute");
-            let stage = stage_trace(&trace, &compute);
-            let response = catch_unwind(AssertUnwindSafe(|| {
-                execute(&work, shared, deadline, &metrics, stage)
-            }))
-            .unwrap_or_else(|_| Response::json(500, error_body("internal error")));
-            close_span(&compute);
-            shared.reply_gate.pass();
-            // Sample before the send: once the client holds the response it
-            // must also find the sample in /metrics and /v1/stats.
-            metrics.latency.record(admitted_at.elapsed());
-            reply.send(response);
-            if test_hooks::PANIC_AFTER_REPLY.swap(false, Ordering::SeqCst) {
-                panic!("test hook: panic after reply");
-            }
-        }
+    if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+        metrics.shed.inc();
+        let message = "deadline exceeded before compute, retry shortly";
+        to.send(refuse(503, message), true);
+        return;
+    }
+    // A panic inside the pipeline must never take the worker thread down
+    // with it: the job answers a 500 and the worker lives on.
+    let compute = open_span(&trace, "compute");
+    let stage = stage_trace(&trace, &compute);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        execute(&work, shared, deadline, &metrics, stage)
+    }))
+    .unwrap_or_else(|_| refuse(500, "internal error"));
+    close_span(&compute);
+    let single = matches!(to, Deliver::Reply(_));
+    if single {
+        shared.reply_gate.pass();
+    }
+    // Sample before delivery: once the client holds the response it must
+    // also find the sample in /metrics and /v1/stats.
+    metrics.latency.record(admitted_at.elapsed());
+    to.send(outcome, false);
+    if single && test_hooks::PANIC_AFTER_REPLY.swap(false, Ordering::SeqCst) {
+        panic!("test hook: panic after reply");
     }
 }
 
+/// Runs one job's work: the body of its `200`, or the error it answers
+/// with. A generate's body is encoded here, as soon as its run ends, so a
+/// batch slot holds only its bytes until the batch is assembled.
 fn execute(
     work: &Work,
     shared: &Shared,
     deadline: Option<Instant>,
     metrics: &TenantMetrics,
     stage: Option<StageTrace>,
-) -> Response {
-    match work {
+) -> Result<Vec<u8>, ApiError> {
+    let body = match work {
+        // A key cached while this request sat in the queue answers with
+        // the same bytes the loop answers hits with.
         Work::Generate(corpus, resolved) => {
-            match run_resolved(corpus, resolved, shared, deadline, metrics, stage) {
-                // A key cached while this request sat in the queue answers
-                // with the same bytes the loop answers hits with.
-                Ok(served) => Response::json(200, served_body(corpus, &served)),
-                Err(e) => Response::json(e.status, e.body()),
-            }
+            return run_resolved(corpus, resolved, shared, deadline, metrics, stage)
+                .map(|served| served_body(corpus, &served));
         }
-        Work::BatchItem { .. } => unreachable!("batch items are executed by compute_loop"),
         Work::Put { name, config } => {
             let created = !shared.registry.contains(name);
-            match shared.registry.register_spec(name.clone(), config) {
-                Ok(epoch) => {
-                    // An omitted `inflight` is the tenant's weighted share
-                    // among every tenant served now; the others keep their
-                    // caps until the next reload recomputes them.
-                    let others: u64 = shared
-                        .registry
-                        .tenants()
-                        .iter()
-                        .filter(|other| *other != name)
-                        .map(|other| shared.requests.tuning(other).weight)
-                        .sum();
-                    let total_weight = others + config.weight.unwrap_or(1).max(1);
-                    let tuning = Tuning::of(config, &shared.config, total_weight);
-                    shared.requests.tune(name, |t| *t = tuning);
-                    if shared.config.auth_enabled {
-                        shared
-                            .auth
-                            .write()
-                            .unwrap()
-                            .grant_tenant(name, config.hashed_keys());
-                    }
-                    json_200(&Value::Object(vec![
-                        ("corpus".to_string(), Value::String(name.clone())),
-                        ("epoch".to_string(), Value::Number(epoch as f64)),
-                        ("created".to_string(), Value::Bool(created)),
-                    ]))
-                }
-                Err(e) => Response::json(400, error_body(&format!("invalid corpus spec: {e}"))),
+            let epoch = shared
+                .registry
+                .register_spec(name.clone(), config)
+                .map_err(|e| ApiError::bad_request(format!("invalid corpus spec: {e}")))?;
+            // An omitted `inflight` is the tenant's weighted share among
+            // every tenant served now; the others keep their caps until
+            // the next reload recomputes them.
+            let others: u64 = shared
+                .registry
+                .tenants()
+                .iter()
+                .filter(|other| *other != name)
+                .map(|other| shared.requests.tuning(other).weight)
+                .sum();
+            let total_weight = others + config.weight.unwrap_or(1).max(1);
+            let tuning = Tuning::of(config, &shared.config, total_weight);
+            shared.requests.tune(name, |t| *t = tuning);
+            if shared.config.auth_enabled {
+                shared
+                    .auth
+                    .write()
+                    .unwrap()
+                    .grant_tenant(name, config.hashed_keys());
             }
+            Value::Object(vec![
+                ("corpus".to_string(), Value::String(name.clone())),
+                ("epoch".to_string(), Value::Number(epoch as f64)),
+                ("created".to_string(), Value::Bool(created)),
+            ])
         }
         Work::Reload => {
             let path = shared
@@ -2733,18 +2689,19 @@ fn execute(
                 .manifest_path
                 .as_deref()
                 .expect("reload admitted only with a manifest path");
-            match std::fs::read_to_string(path)
+            let diff = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read {path}: {e}"))
                 .and_then(|text| {
                     Manifest::from_json(&text).map_err(|e| format!("invalid manifest {path}: {e}"))
                 })
                 .and_then(|manifest| apply_manifest_to(shared, &manifest))
-            {
-                Ok(diff) => json_200(&diff_value(&diff)),
-                Err(message) => Response::json(400, error_body(&message)),
-            }
+                .map_err(ApiError::bad_request)?;
+            diff_value(&diff)
         }
-    }
+    };
+    Ok(serde_json::to_string(&body)
+        .expect("response serialises")
+        .into_bytes())
 }
 
 /// Applies a whole manifest to a running server: the registry's tenant set
@@ -3300,15 +3257,14 @@ mod tests {
         // slot...
         let work = Work::Generate("default".to_string(), resolved);
         let metrics = tenant_metrics(shared, "default");
-        let from_worker = execute(&work, shared, None, &metrics, None);
-        assert_eq!(from_worker.status, 200);
+        let from_worker = execute(&work, shared, None, &metrics, None).expect("a warm key serves");
         let filled = entry.hit_body(|_| panic!("the worker left the entry's slot empty"));
-        assert_eq!(from_worker.body, &filled[..]);
+        assert_eq!(from_worker, &filled[..]);
 
         // ...which is exactly what the loop's inline answer replays: the
         // same function, the same bytes, nothing encoded twice.
         let from_loop = cache_hit_response("default", &entry);
-        assert_eq!(from_loop.body, from_worker.body);
+        assert_eq!(from_loop.body, from_worker);
         let expected = generate_response_body("default", &warm.output, true);
         assert_eq!(from_loop.body, expected.as_bytes());
     }
