@@ -17,8 +17,7 @@
 //! or `PUT` body lists in `key_hashes`/`admin_key_hashes`. Lookups compare
 //! digests in constant time.
 
-use crate::digest::{ct_eq, hex_decode, hex_encode, sha256};
-use rpg_service::Manifest;
+use rpg_service::{Manifest, StoredKey};
 
 /// Who a request is, after checking its bearer key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,49 +28,6 @@ pub enum Principal {
     Tenant(String),
     /// A key from the admin set.
     Admin,
-}
-
-/// One key at rest: a salt and the SHA-256 of `salt ‖ key`. The wire/file
-/// form is `"<salt-hex>:<digest-hex>"`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoredKey {
-    salt: Vec<u8>,
-    digest: [u8; 32],
-}
-
-impl StoredKey {
-    /// Hashes a plaintext key under an explicit salt.
-    pub fn with_salt(key: &str, salt: &[u8]) -> StoredKey {
-        let mut message = salt.to_vec();
-        message.extend_from_slice(key.as_bytes());
-        StoredKey {
-            salt: salt.to_vec(),
-            digest: sha256(&message),
-        }
-    }
-
-    /// Parses the stored form `"<salt-hex>:<digest-hex>"`.
-    pub fn parse(text: &str) -> Option<StoredKey> {
-        let (salt_hex, digest_hex) = text.split_once(':')?;
-        let salt = hex_decode(salt_hex)?;
-        let digest: [u8; 32] = hex_decode(digest_hex)?.try_into().ok()?;
-        if salt.is_empty() {
-            return None;
-        }
-        Some(StoredKey { salt, digest })
-    }
-
-    /// The canonical stored form.
-    pub fn encode(&self) -> String {
-        format!("{}:{}", hex_encode(&self.salt), hex_encode(&self.digest))
-    }
-
-    /// Whether a presented plaintext key is this one (constant-time on the
-    /// digest).
-    pub fn matches(&self, candidate: &str) -> bool {
-        let probe = StoredKey::with_salt(candidate, &self.salt);
-        ct_eq(&probe.digest, &self.digest)
-    }
 }
 
 /// The key → principal mapping of a running server; all keys hashed.
@@ -88,53 +44,29 @@ impl AuthTable {
         AuthTable::default()
     }
 
-    /// The table a manifest describes: each tenant's `key_hashes` plus the
-    /// manifest's `admin_key_hashes`. Manifest validation already
-    /// guarantees no key is claimed twice; a malformed entry is skipped
-    /// with a warning rather than aborting the whole table.
+    /// The table a validated manifest describes: each tenant's
+    /// `key_hashes` plus the manifest's `admin_key_hashes`. Validation
+    /// already guarantees every hash parses and no key is claimed twice.
     pub fn from_manifest(manifest: &Manifest) -> AuthTable {
-        let mut table = AuthTable::new();
-        for hash in manifest.admin_hashed() {
-            match StoredKey::parse(hash) {
-                Some(stored) => table.admins.push(stored),
-                None => rpg_obs::log::warn(
-                    "auth",
-                    "ignoring malformed admin key_hash",
-                    &[
-                        ("key_hash", hash),
-                        ("expected", "<salt-hex>:<digest-hex> from `rpg hash-key`"),
-                    ],
-                ),
-            }
-        }
+        let mut table = AuthTable {
+            tenant_keys: Vec::new(),
+            admins: manifest.admin_stored_keys(),
+        };
         for (name, config) in manifest.tenants_sorted() {
-            table.grant_tenant(name, config.hashed_keys());
+            table.grant_tenant(name, config.stored_keys());
         }
         table
     }
 
-    /// Replaces one tenant's key set with its `"<salt>:<digest>"` entries
-    /// (also used by `PUT /v1/corpora/:name`). A hash already held by the
-    /// admin set or another tenant is skipped rather than stolen.
-    pub fn grant_tenant(&mut self, tenant: &str, key_hashes: &[String]) {
+    /// Replaces one tenant's key set (also used by
+    /// `PUT /v1/corpora/:name`). A key already held by the admin set or
+    /// another tenant is skipped rather than stolen.
+    pub fn grant_tenant(&mut self, tenant: &str, keys: Vec<StoredKey>) {
         self.revoke_tenant(tenant);
-        for hash in key_hashes {
-            let Some(stored) = StoredKey::parse(hash) else {
-                rpg_obs::log::warn(
-                    "auth",
-                    "ignoring malformed tenant key_hash",
-                    &[
-                        ("tenant", tenant),
-                        ("key_hash", hash),
-                        ("expected", "<salt-hex>:<digest-hex>"),
-                    ],
-                );
-                continue;
-            };
-            if self.encoded_owner(&stored).is_some() {
-                continue;
+        for stored in keys {
+            if self.encoded_owner(&stored).is_none() {
+                self.tenant_keys.push((stored, tenant.to_string()));
             }
-            self.tenant_keys.push((stored, tenant.to_string()));
         }
     }
 
@@ -294,7 +226,7 @@ mod tests {
     #[test]
     fn grant_and_revoke_edit_one_tenant() {
         let mut table = demo_table();
-        table.grant_tenant("alpha", &[hashed("fresh")]);
+        table.grant_tenant("alpha", vec![StoredKey::with_salt("fresh", b"salt")]);
         assert_eq!(table.principal(Some("ka1")), Principal::Anonymous);
         assert_eq!(
             table.principal(Some("fresh")),
@@ -313,8 +245,8 @@ mod tests {
     #[test]
     fn grants_never_steal_claimed_keys() {
         let mut table = demo_table();
-        let claimed = [hashed("root"), hashed("kb"), String::new(), "kb".into()];
-        table.grant_tenant("thief", &claimed);
+        let claimed = ["root", "kb"].map(|key| StoredKey::with_salt(key, b"salt"));
+        table.grant_tenant("thief", claimed.to_vec());
         assert_eq!(table.principal(Some("root")), Principal::Admin);
         assert_eq!(
             table.principal(Some("kb")),

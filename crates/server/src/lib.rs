@@ -78,7 +78,6 @@
 pub mod api;
 pub mod auth;
 pub mod client;
-pub mod digest;
 pub mod http;
 pub mod queue;
 mod serve;

@@ -47,7 +47,7 @@ use crate::api::{
     batch_body, error_body, generate_response_body, item_error_body, timings_value, ApiError,
     BatchRequest, GenerateRequest, ResolvedRequest, TenantPatch, MAX_BATCH,
 };
-use crate::auth::{bearer_token, AuthTable, Principal, StoredKey};
+use crate::auth::{bearer_token, AuthTable, Principal};
 use crate::http::{self, Limits, Parse, Request, RequestBuffer, Response, ResponseEmitter};
 use crate::queue::{FairQueue, Rejection, Tuning};
 use crate::stats::{self, Counters, TenantMetrics};
@@ -2274,33 +2274,16 @@ fn admit_put(
     // or another tenant.
     if shared.config.auth_enabled {
         let table = shared.auth.read().unwrap();
-        for hash in config.hashed_keys() {
-            let Some(stored) = StoredKey::parse(hash) else {
-                return Routed::Inline(Response::json(
-                    400,
-                    error_body(&format!(
-                        "malformed key_hash {hash:?}: expected \
-                         \"<salt-hex>:<digest-hex>\" from `rpg hash-key`"
-                    )),
-                ));
-            };
-            match table.encoded_owner(&stored) {
-                Some(Principal::Admin) => {
-                    return Routed::Inline(Response::json(
-                        400,
-                        error_body(&format!("key_hash {hash:?} is already an admin key")),
-                    ));
-                }
+        for stored in config.stored_keys() {
+            let hash = stored.encode();
+            let message = match table.encoded_owner(&stored) {
+                Some(Principal::Admin) => format!("key_hash {hash:?} is already an admin key"),
                 Some(Principal::Tenant(owner)) if owner != tenant => {
-                    return Routed::Inline(Response::json(
-                        400,
-                        error_body(&format!(
-                            "key_hash {hash:?} is already claimed by tenant {owner:?}"
-                        )),
-                    ));
+                    format!("key_hash {hash:?} is already claimed by tenant {owner:?}")
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            return Routed::Inline(Response::json(400, error_body(&message)));
         }
     }
     let header_ms = match header_deadline_ms(request) {
@@ -2675,7 +2658,7 @@ fn execute(
                     .auth
                     .write()
                     .unwrap()
-                    .grant_tenant(name, config.hashed_keys());
+                    .grant_tenant(name, config.stored_keys());
             }
             Value::Object(vec![
                 ("corpus".to_string(), Value::String(name.clone())),

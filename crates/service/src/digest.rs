@@ -1,5 +1,7 @@
-//! A dependency-free SHA-256 plus the hex and constant-time helpers the
-//! hashed-at-rest key store needs.
+//! Bearer keys at rest: [`StoredKey`], a salt plus the salted SHA-256 of a
+//! key in the `"<salt-hex>:<digest-hex>"` form `rpg hash-key` prints and
+//! manifests list, over a dependency-free SHA-256 and the hex and
+//! constant-time helpers it needs.
 //!
 //! The workspace builds with no external crates, so the digest is the
 //! textbook FIPS 180-4 compression loop over `std` alone — more than fast
@@ -120,6 +122,51 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
         diff |= x ^ y;
     }
     diff == 0
+}
+
+/// One key at rest: a salt and the SHA-256 of `salt ‖ key`. The wire/file
+/// form is `"<salt-hex>:<digest-hex>"`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct StoredKey {
+    salt: Vec<u8>,
+    digest: [u8; 32],
+}
+
+impl StoredKey {
+    /// Hashes a plaintext key under an explicit salt.
+    pub fn with_salt(key: &str, salt: &[u8]) -> StoredKey {
+        let mut message = salt.to_vec();
+        message.extend_from_slice(key.as_bytes());
+        StoredKey {
+            salt: salt.to_vec(),
+            digest: sha256(&message),
+        }
+    }
+
+    /// Parses the stored form `"<salt-hex>:<digest-hex>"` (hex in either
+    /// case, so two spellings of one key parse equal): the one parser every
+    /// manifest, reload and `PUT` body's key hashes go through.
+    pub fn parse(text: &str) -> Option<StoredKey> {
+        let (salt_hex, digest_hex) = text.split_once(':')?;
+        let salt = hex_decode(salt_hex)?;
+        let digest: [u8; 32] = hex_decode(digest_hex)?.try_into().ok()?;
+        if salt.is_empty() {
+            return None;
+        }
+        Some(StoredKey { salt, digest })
+    }
+
+    /// The canonical stored form.
+    pub fn encode(&self) -> String {
+        format!("{}:{}", hex_encode(&self.salt), hex_encode(&self.digest))
+    }
+
+    /// Whether a presented plaintext key is this one (constant-time on the
+    /// digest).
+    pub fn matches(&self, candidate: &str) -> bool {
+        let probe = StoredKey::with_salt(candidate, &self.salt);
+        ct_eq(&probe.digest, &self.digest)
+    }
 }
 
 #[cfg(test)]

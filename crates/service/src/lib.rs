@@ -8,8 +8,9 @@
 //! * **result caching** — one bounded LRU, keyed by tenant, epoch and
 //!   [`RequestFingerprint`], serves repeated identical requests without
 //!   recomputation;
-//! * **tenant lifecycle** — manifests ([`manifest`]), refresh, and versioned
-//!   corpus snapshots ([`snapshot`]).
+//! * **tenant lifecycle** — manifests ([`manifest`]) with their hashed
+//!   bearer keys ([`StoredKey`]), refresh, and versioned corpus snapshots
+//!   ([`snapshot`]).
 //!
 //! A miss runs [`CorpusArtifacts::generate`](rpg_repager::CorpusArtifacts::generate),
 //! the one uncached way, on this thread's pipeline workspace
@@ -31,6 +32,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+pub mod digest;
 pub mod fingerprint;
 pub mod manifest;
 pub mod parallel;
@@ -38,6 +40,7 @@ pub mod registry;
 pub mod snapshot;
 
 pub use cache::LruCache;
+pub use digest::StoredKey;
 pub use fingerprint::RequestFingerprint;
 pub use manifest::{
     valid_tenant_name, CorpusSpec, Manifest, ManifestDiff, ManifestError, TenantConfig,

@@ -37,6 +37,7 @@
 //!
 //! [`CorpusRegistry::apply_manifest`]: crate::CorpusRegistry::apply_manifest
 
+use crate::digest::StoredKey;
 use rpg_corpus::{generate, Corpus, CorpusConfig};
 use rpg_repager::Variant;
 use serde::{Deserialize, Serialize};
@@ -212,9 +213,14 @@ impl TenantConfig {
         }
     }
 
-    /// The pre-hashed bearer keys, empty when omitted.
-    pub fn hashed_keys(&self) -> &[String] {
-        self.key_hashes.as_deref().unwrap_or(&[])
+    /// The bearer keys of a validated config, parsed from `key_hashes`.
+    ///
+    /// # Panics
+    ///
+    /// On an entry [`StoredKey::parse`] refuses, which
+    /// [`TenantConfig::validate`] rules out.
+    pub fn stored_keys(&self) -> Vec<StoredKey> {
+        parse_key_hashes("key_hashes", &self.key_hashes).expect("validated key hashes parse")
     }
 
     /// Parses and validates a `PUT /v1/corpora/:name` body by the rules a
@@ -235,7 +241,7 @@ impl TenantConfig {
     /// Checks the rules one tenant's config must meet on its own, wherever
     /// it comes from (a manifest entry or a `PUT /v1/corpora/:name` body):
     /// the corpus spec is present and parses, the variant is known, every
-    /// count-valued knob is at least 1, and no bearer key is empty. Rules
+    /// count-valued knob is at least 1, and every key hash parses. Rules
     /// spanning tenants are [`Manifest::validate`]'s.
     pub fn validate(&self) -> Result<(), ManifestError> {
         self.corpus_spec()?.corpus_config()?;
@@ -253,9 +259,7 @@ impl TenantConfig {
         if let Some((field, _)) = zero.iter().find(|(_, zero)| *zero) {
             return Err(ManifestError::new(format!("{field} must be at least 1")));
         }
-        if self.hashed_keys().iter().any(String::is_empty) {
-            return Err(ManifestError::new("key hashes must be non-empty"));
-        }
+        parse_key_hashes("key_hashes", &self.key_hashes)?;
         Ok(())
     }
 }
@@ -291,9 +295,16 @@ impl Manifest {
         Ok(manifest)
     }
 
-    /// The pre-hashed admin keys, empty when omitted.
-    pub fn admin_hashed(&self) -> &[String] {
-        self.admin_key_hashes.as_deref().unwrap_or(&[])
+    /// The admin keys of a validated manifest, parsed from
+    /// `admin_key_hashes`.
+    ///
+    /// # Panics
+    ///
+    /// On an entry [`StoredKey::parse`] refuses, which
+    /// [`Manifest::validate`] rules out.
+    pub fn admin_stored_keys(&self) -> Vec<StoredKey> {
+        parse_key_hashes("admin_key_hashes", &self.admin_key_hashes)
+            .expect("validated key hashes parse")
     }
 
     /// Tenant name → config, sorted by name so application order (and any
@@ -327,9 +338,10 @@ impl Manifest {
     /// wrong: tenant names must be usable in URLs and queue lanes, each
     /// tenant must pass [`TenantConfig::validate`], at most one tenant may
     /// be the default, and no bearer key may be ambiguous (shared between
-    /// tenants, or between a tenant and the admin set).
+    /// tenants, or between a tenant and the admin set). Keys are compared
+    /// parsed, so two spellings of one hash are one key.
     pub fn validate(&self) -> Result<(), ManifestError> {
-        let mut seen_keys: HashMap<&str, String> = HashMap::new();
+        let mut seen_keys: HashMap<StoredKey, String> = HashMap::new();
         let mut default_tenant: Option<String> = None;
         if let Some(level) = self.log_level.as_deref() {
             if rpg_obs::log::Level::parse(level).is_none() {
@@ -339,10 +351,7 @@ impl Manifest {
                 )));
             }
         }
-        for key in self.admin_hashed() {
-            if key.is_empty() {
-                return Err(ManifestError::new("admin key hashes must be non-empty"));
-            }
+        for key in parse_key_hashes("admin_key_hashes", &self.admin_key_hashes)? {
             seen_keys.insert(key, "admin".to_string());
         }
         for (name, config) in self.tenants_sorted() {
@@ -363,16 +372,37 @@ impl Manifest {
                     }
                 }
             }
-            for key in config.hashed_keys() {
+            for key in config.stored_keys() {
+                let hash = key.encode();
                 if let Some(owner) = seen_keys.insert(key, name.to_string()) {
                     return Err(ManifestError::new(format!(
-                        "key hash {key:?} is claimed by both {owner:?} and {name:?}"
+                        "key hash {hash:?} is claimed by both {owner:?} and {name:?}"
                     )));
                 }
             }
         }
         Ok(())
     }
+}
+
+/// Parses each entry of a `field` key-hash list with [`StoredKey::parse`];
+/// the error names the first malformed entry and `rpg hash-key`.
+fn parse_key_hashes(
+    field: &str,
+    hashes: &Option<Vec<String>>,
+) -> Result<Vec<StoredKey>, ManifestError> {
+    hashes
+        .iter()
+        .flatten()
+        .map(|hash| {
+            StoredKey::parse(hash).ok_or_else(|| {
+                ManifestError::new(format!(
+                    "malformed \"{field}\" entry {hash:?}: expected \"<salt-hex>:<digest-hex>\" \
+                     as `rpg hash-key <KEY>` prints it"
+                ))
+            })
+        })
+        .collect()
 }
 
 /// Refuses `field`, a plaintext key list older manifests used, naming
@@ -460,31 +490,43 @@ impl std::error::Error for ManifestError {}
 mod tests {
     use super::*;
 
+    /// A fixture key at rest under a fixed salt.
+    fn stored(key: &str) -> StoredKey {
+        StoredKey::with_salt(key, b"fixture")
+    }
+
+    /// The stored form of a fixture key, as `rpg hash-key` prints it.
+    fn hashed(key: &str) -> String {
+        stored(key).encode()
+    }
+
     fn demo_json() -> String {
-        r#"{
-            "admin_key_hashes": ["0a:a0"],
-            "tenants": {
-                "alpha": {
-                    "corpus": {"seed": 10, "scale": "small"},
+        let [admin, alpha, beta1, beta2] = ["root", "alpha", "beta-1", "beta-2"].map(hashed);
+        format!(
+            r#"{{
+            "admin_key_hashes": [{admin:?}],
+            "tenants": {{
+                "alpha": {{
+                    "corpus": {{"seed": 10, "scale": "small"}},
                     "weight": 2,
                     "queue": 16,
-                    "key_hashes": ["0b:b0"]
-                },
-                "beta": {
-                    "corpus": {"seed": 11, "papers_per_topic": 30},
+                    "key_hashes": [{alpha:?}]
+                }},
+                "beta": {{
+                    "corpus": {{"seed": 11, "papers_per_topic": 30}},
                     "variant": "NEWST-C",
                     "cache_share": 4,
-                    "key_hashes": ["0c:c1", "0c:c2"]
-                }
-            }
-        }"#
-        .to_string()
+                    "key_hashes": [{beta1:?}, {beta2:?}]
+                }}
+            }}
+        }}"#
+        )
     }
 
     #[test]
     fn parses_and_round_trips() {
         let manifest = Manifest::from_json(&demo_json()).unwrap();
-        assert_eq!(manifest.admin_hashed(), ["0a:a0"]);
+        assert_eq!(manifest.admin_stored_keys(), [stored("root")]);
         let names: Vec<&str> = manifest
             .tenants_sorted()
             .iter()
@@ -501,7 +543,7 @@ mod tests {
             Some(Variant::CandidatesOnly)
         );
         assert_eq!(beta.cache_share, Some(4));
-        assert_eq!(beta.hashed_keys().len(), 2);
+        assert_eq!(beta.stored_keys(), [stored("beta-1"), stored("beta-2")]);
         // Serialise → parse yields the same manifest.
         let text = serde_json::to_string(&manifest).unwrap();
         assert_eq!(Manifest::from_json(&text).unwrap(), manifest);
@@ -548,6 +590,36 @@ mod tests {
 
     #[test]
     fn validation_rejects_broken_manifests() {
+        let key = hashed("k");
+        let upper = key.to_uppercase();
+        let keyed = [
+            (
+                format!(
+                    r#"{{"tenants": {{
+                    "a": {{"corpus": {{"seed": 1}}, "key_hashes": [{key:?}]}},
+                    "b": {{"corpus": {{"seed": 2}}, "key_hashes": [{key:?}]}}}}}}"#
+                ),
+                "duplicate key hash across tenants",
+            ),
+            (
+                format!(
+                    r#"{{"tenants": {{
+                    "a": {{"corpus": {{"seed": 1}}, "key_hashes": [{key:?}]}},
+                    "b": {{"corpus": {{"seed": 2}}, "key_hashes": [{upper:?}]}}}}}}"#
+                ),
+                "one key hash spelled in two cases",
+            ),
+            (
+                format!(
+                    r#"{{"admin_key_hashes": [{upper:?}],
+                    "tenants": {{"a": {{"corpus": {{"seed": 1}}, "key_hashes": [{key:?}]}}}}}}"#
+                ),
+                "key hash shared with admin",
+            ),
+        ];
+        for (json, what) in &keyed {
+            assert!(Manifest::from_json(json).is_err(), "accepted: {what}");
+        }
         for (json, what) in [
             (r#"{"tenants": {"a": {}}}"#, "missing corpus spec"),
             (
@@ -590,6 +662,14 @@ mod tests {
             ),
             (r#"{"admin_key_hashes": [""]}"#, "empty admin key hash"),
             (
+                r#"{"tenants": {"a": {"corpus": {"seed": 1}, "key_hashes": ["0a:a0"]}}}"#,
+                "malformed key hash",
+            ),
+            (
+                r#"{"admin_key_hashes": ["0a:a0"]}"#,
+                "malformed admin key hash",
+            ),
+            (
                 r#"{"tenants": {"__x": {"corpus": {"seed": 1}}}}"#,
                 "reserved name",
             ),
@@ -601,20 +681,21 @@ mod tests {
                 r#"{"tenants": {"a/b": {"corpus": {"seed": 1}}}}"#,
                 "slash in name",
             ),
-            (
-                r#"{"tenants": {
-                    "a": {"corpus": {"seed": 1}, "key_hashes": ["ab:cd"]},
-                    "b": {"corpus": {"seed": 2}, "key_hashes": ["ab:cd"]}}}"#,
-                "duplicate key hash across tenants",
-            ),
-            (
-                r#"{"admin_key_hashes": ["ab:cd"],
-                    "tenants": {"a": {"corpus": {"seed": 1}, "key_hashes": ["ab:cd"]}}}"#,
-                "key hash shared with admin",
-            ),
             ("not json", "syntax error"),
         ] {
             assert!(Manifest::from_json(json).is_err(), "accepted: {what}");
+        }
+        // A malformed hash is refused naming its tenant, the entry and the
+        // command that mints well-formed ones.
+        let json = r#"{"tenants": {"a": {"corpus": {"seed": 1}, "key_hashes": ["0a:a0"]}}}"#;
+        let message = Manifest::from_json(json).unwrap_err().to_string();
+        for part in [
+            "tenant \"a\"",
+            "\"key_hashes\"",
+            "\"0a:a0\"",
+            "rpg hash-key",
+        ] {
+            assert!(message.contains(part), "{part} missing from {message}");
         }
     }
 
@@ -622,7 +703,7 @@ mod tests {
     fn empty_manifest_is_valid() {
         let manifest = Manifest::from_json("{}").unwrap();
         assert!(manifest.tenants_sorted().is_empty());
-        assert!(manifest.admin_hashed().is_empty());
+        assert!(manifest.admin_stored_keys().is_empty());
         assert_eq!(manifest.default_tenant(), None);
     }
 
@@ -656,7 +737,8 @@ mod tests {
 
     #[test]
     fn a_put_body_parses_like_a_manifest_entry() {
-        let body = r#"{"corpus": {"seed": 4}, "weight": 2, "key_hashes": ["0d:d0"]}"#;
+        let key = hashed("d");
+        let body = &format!(r#"{{"corpus": {{"seed": 4}}, "weight": 2, "key_hashes": [{key:?}]}}"#);
         let config = TenantConfig::from_json(body).unwrap();
         let manifest = Manifest::from_json(&format!(r#"{{"tenants": {{"t": {body}}}}}"#)).unwrap();
         assert_eq!(manifest.tenant("t"), Some(&config));
@@ -667,24 +749,25 @@ mod tests {
 
     #[test]
     fn overload_and_default_fields_parse_and_round_trip() {
-        let manifest = Manifest::from_json(
-            r#"{
-                "tenants": {
-                    "alpha": {
-                        "corpus": {"seed": 1},
+        let key = hashed("alpha");
+        let manifest = Manifest::from_json(&format!(
+            r#"{{
+                "tenants": {{
+                    "alpha": {{
+                        "corpus": {{"seed": 1}},
                         "inflight": 3,
                         "deadline_ms": 250,
-                        "key_hashes": ["00ff:aa11"]
-                    },
-                    "beta": {"corpus": {"seed": 2}, "default": true}
-                }
-            }"#,
-        )
+                        "key_hashes": [{key:?}]
+                    }},
+                    "beta": {{"corpus": {{"seed": 2}}, "default": true}}
+                }}
+            }}"#
+        ))
         .unwrap();
         let alpha = manifest.tenant("alpha").unwrap();
         assert_eq!(alpha.inflight, Some(3));
         assert_eq!(alpha.deadline_ms, Some(250));
-        assert_eq!(alpha.hashed_keys(), ["00ff:aa11"]);
+        assert_eq!(alpha.stored_keys(), [stored("alpha")]);
         assert!(!alpha.is_default());
         assert_eq!(manifest.default_tenant(), Some("beta"));
         let text = serde_json::to_string(&manifest).unwrap();

@@ -725,12 +725,12 @@ fn run_hash_key(args: &[String]) -> Result<String, String> {
         return Err("the key must be non-empty".to_string());
     }
     let salt = match salt_hex {
-        Some(hex) => rpg_server::digest::hex_decode(&hex)
+        Some(hex) => rpg_service::digest::hex_decode(&hex)
             .filter(|salt| !salt.is_empty())
             .ok_or_else(|| "--salt expects non-empty hex bytes".to_string())?,
         None => fresh_salt(),
     };
-    Ok(rpg_server::auth::StoredKey::with_salt(&key, &salt).encode())
+    Ok(rpg_service::StoredKey::with_salt(&key, &salt).encode())
 }
 
 /// A 16-byte salt unique per invocation. Salts need uniqueness, not
@@ -741,7 +741,7 @@ fn fresh_salt() -> Vec<u8> {
         .duration_since(std::time::UNIX_EPOCH)
         .unwrap_or_default();
     let seed = format!("rpg-salt:{}:{}", now.as_nanos(), std::process::id());
-    rpg_server::digest::sha256(seed.as_bytes())[..16].to_vec()
+    rpg_service::digest::sha256(seed.as_bytes())[..16].to_vec()
 }
 
 fn build_corpus(scale: CorpusScale) -> Corpus {
@@ -1101,14 +1101,14 @@ mod tests {
     #[test]
     fn hash_key_emits_loadable_stored_keys() {
         let encoded = run_hash_key(&args(&["s3cret"])).unwrap();
-        let stored = rpg_server::auth::StoredKey::parse(&encoded).unwrap();
+        let stored = rpg_service::StoredKey::parse(&encoded).unwrap();
         assert!(stored.matches("s3cret"));
         assert!(!stored.matches("other"));
         // A pinned salt reproduces the exact encoding (for tests/docs).
         let pinned = run_hash_key(&args(&["s3cret", "--salt", "0a0b0c0d"])).unwrap();
         assert_eq!(
             pinned,
-            rpg_server::auth::StoredKey::with_salt("s3cret", &[0x0a, 0x0b, 0x0c, 0x0d]).encode()
+            rpg_service::StoredKey::with_salt("s3cret", &[0x0a, 0x0b, 0x0c, 0x0d]).encode()
         );
         assert_ne!(pinned, encoded, "fresh salt differs from the pinned one");
         assert!(run_hash_key(&args(&[])).is_err(), "key is required");
@@ -1142,7 +1142,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("rpg-cli-manifest-{}.json", std::process::id()));
         let [admin, alpha] = ["root-key", "alpha-key"]
-            .map(|key| rpg_server::auth::StoredKey::with_salt(key, b"cli").encode());
+            .map(|key| rpg_service::StoredKey::with_salt(key, b"cli").encode());
         std::fs::write(
             &path,
             format!(
@@ -1194,6 +1194,15 @@ mod tests {
             .expect("plaintext keys refused");
         assert!(
             refused.contains("\"admin_key_hashes\"") && refused.contains("rpg hash-key"),
+            "{refused}"
+        );
+        // Nor does one naming a malformed key hash.
+        std::fs::write(&path, r#"{"admin_key_hashes": ["0a:a0"]}"#).unwrap();
+        let refused = start_server(&options)
+            .err()
+            .expect("malformed key hash refused");
+        assert!(
+            refused.contains("\"0a:a0\"") && refused.contains("rpg hash-key"),
             "{refused}"
         );
         let _ = std::fs::remove_file(&path);

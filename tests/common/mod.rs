@@ -22,10 +22,9 @@
 #![allow(dead_code)]
 
 use rpg_repro::demo_corpus;
-use rpg_server::auth::StoredKey;
 use rpg_server::client::{self, ClientResponse};
 use rpg_server::{IoBackendChoice, Server, ServerConfig, StatsSnapshot};
-use rpg_service::{CorpusRegistry, Manifest};
+use rpg_service::{CorpusRegistry, Manifest, StoredKey};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

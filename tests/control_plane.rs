@@ -1134,10 +1134,15 @@ fn reload_applies_the_manifest_live_and_atomically() {
     );
 
     // A broken manifest file fails the reload and changes nothing. So does
-    // one that still names plaintext keys: it is refused by name rather
-    // than loaded with those keys gone.
+    // one that still names plaintext keys, or a malformed key hash: it is
+    // refused by name rather than loaded with those keys gone.
+    let malformed = format!(
+        r#"{{"admin_key_hashes": [{admin:?}], "tenants": {{"gamma": {{
+            "corpus": {{"seed": 193, "scale": "small"}}, "key_hashes": ["0a:a0"]}}}}}}"#
+    );
     for (broken, names) in [
         ("{ not json", None),
+        (malformed.as_str(), Some("key_hashes")),
         (
             r#"{"admin_keys": ["root-key"], "tenants": {}}"#,
             Some("admin_key_hashes"),
@@ -1321,6 +1326,10 @@ fn put_rejects_what_the_manifest_rejects() {
         (
             r#"{"corpus": {"seed": 1}, "key_hashes": [""]}"#,
             "empty key hash",
+        ),
+        (
+            r#"{"corpus": {"seed": 1}, "key_hashes": ["0a:a0"]}"#,
+            "malformed key hash",
         ),
     ];
     for (body, what) in rows {
