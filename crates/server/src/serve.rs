@@ -2123,9 +2123,8 @@ fn admit_generate(
     if let Some(response) = answer_cached(shared, &tenant, &resolved, trace) {
         return Routed::CacheHit(tenant, response);
     }
-    let deadline = effective_deadline(header_ms, &tenant, shared);
     let work = Work::Generate(tenant.clone(), resolved);
-    submit_single(shared, &tenant, work, me, token, deadline, trace)
+    submit_single(shared, &tenant, work, me, token, header_ms, trace)
 }
 
 /// Answers a `/v1/generate` cache hit on the event loop: probes the
@@ -2224,18 +2223,10 @@ fn admit_batch(
                 continue;
             }
         };
-        let deadline = effective_deadline(header_ms, &tenant, shared);
         let work = Work::Generate(tenant.clone(), resolved);
         // A refused item fills its own slot; nothing is answered inline.
-        submit(
-            shared,
-            &tenant,
-            work,
-            Deliver::Item(ticket),
-            &cancel,
-            deadline,
-            trace,
-        );
+        let item = Deliver::Item(ticket);
+        submit(shared, &tenant, work, item, &cancel, header_ms, trace);
     }
     // The assembly owns the batch's reply; once the last item fills (which
     // may already have happened, if everything was rejected inline) the
@@ -2290,12 +2281,11 @@ fn admit_put(
         Ok(header_ms) => header_ms,
         Err(response) => return Routed::Inline(response),
     };
-    let deadline = effective_deadline(header_ms, tenant, shared);
     let work = Work::Put {
         name: tenant.to_string(),
         config: Box::new(config),
     };
-    submit_single(shared, tenant, work, me, token, deadline, trace)
+    submit_single(shared, tenant, work, me, token, header_ms, trace)
 }
 
 /// Queues a manifest re-read-and-apply, billed to the reserved admin lane.
@@ -2316,8 +2306,8 @@ fn admit_reload(
         Ok(header_ms) => header_ms,
         Err(response) => return Routed::Inline(response),
     };
-    let deadline = effective_deadline(header_ms, ADMIN_LANE, shared);
-    submit_single(shared, ADMIN_LANE, Work::Reload, me, token, deadline, trace)
+    let work = Work::Reload;
+    submit_single(shared, ADMIN_LANE, work, me, token, header_ms, trace)
 }
 
 /// The tenant's metrics cell, created (and registered into the shared
@@ -2391,30 +2381,32 @@ fn submit_single(
     work: Work,
     me: &Arc<LoopShared>,
     token: usize,
-    deadline: Option<Instant>,
+    header_ms: Option<u64>,
     trace: &RequestTrace,
 ) -> Routed {
     let cancel = Arc::new(AtomicBool::new(false));
     let reply = Deliver::Reply(Reply::new(me.clone(), token));
-    match submit(shared, tenant, work, reply, &cancel, deadline, trace) {
+    match submit(shared, tenant, work, reply, &cancel, header_ms, trace) {
         Some(refusal) => Routed::Inline(refusal),
         None => Routed::Queued(Some(tenant.to_string()), cancel),
     }
 }
 
 /// Offers one job to the fair queue under `tenant`'s lane, the only way
-/// work reaches the compute pool. Per-tenant overflow is a `429` and global
-/// overflow a `503`, both saying when to retry. A refused single request
-/// gets its refusal back to answer inline, its reply disarmed so nothing
-/// is posted later; a refused batch item fills its slot, and a batch item
-/// has no header of its own, so its `429` says when in its message.
+/// work reaches the compute pool, with the deadline its header budget and
+/// its tenant's tuning give it (see [`effective_deadline`]). Per-tenant
+/// overflow is a `429` and global overflow a `503`, both saying when to
+/// retry. A refused single request gets its refusal back to answer
+/// inline, its reply disarmed so nothing is posted later; a refused batch
+/// item fills its slot, and a batch item has no header of its own, so its
+/// `429` says when in its message.
 fn submit(
     shared: &Shared,
     tenant: &str,
     work: Work,
     to: Deliver,
     cancelled: &Arc<AtomicBool>,
-    deadline: Option<Instant>,
+    header_ms: Option<u64>,
     trace: &RequestTrace,
 ) -> Option<Response> {
     let job = Job {
@@ -2423,7 +2415,7 @@ fn submit(
         cancelled: cancelled.clone(),
         lane: tenant.to_string(),
         admitted_at: Instant::now(),
-        deadline,
+        deadline: effective_deadline(header_ms, tenant, shared),
         trace: trace.clone(),
     };
     let Err(rejection) = shared.requests.try_push(tenant, job) else {
