@@ -228,7 +228,8 @@ impl ServerConfig {
         }
     }
 
-    /// Folds a manifest's server-side tuning into the config: every
+    /// Folds a validated manifest's server-side tuning into the config
+    /// (every [`Manifest::from_json`] result is validated): every
     /// tenant's weight, queue bound, in-flight cap, deadline budget and
     /// trace threshold exactly as a reload applies them, the default
     /// tenant, and the key table. (The corpus side — building the
@@ -323,7 +324,7 @@ pub struct StatsSnapshot {
 /// Pipeline work classified by tenant, queued for the compute pool. A
 /// generate request (a `/v1/generate` miss or one `/v1/batch` item)
 /// travels in resolved form (corpus name + validated parameters) so the
-/// driver-side validation is not repeated on the worker.
+/// event loop's validation is not repeated on the worker.
 enum Work {
     Generate(String, ResolvedRequest),
     /// Build a corpus from a wire-shipped spec and atomically swap it in
@@ -702,9 +703,11 @@ impl Server {
                 .name("rpg-accept".to_string())
                 .spawn(move || accept_loop(listener, &shared, &rejects))?
         };
-        let rejector = std::thread::Builder::new()
-            .name("rpg-reject".to_string())
-            .spawn(move || rejector_loop(rejected))?;
+        let rejector = {
+            std::thread::Builder::new()
+                .name("rpg-reject".to_string())
+                .spawn(move || rejector_loop(rejected))?
+        };
         let drivers = pollers
             .into_iter()
             .enumerate()
