@@ -382,6 +382,75 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
+    fn capacity_is_at_least_one() {
+        // Zero bounds are floored at one, per tenant and in all, so a
+        // queue configured with a zero bound still admits work.
+        let queue: FairQueue<u32> = FairQueue::new(4, 0);
+        queue.try_push("a", 1).unwrap();
+        assert!(matches!(
+            queue.try_push("a", 2),
+            Err(Rejection::TenantFull(2))
+        ));
+        queue.try_push("b", 3).unwrap();
+        let queue: FairQueue<u32> = FairQueue::new(0, 4);
+        queue.try_push("a", 1).unwrap();
+        assert!(matches!(
+            queue.try_push("b", 2),
+            Err(Rejection::QueueFull(2))
+        ));
+    }
+
+    #[test]
+    fn concurrent_producers_and_consumers_hand_off_everything() {
+        // Producers on three tenants, one of them capped to one in-flight
+        // job, race two consumers that release each lane's slot after
+        // every pop, as compute workers do: every item comes out once.
+        let queue: Arc<FairQueue<(&'static str, usize)>> = Arc::new(FairQueue::new(8, 4));
+        queue.tune("capped", |t| t.inflight = Some(1));
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let queue = queue.clone();
+                std::thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Some((tenant, item)) = queue.pop() {
+                        got.push(item);
+                        queue.release(tenant);
+                    }
+                    got
+                })
+            })
+            .collect();
+        let producers: Vec<_> = ["a", "b", "capped"]
+            .into_iter()
+            .enumerate()
+            .map(|(p, tenant)| {
+                let queue = queue.clone();
+                std::thread::spawn(move || {
+                    for i in (0..300).map(|i| p * 300 + i) {
+                        // Spin until admitted: producers back off instead
+                        // of buffering.
+                        let mut item = (tenant, i);
+                        while let Err(rejection) = queue.try_push(tenant, item) {
+                            item = rejection.into_inner();
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for producer in producers {
+            producer.join().unwrap();
+        }
+        queue.close();
+        let mut got: Vec<usize> = consumers
+            .into_iter()
+            .flat_map(|consumer| consumer.join().unwrap())
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..900).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn fair_queue_alternates_between_backlogged_tenants() {
         let queue: FairQueue<&'static str> = FairQueue::new(16, 8);
         for item in ["a1", "a2", "a3"] {
