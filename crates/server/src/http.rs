@@ -380,8 +380,8 @@ fn wants_keep_alive(version: &str, headers: &[(String, String)]) -> bool {
 
 /// Finds `\r\n\r\n` in `buf`, only scanning bytes past `*scanned` (minus a
 /// 3-byte overlap for terminators split across reads). Advances `*scanned`
-/// when nothing is found so the next call skips what this one covered, so
-/// a trickled head costs O(n), not O(n²). The client's reader uses it too.
+/// when nothing is found so the next call skips what this one covered: a
+/// trickled head costs O(n), not O(n²). The client's reader uses it too.
 pub(crate) fn find_head_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
     let from = scanned.saturating_sub(3);
     match buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
